@@ -9,14 +9,21 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dscts_bench::{c2_sizing_workload, fig12_thresholds, forced_refine_config, sizing_workload};
 use dscts_core::baseline::{flip_backside, FlipMethod, HTreeCts};
 use dscts_core::dse;
-use dscts_core::mcmm::MultiCornerEval;
 use dscts_core::opt::{AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager};
-use dscts_core::sizing::{resize_for_skew, SizingConfig, SizingPass};
-use dscts_core::skew::{refine, EndpointRefinePass};
-use dscts_core::{DsCts, EvalModel};
+use dscts_core::sizing::{SizingConfig, SizingPass};
+use dscts_core::skew::EndpointRefinePass;
+use dscts_core::{DsCts, EvalModel, IncrementalEval, RobustObjective, SynthesizedTree};
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
 use std::hint::black_box;
+
+/// Runs `schedule` over a fresh single-corner evaluator of a clone of
+/// `tree`, returning the final skew.
+fn run_schedule(schedule: &OptSchedule, tree: &SynthesizedTree, tech: &Technology) -> f64 {
+    let mut t = tree.clone();
+    let eval = IncrementalEval::new(&mut t, tech, EvalModel::Elmore);
+    PassManager::new(schedule).run(eval, None).after.skew_ps
+}
 
 fn bench_flows(c: &mut Criterion) {
     let tech = Technology::asap7();
@@ -63,82 +70,55 @@ fn bench_flows(c: &mut Criterion) {
 }
 
 /// Post-CTS optimization micro-benches on the shared C2-sized workload
-/// (14 338 sinks): the loops rewired onto the incremental evaluator. Each
-/// iteration starts from a fresh clone of the routed + DP-assigned tree,
-/// so the numbers isolate the optimization passes themselves.
+/// (14 338 sinks): each pass scheduled alone over the incremental
+/// evaluator. Each iteration starts from a fresh clone of the routed +
+/// DP-assigned tree, so the numbers isolate the optimization passes
+/// themselves.
 fn bench_opt_passes(c: &mut Criterion) {
     let (tree, tech) = c2_sizing_workload();
 
     let mut group = c.benchmark_group("opt_passes");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("resize_for_skew", "C2"), &tree, |b, t| {
-        b.iter(|| {
-            let mut t = t.clone();
-            let rep = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-            black_box(rep.after.skew_ps)
-        });
+    let sizing = OptSchedule::new().with(SizingPass::new(SizingConfig::default()));
+    group.bench_with_input(BenchmarkId::new("sizing", "C2"), &tree, |b, t| {
+        b.iter(|| black_box(run_schedule(&sizing, t, &tech)));
     });
-    group.bench_with_input(BenchmarkId::new("refine", "C2"), &tree, |b, t| {
-        b.iter(|| {
-            let mut t = t.clone();
-            let rep = refine(&mut t, &tech, EvalModel::Elmore, &forced_refine_config());
-            black_box(rep.after.skew_ps)
-        });
+    let refine = OptSchedule::new().with(EndpointRefinePass::new(forced_refine_config()));
+    group.bench_with_input(BenchmarkId::new("endpoint_refine", "C2"), &tree, |b, t| {
+        b.iter(|| black_box(run_schedule(&refine, t, &tech)));
     });
     group.finish();
 }
 
-/// The pass-manager layer itself on the same C2-sized workload: the
-/// legacy free-function chain versus the identical schedule through the
-/// `PassManager` (same arithmetic, one shared evaluator instead of two —
-/// the manager should be at least as fast), plus the annealed sizing
-/// pass at a bench-sized move budget.
+/// Multi-pass schedules on the same C2-sized workload: sizing then
+/// refinement over one shared evaluator, plus the annealed sizing pass
+/// at a bench-sized move budget.
 fn bench_opt_schedule(c: &mut Criterion) {
     let (tree, tech) = c2_sizing_workload();
 
     let mut group = c.benchmark_group("opt_schedule");
     group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::new("legacy_sizing_then_refine", "C2"),
-        &tree,
-        |b, t| {
-            b.iter(|| {
-                let mut t = t.clone();
-                let _ = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-                let rep = refine(&mut t, &tech, EvalModel::Elmore, &forced_refine_config());
-                black_box(rep.after.skew_ps)
-            });
-        },
-    );
+    let sizing_then_refine = OptSchedule::new()
+        .with(SizingPass::new(SizingConfig::default()))
+        .with(EndpointRefinePass::new(forced_refine_config()));
     group.bench_with_input(
         BenchmarkId::new("pass_manager_sizing_then_refine", "C2"),
         &tree,
         |b, t| {
-            let schedule = OptSchedule::new()
-                .with(SizingPass::new(SizingConfig::default()))
-                .with(EndpointRefinePass::new(forced_refine_config()));
-            b.iter(|| {
-                let mut t = t.clone();
-                let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
-                black_box(rep.after.skew_ps)
-            });
+            b.iter(|| black_box(run_schedule(&sizing_then_refine, t, &tech)));
         },
     );
+    let annealed = OptSchedule::new()
+        .seed(7)
+        .with(AnnealedSizingPass::new(AnnealConfig {
+            moves: 1_000,
+            ..AnnealConfig::default()
+        }));
     group.bench_with_input(
         BenchmarkId::new("annealed_sizing_1k_moves", "C2"),
         &tree,
         |b, t| {
-            let schedule = OptSchedule::new()
-                .seed(7)
-                .with(AnnealedSizingPass::new(AnnealConfig {
-                    moves: 1_000,
-                    ..AnnealConfig::default()
-                }));
-            b.iter(|| {
-                let mut t = t.clone();
-                let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
-                black_box(rep.after.skew_ps)
-            });
+            b.iter(|| black_box(run_schedule(&annealed, t, &tech)));
         },
     );
     group.finish();
@@ -170,7 +150,8 @@ fn bench_dse_sweep(c: &mut Criterion) {
 /// MCMM fan-out evaluation on the C4 workload with the three-corner
 /// ASAP7 SS/TT/FF set: the marginal cost of keeping K corners signed
 /// off per trial move. `fanout_mutation` pays K dirty ancestor paths +
-/// subtrees through the resident `MultiCornerEval`; `k_full_evaluates`
+/// subtrees through the resident corner-aware `IncrementalEval`;
+/// `k_full_evaluates`
 /// is what a non-incremental MCMM loop would pay — K from-scratch
 /// `evaluate()` calls after the same knob write.
 fn bench_mcmm_eval(c: &mut Criterion) {
@@ -194,44 +175,35 @@ fn bench_mcmm_eval(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("mcmm_eval");
     group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::new("fanout_mutation", "C4x3"),
-        &tree,
-        |b, t| {
+    // The auto-gated fan-out (serial on a C4-sized trunk), then the same
+    // toggle forced onto the rayon path: each of the K=3 per-corner
+    // repairs runs on its own thread into its own journal (bit-identical
+    // to the serial arm). With one thread the shim degrades to the serial
+    // loop, so expect parity there and a speed-up at ≥2 cores.
+    for (id, parallel) in [
+        ("fanout_mutation", None),
+        ("fanout_mutation_parallel", Some(true)),
+    ] {
+        group.bench_with_input(BenchmarkId::new(id, "C4x3"), &tree, |b, t| {
             let mut t = t.clone();
-            let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+            let mut mc = IncrementalEval::with_corners(
+                &mut t,
+                &corners,
+                EvalModel::Elmore,
+                RobustObjective::WorstCorner,
+            )
+            .expect("C4 is feasible at every PVT corner")
+            .with_parallel(parallel);
             let mut flip = false;
             b.iter(|| {
                 flip = !flip;
                 let ok = mc.set_buffer_scale(edge, if flip { 2.0 } else { 1.0 });
                 assert!(ok, "scale toggle stays feasible");
                 mc.commit();
-                black_box(mc.worst_latency_skew_ps())
+                black_box(mc.latency_skew_ps())
             });
-        },
-    );
-    // Same toggle with the corner fan-out forced onto the rayon path:
-    // each of the K=3 per-corner repairs runs on its own thread, journals
-    // into per-corner scratch, and merges in corner order (bit-identical
-    // to the serial arm). On a single-core container the shim degrades to
-    // the serial loop, so expect parity there and a speed-up at ≥2 cores.
-    group.bench_with_input(
-        BenchmarkId::new("fanout_mutation_parallel", "C4x3"),
-        &tree,
-        |b, t| {
-            let mut t = t.clone();
-            let mut mc =
-                MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).with_parallel(Some(true));
-            let mut flip = false;
-            b.iter(|| {
-                flip = !flip;
-                let ok = mc.set_buffer_scale(edge, if flip { 2.0 } else { 1.0 });
-                assert!(ok, "scale toggle stays feasible");
-                mc.commit();
-                black_box(mc.worst_latency_skew_ps())
-            });
-        },
-    );
+        });
+    }
     group.bench_with_input(
         BenchmarkId::new("k_full_evaluates", "C4x3"),
         &tree,

@@ -69,9 +69,11 @@
 use dscts_bench::{all_designs, fig12_thresholds, sizing_workload, DESIGN_IDS};
 use dscts_core::mcmm::{CornerReport, RobustObjective};
 use dscts_core::opt::{AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager};
-use dscts_core::sizing::{resize_for_skew, SizingConfig};
 use dscts_core::skew::SkewConfig;
-use dscts_core::{dse, run_dp, DpConfig, DsCts, EvalModel, Outcome, RunBudget, TreeMetrics};
+use dscts_core::{
+    dse, run_dp, DpConfig, DsCts, EvalModel, IncrementalEval, Outcome, RunBudget, SizingPass,
+    SynthesizedTree, TreeMetrics,
+};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_tech::{CornerSet, Technology};
 use std::fmt::Write as _;
@@ -344,13 +346,10 @@ fn run_sizing_pair() -> Vec<SizingRecord> {
         };
 
         let mut greedy = tree.clone();
+        let schedule = OptSchedule::new().with(SizingPass::default());
         let t0 = Instant::now();
-        let rep = resize_for_skew(
-            &mut greedy,
-            &tech,
-            EvalModel::Elmore,
-            &SizingConfig::default(),
-        );
+        let eval = IncrementalEval::new(&mut greedy, &tech, EvalModel::Elmore);
+        let rep = PassManager::new(&schedule).run(eval, None);
         record(
             "greedy",
             t0.elapsed().as_secs_f64(),
@@ -363,7 +362,8 @@ fn run_sizing_pair() -> Vec<SizingRecord> {
             .seed(7)
             .with(AnnealedSizingPass::default());
         let t0 = Instant::now();
-        let rep = PassManager::new(&schedule).run(&mut annealed, &tech, EvalModel::Elmore);
+        let eval = IncrementalEval::new(&mut annealed, &tech, EvalModel::Elmore);
+        let rep = PassManager::new(&schedule).run(eval, None);
         record(
             "annealed",
             t0.elapsed().as_secs_f64(),
@@ -495,30 +495,32 @@ fn run_mcmm_pair() -> Vec<McmmRecord> {
             });
         };
 
+        let signoff = |t: &SynthesizedTree| {
+            CornerReport::try_evaluate(t, &corners, EvalModel::Elmore)
+                .expect("MCMM workloads are feasible at every PVT corner")
+        };
+
         let mut nominal = tree.clone();
         let t0 = Instant::now();
-        let _ = manager.run(&mut nominal, &tech, EvalModel::Elmore);
-        let dt = t0.elapsed().as_secs_f64();
-        record(
-            "nominal",
-            dt,
-            CornerReport::evaluate(&nominal, &corners, EvalModel::Elmore),
+        let _ = manager.run(
+            IncrementalEval::new(&mut nominal, &tech, EvalModel::Elmore),
+            None,
         );
+        let dt = t0.elapsed().as_secs_f64();
+        record("nominal", dt, signoff(&nominal));
 
         let mut robust = tree.clone();
         let t0 = Instant::now();
-        let _ = manager.run_corners(
+        let eval = IncrementalEval::with_corners(
             &mut robust,
             &corners,
             EvalModel::Elmore,
             RobustObjective::WorstCorner,
-        );
+        )
+        .expect("MCMM workloads are feasible at every PVT corner");
+        let _ = manager.run(eval, None);
         let dt = t0.elapsed().as_secs_f64();
-        record(
-            "robust",
-            dt,
-            CornerReport::evaluate(&robust, &corners, EvalModel::Elmore),
-        );
+        record("robust", dt, signoff(&robust));
     }
     // The robust schedule must beat the nominal one on worst-corner skew
     // at equal resource bounds somewhere — the point of paying K dirty

@@ -1,21 +1,35 @@
 //! Micro-benchmark of the post-CTS optimization passes.
 //!
-//! Times `sizing::resize_for_skew`, `skew::refine` and the annealed
-//! sizing pass in isolation on the shared C2-sized workload (14 338
-//! sinks, see [`dscts_bench::c2_sizing_workload`]), printing wall-clock
-//! per pass. The routed + DP-assigned tree is built once; each timed pass
-//! starts from a fresh clone, so the numbers isolate the optimization
-//! loops themselves — the workloads the incremental evaluator
-//! accelerates.
+//! Times the greedy sizing, end-point refinement and annealed sizing
+//! passes in isolation on the shared C2-sized workload (14 338 sinks, see
+//! [`dscts_bench::c2_sizing_workload`]), each scheduled alone through the
+//! `PassManager`, printing wall-clock per pass. The routed + DP-assigned
+//! tree is built once; each timed pass starts from a fresh clone, so the
+//! numbers isolate the optimization loops themselves — the workloads the
+//! incremental evaluator accelerates.
 //!
 //! Run with `cargo run --release -p dscts-bench --bin opt_micro`.
 
 use dscts_bench::{c2_sizing_workload, forced_refine_config};
-use dscts_core::opt::{AnnealedSizingPass, OptSchedule, PassManager};
-use dscts_core::sizing::{resize_for_skew, SizingConfig};
-use dscts_core::skew::refine;
-use dscts_core::EvalModel;
+use dscts_core::opt::{AnnealedSizingPass, OptPass, OptSchedule, PassManager, ScheduleReport};
+use dscts_core::{EndpointRefinePass, EvalModel, IncrementalEval, SizingPass, SynthesizedTree};
+use dscts_tech::Technology;
 use std::time::Instant;
+
+/// Runs `pass` alone over a fresh clone of `tree`, returning the report
+/// and the wall clock in milliseconds.
+fn timed(
+    pass: impl OptPass + 'static,
+    tree: &SynthesizedTree,
+    tech: &Technology,
+    model: EvalModel,
+) -> (ScheduleReport, f64) {
+    let schedule = OptSchedule::new().seed(7).with(pass);
+    let mut t = tree.clone();
+    let t0 = Instant::now();
+    let rep = PassManager::new(&schedule).run(IncrementalEval::new(&mut t, tech, model), None);
+    (rep, t0.elapsed().as_secs_f64() * 1e3)
+}
 
 fn main() {
     let t0 = Instant::now();
@@ -28,37 +42,22 @@ fn main() {
     );
 
     for model in [EvalModel::Elmore, EvalModel::Nldm] {
-        let mut t = tree.clone();
-        let t0 = Instant::now();
-        let rep = resize_for_skew(&mut t, &tech, model, &SizingConfig::default());
+        let (rep, ms) = timed(SizingPass::default(), &tree, &tech, model);
         println!(
-            "resize_for_skew [{model:?}]: {:.1} ms ({} resized, skew {:.3} -> {:.3} ps)",
-            t0.elapsed().as_secs_f64() * 1e3,
-            rep.resized,
-            rep.before.skew_ps,
-            rep.after.skew_ps
+            "sizing [{model:?}]: {ms:.1} ms ({} resized, skew {:.3} -> {:.3} ps)",
+            rep.passes[0].accepted, rep.before.skew_ps, rep.after.skew_ps
         );
 
-        let mut t = tree.clone();
-        let t0 = Instant::now();
-        let rep = refine(&mut t, &tech, model, &forced_refine_config());
+        let refine = EndpointRefinePass::new(forced_refine_config());
+        let (rep, ms) = timed(refine, &tree, &tech, model);
         println!(
-            "refine [{model:?}]: {:.1} ms ({} buffers added, skew {:.3} -> {:.3} ps)",
-            t0.elapsed().as_secs_f64() * 1e3,
-            rep.buffers_added,
-            rep.before.skew_ps,
-            rep.after.skew_ps
+            "endpoint-refine [{model:?}]: {ms:.1} ms ({} buffers added, skew {:.3} -> {:.3} ps)",
+            rep.passes[0].accepted, rep.before.skew_ps, rep.after.skew_ps
         );
 
-        let mut t = tree.clone();
-        let schedule = OptSchedule::new()
-            .seed(7)
-            .with(AnnealedSizingPass::default());
-        let t0 = Instant::now();
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, model);
+        let (rep, ms) = timed(AnnealedSizingPass::default(), &tree, &tech, model);
         println!(
-            "annealed-sizing [{model:?}]: {:.1} ms ({}/{} moves accepted, skew {:.3} -> {:.3} ps, latency {:.3} -> {:.3} ps)",
-            t0.elapsed().as_secs_f64() * 1e3,
+            "annealed-sizing [{model:?}]: {ms:.1} ms ({}/{} moves accepted, skew {:.3} -> {:.3} ps, latency {:.3} -> {:.3} ps)",
             rep.passes[0].accepted,
             rep.passes[0].attempted,
             rep.before.skew_ps,

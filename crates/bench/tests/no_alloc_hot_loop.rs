@@ -1,10 +1,10 @@
 //! The sizing micro-bench hot loop must not touch the heap per move.
 //!
-//! The incremental evaluators own grow-only scratch (journal vectors, the
-//! arrival DFS stack, per-corner repair buffers), so after a short
-//! warm-up a steady-state mutate → commit cycle should run entirely out
-//! of retained capacity. A counting global allocator makes that a hard
-//! assertion instead of a profiler anecdote.
+//! The incremental evaluator owns grow-only scratch (the undo records and
+//! per-corner journals, the arrival DFS stack), so after a short warm-up
+//! a steady-state mutate → commit cycle should run entirely out of
+//! retained capacity, at one corner and at three. A counting global
+//! allocator makes that a hard assertion instead of a profiler anecdote.
 //!
 //! This file holds exactly one `#[test]`: the counter is process-global,
 //! and a concurrently running sibling test would charge its allocations
@@ -17,8 +17,7 @@
 //! costs zero allocations per move.
 
 use dscts_bench::sizing_workload;
-use dscts_core::mcmm::MultiCornerEval;
-use dscts_core::{EvalModel, IncrementalEval};
+use dscts_core::{EvalModel, IncrementalEval, RobustObjective};
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::CornerSet;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,54 +71,50 @@ fn steady_state_sizing_moves_do_not_allocate() {
         .find(|&i| tree.patterns[i].is_some_and(|p| p.buffers() > 0))
         .expect("latency-greedy workload has buffered edges");
 
-    // Single-evaluator loop: the `opt_passes` / sizing micro-bench path.
-    let mut t = tree.clone();
-    let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
-    let mut flip = false;
-    let toggle = |inc: &mut IncrementalEval, flip: &mut bool| {
+    let toggle = |eval: &mut IncrementalEval, flip: &mut bool| {
         *flip = !*flip;
-        assert!(inc.set_buffer_scale(edge, if *flip { 2.0 } else { 1.0 }));
-        inc.commit();
-        std::hint::black_box(inc.latency_skew_ps());
+        assert!(eval.set_buffer_scale(edge, if *flip { 2.0 } else { 1.0 }));
+        eval.commit();
+        std::hint::black_box(eval.latency_skew_ps());
     };
-    for _ in 0..WARMUP_MOVES {
-        toggle(&mut inc, &mut flip);
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_MOVES {
-        toggle(&mut inc, &mut flip);
-    }
-    let grew = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        grew, 0,
-        "IncrementalEval hot loop allocated {grew} times over {MEASURED_MOVES} moves"
-    );
-    drop(inc);
+    let allocations_per_window = |eval: &mut IncrementalEval| {
+        let mut flip = false;
+        for _ in 0..WARMUP_MOVES {
+            toggle(eval, &mut flip);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..MEASURED_MOVES {
+            toggle(eval, &mut flip);
+        }
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
 
-    // Multi-corner fan-out on the serial path: the `mcmm_eval`
-    // criterion loop. (The parallel path spawns scoped threads, which
-    // allocate by design; it is gated to huge trees.)
-    let corners = CornerSet::nominal_only(&tech);
+    // One corner: the `opt_passes` / sizing micro-bench path.
     let mut t = tree.clone();
-    let mut mc =
-        MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore).with_parallel(Some(false));
-    let mut flip = false;
-    let toggle = |mc: &mut MultiCornerEval, flip: &mut bool| {
-        *flip = !*flip;
-        assert!(mc.set_buffer_scale(edge, if *flip { 2.0 } else { 1.0 }));
-        mc.commit();
-        std::hint::black_box(mc.worst_latency_skew_ps());
-    };
-    for _ in 0..WARMUP_MOVES {
-        toggle(&mut mc, &mut flip);
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_MOVES {
-        toggle(&mut mc, &mut flip);
-    }
-    let grew = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let mut eval = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
+    let grew = allocations_per_window(&mut eval);
     assert_eq!(
         grew, 0,
-        "MultiCornerEval hot loop allocated {grew} times over {MEASURED_MOVES} moves"
+        "K = 1 hot loop allocated {grew} times over {MEASURED_MOVES} moves"
+    );
+    drop(eval);
+
+    // Three corners on the serial fan-out: the `mcmm_eval` criterion
+    // loop. (The parallel path spawns scoped threads, which allocate by
+    // design; it is gated to huge trees.)
+    let corners = CornerSet::asap7_pvt(&tech);
+    let mut t = tree.clone();
+    let mut eval = IncrementalEval::with_corners(
+        &mut t,
+        &corners,
+        EvalModel::Elmore,
+        RobustObjective::WorstCorner,
+    )
+    .expect("C4 is feasible at every PVT corner")
+    .with_parallel(Some(false));
+    let grew = allocations_per_window(&mut eval);
+    assert_eq!(
+        grew, 0,
+        "K = 3 hot loop allocated {grew} times over {MEASURED_MOVES} moves"
     );
 }

@@ -4,14 +4,10 @@
 //! van Ginneken's 1990 algorithm (\[16\]): candidate `(capacitance, delay)`
 //! solutions propagate bottom-up through the tree, merge at branch points,
 //! gain buffer options along edges, and dominated candidates are pruned.
-//! This crate implements the classic single-side form, which serves two
-//! roles in the workspace:
-//!
-//! * a **baseline substrate**: the OpenROAD-like H-tree baseline buffers
-//!   its trunk with it;
-//! * an **oracle** for the core DP: restricted to front-side patterns, the
-//!   multi-objective DP must reproduce van Ginneken's optimal latency
-//!   (tested in `dscts-core`).
+//! This crate implements that classic single-side form as a standalone
+//! library, re-exported by the `dscts` facade as `dscts::vanginneken`. No
+//! other crate of the workspace calls it: the H-tree baseline places its
+//! buffers itself, and no test yet checks the core DP against it.
 //!
 //! # Example
 //!

@@ -601,10 +601,13 @@ impl<'a> SweepEngine<'a> {
             // schedule too: a deadline expiring mid-class truncates that
             // class's optimization (a degraded-but-valid point) rather
             // than overshooting.
-            self.base.optimize_tree_cancel(&mut tree, cancel);
-            let robust = self.base.corner_set().map(|corners| {
-                CornerReport::evaluate(&tree, corners, self.base.delay_model()).robust
-            });
+            self.base.optimize_tree_cancel(&mut tree, cancel)?;
+            let robust = match self.base.corner_set() {
+                Some(corners) => Some(
+                    CornerReport::try_evaluate(&tree, corners, self.base.delay_model())?.robust,
+                ),
+                None => None,
+            };
             Ok(((self.base.evaluate_tree(&tree), robust, intra), cache))
         };
 

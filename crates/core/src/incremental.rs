@@ -1,4 +1,5 @@
-//! Incremental (dirty-path) evaluation of a synthesized clock tree.
+//! Incremental (dirty-path) evaluation of a synthesized clock tree, under
+//! one technology or K PVT corners.
 //!
 //! [`SynthesizedTree::evaluate`] walks the whole tree twice per call;
 //! the post-CTS optimization loops (buffer sizing, end-point refinement,
@@ -36,39 +37,55 @@
 //! (`buffer_scales`, `star_buffers`, `patterns`) through to it, so when the
 //! evaluator is dropped the tree is already in its optimized state.
 //!
-//! # Architecture: `CornerState` and the MCMM fan-out
+//! # Corners
 //!
-//! All per-technology evaluation state (caps, arrivals, slews, star
-//! bases, sink arrivals) and the dirty-path repair logic live in the
-//! crate-internal `CornerState`, parameterized by the tree, a technology
-//! and a journal sink. [`IncrementalEval`] is one `CornerState` plus the
-//! knob-owning tree borrow and a flat journal; the multi-corner engine
-//! ([`crate::mcmm::MultiCornerEval`]) is K `CornerState`s — one per PVT
-//! corner — fanning every knob mutation out under a single shared,
-//! corner-tagged journal. Both run the *same* repair arithmetic, so the
-//! single-nominal-corner MCMM path is bit-identical to this evaluator
-//! (enforced by `mcmm_proptests`).
+//! All per-technology state and the repair arithmetic live in the
+//! crate-internal `CornerState`. An evaluator holds one per corner over
+//! the same tree: [`IncrementalEval::new`] times one technology (K = 1),
+//! [`IncrementalEval::with_corners`] every corner of a [`CornerSet`]. A
+//! mutation writes the knob once and repairs every corner's own dirty
+//! path (early stops differ per corner because shielding is electrical);
+//! it succeeds only if every corner stays feasible. Large trees repair
+//! their corners in parallel ([`IncrementalEval::with_parallel`]),
+//! bit-identically to the serial loop.
 //!
-//! The [`TrialEval`] trait abstracts the mutation/undo/query surface the
-//! optimization passes ([`crate::opt`]) need, so every pass runs
-//! unchanged over either evaluator.
+//! Each corner journals into its own `Vec`. A mutation pushes one undo
+//! record — the knob's old value — plus every corner's journal length
+//! before the mutation; [`IncrementalEval::mark`] is the record count,
+//! and [`IncrementalEval::undo_to`] truncates each corner's journal back
+//! to the lengths recorded at the mark, reverting entries newest first.
+//!
+//! What the optimization passes ([`crate::opt`]) score with is the
+//! *objective view* — [`IncrementalEval::latency_skew_ps`],
+//! [`IncrementalEval::star_earliest`], [`IncrementalEval::star_load`],
+//! [`IncrementalEval::load_at`], [`IncrementalEval::tech`] and
+//! [`IncrementalEval::metrics`] — which reports according to the
+//! evaluator's [`RobustObjective`]. At K = 1 that is the one corner, so
+//! the same pass optimizes nominal or worst-corner MOES without changing
+//! a line.
 
+use crate::error::CtsError;
+use crate::mcmm::{RobustMetrics, RobustObjective};
 use crate::pattern::{Pattern, PatternEval};
-use crate::resilience::fault;
+use crate::resilience::{fault, CancelToken};
 use crate::synth::{resources, star_loads, EvalModel, SynthesizedTree, TreeMetrics};
 use dscts_geom::TreeCsr;
-use dscts_tech::{Side, Technology};
+use dscts_tech::{CornerSet, Side, Technology};
 use dscts_timing::{wire_slew, ArrivalStats};
+use rayon::prelude::*;
+use std::cell::Cell;
 
-/// One overwritten value, recorded for rollback.
+/// Minimum trunk-node count before the auto gate turns the corner-parallel
+/// fan-out on. Below this, a per-corner dirty path is microseconds and the
+/// shim's per-call thread spawn would dominate (the C1–C5 trunks are ~1k
+/// nodes); above it — the 100k+-sink scaled designs — the per-corner
+/// repair work amortizes the spawn.
+const PAR_FANOUT_MIN_NODES: usize = 10_000;
+
+/// One overwritten value of a corner's evaluation state, recorded for
+/// rollback.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Entry {
-    /// `buffer_scales[edge]` previous value.
-    Scale(u32, f64),
-    /// `patterns[edge]` previous value.
-    Pattern(u32, Option<Pattern>),
-    /// `star_buffers[si]` previous value.
-    StarBuffer(u32, bool),
+enum Entry {
     /// `cap[node]` previous value.
     Cap(u32, f64),
     /// `up_cap[node]` previous value.
@@ -83,33 +100,27 @@ pub(crate) enum Entry {
     SinkArr(u32, f64),
 }
 
-/// Where a [`CornerState`] records overwritten values. The single-corner
-/// evaluator journals into a flat `Vec<Entry>`; the MCMM engine tags each
-/// entry with its corner index so one shared journal serves every corner.
-pub(crate) trait Journal {
-    /// Records one overwritten value.
-    fn record(&mut self, e: Entry);
-}
-
-impl Journal for Vec<Entry> {
-    fn record(&mut self, e: Entry) {
-        self.push(e);
-    }
+/// The previous value of the tree knob one mutation overwrote.
+#[derive(Debug, Clone, Copy)]
+enum Knob {
+    /// `buffer_scales[edge]`.
+    Scale(u32, f64),
+    /// `patterns[edge]`.
+    Pattern(u32, Option<Pattern>),
+    /// `star_buffers[si]`.
+    StarBuffer(u32, bool),
 }
 
 /// The resident evaluation state of one tree under one technology: the
-/// per-topology constants plus every quantity the dirty-path repairs
-/// maintain. Owns no tree borrow — [`IncrementalEval`] holds exactly one
-/// of these, [`crate::mcmm::MultiCornerEval`] holds one per corner over
-/// the same tree.
+/// per-topology constants, every quantity the dirty-path repairs
+/// maintain, and the journal of values they overwrote. Owns no tree
+/// borrow; [`IncrementalEval`] holds one per corner over the same tree.
 ///
 /// Repair methods never roll themselves back: on infeasibility they
 /// return `false`/`None` with their journal entries in place, and the
-/// owning evaluator reverts through its journal (which also restores the
-/// knob, and — in the MCMM case — every corner touched before the
-/// failing one).
+/// owning evaluator reverts the knob and every corner it touched.
 #[derive(Debug, Clone)]
-pub(crate) struct CornerState {
+struct CornerState {
     /// Per-star unshielded load (wire + sink pins): constant per topology.
     star_load: Vec<f64>,
     /// Per-sink star-branch Elmore delay: constant per topology.
@@ -134,9 +145,11 @@ pub(crate) struct CornerState {
     star_base_slew: Vec<f64>,
     /// Per-sink arrival times (the batch evaluator's `arrivals` vector).
     arrivals: Vec<f64>,
+    /// Every value overwritten since the last commit, oldest first.
+    journal: Vec<Entry>,
     /// Grow-only DFS stack reused by every arrival re-propagation, so a
     /// trial move performs no per-move heap allocation once the stack has
-    /// reached its high-water mark (asserted by the sizing micro-bench).
+    /// reached its high-water mark (asserted by `no_alloc_hot_loop`).
     arrival_scratch: Vec<u32>,
 }
 
@@ -145,17 +158,19 @@ impl CornerState {
     /// batch-equivalent pass, then propagates arrivals over the whole
     /// tree.
     ///
+    /// Returns [`CtsError::NoFeasiblePattern`] for the first edge (in the
+    /// batch evaluator's order) that is electrically infeasible under
+    /// `tech` — exactly what [`SynthesizedTree::try_evaluate`] reports.
+    ///
     /// # Panics
     ///
-    /// Panics if any edge lacks a pattern or is electrically infeasible
-    /// under the current scales (exactly like
-    /// [`SynthesizedTree::evaluate`]).
-    pub(crate) fn new(
+    /// Panics if any edge lacks a pattern.
+    fn try_new(
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
         csr: &TreeCsr,
-    ) -> Self {
+    ) -> Result<Self, CtsError> {
         let topo = &tree.topo;
         let n = topo.nodes.len();
         let rc_front = tech.rc(Side::Front);
@@ -197,7 +212,10 @@ impl CornerState {
                         tech,
                         tree.buffer_scales[cu],
                     )
-                    .expect("chosen pattern feasible");
+                    .ok_or(CtsError::NoFeasiblePattern {
+                        node: c,
+                        edge_len_nm: topo.nodes[cu].edge_len,
+                    })?;
                 up_cap[cu] = ev.up_cap_ff;
                 cap[vu] += ev.up_cap_ff;
             }
@@ -217,44 +235,23 @@ impl CornerState {
             star_base: vec![0.0; n_stars],
             star_base_slew: vec![0.0; n_stars],
             arrivals: vec![0.0; n_sinks],
+            journal: Vec::new(),
             arrival_scratch: Vec::new(),
         };
         // Top-down arrivals over the whole tree (node 0 = root driver),
         // then discard the bookkeeping journal: this is the base state.
-        // A hard assert, not a debug_assert: under a derated corner a
-        // tree that was feasible at nominal can overload a buffer, and a
-        // release build must fail loudly rather than hand the MCMM
-        // engine a half-propagated state.
-        let mut journal = Vec::new();
-        let ok = this.recompute_arrivals_from(tree, tech, model, csr, 0, &mut journal);
-        assert!(
-            ok,
-            "tree is electrically infeasible under technology `{}`",
-            tech.name()
-        );
-        this
+        let ok = this.recompute_arrivals_from(tree, tech, model, csr, 0);
+        // invariant: the cap pass above evaluated every edge at exactly
+        // these caps and scales, so re-evaluating them cannot fail.
+        assert!(ok, "cap pass vetted every edge");
+        this.journal.clear();
+        Ok(this)
     }
 
     // --- Queries ----------------------------------------------------------
 
-    /// Per-sink arrival times, bit-identical to [`TreeMetrics::arrivals`]
-    /// of a batch evaluation.
-    pub(crate) fn arrivals(&self) -> &[f64] {
-        &self.arrivals
-    }
-
-    /// Downstream capacitance at trunk node `v`.
-    pub(crate) fn load_at(&self, v: usize) -> f64 {
-        self.cap[v]
-    }
-
-    /// Unshielded load of star `si` (wire + sink pins).
-    pub(crate) fn star_load(&self, si: usize) -> f64 {
-        self.star_load[si]
-    }
-
     /// Earliest sink arrival within star `si`.
-    pub(crate) fn star_earliest(&self, si: usize) -> f64 {
+    fn star_earliest(&self, si: usize) -> f64 {
         self.star_base[si] + self.star_min_d[si]
     }
 
@@ -262,7 +259,7 @@ impl CornerState {
     /// arrivals are `base + d` with `d ≥ 0` constant, and `x ↦ base + x`
     /// is monotone, so the per-star extremes are attained at the extreme
     /// `d`s and the fold equals the fold over all sinks.
-    pub(crate) fn latency_skew_ps(&self) -> (f64, f64) {
+    fn latency_skew_ps(&self) -> (f64, f64) {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for (si, &d) in self.star_max_d.iter().enumerate() {
@@ -277,7 +274,7 @@ impl CornerState {
     /// Full metrics of the current state, bit-identical to
     /// [`SynthesizedTree::evaluate`] of the same tree under the same
     /// technology.
-    pub(crate) fn metrics(&self, tree: &SynthesizedTree, tech: &Technology) -> TreeMetrics {
+    fn metrics(&self, tree: &SynthesizedTree, tech: &Technology) -> TreeMetrics {
         let stats = ArrivalStats::from_arrivals(self.arrivals.iter().copied())
             .expect("designs have at least one sink");
         let res = resources(tree, tech);
@@ -346,37 +343,37 @@ impl CornerState {
     /// ancestor path, and re-propagate the dirty subtree's arrivals.
     /// Returns `false` — with the journal entries in place for the owner
     /// to revert — when the path becomes infeasible.
-    pub(crate) fn repropagate_edge(
+    fn repropagate_edge(
         &mut self,
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
         csr: &TreeCsr,
         edge: usize,
-        journal: &mut (impl Journal + ?Sized),
     ) -> bool {
         let Some(ev) = self.eval_edge(tree, tech, edge) else {
             return false;
         };
         let mut top = edge;
         if ev.up_cap_ff != self.up_cap[edge] {
-            journal.record(Entry::UpCap(edge as u32, self.up_cap[edge]));
+            self.journal
+                .push(Entry::UpCap(edge as u32, self.up_cap[edge]));
             self.up_cap[edge] = ev.up_cap_ff;
             let p = tree.topo.nodes[edge].parent.expect("non-root") as usize;
             let new_cap = self.node_cap(tree, tech, csr, p);
             if new_cap != self.cap[p] {
-                journal.record(Entry::Cap(p as u32, self.cap[p]));
+                self.journal.push(Entry::Cap(p as u32, self.cap[p]));
                 self.cap[p] = new_cap;
                 top = p;
                 if p != 0 {
-                    match self.propagate_caps_up(tree, tech, csr, p, journal) {
+                    match self.propagate_caps_up(tree, tech, csr, p) {
                         Some(t) => top = t,
                         None => return false,
                     }
                 }
             }
         }
-        self.recompute_arrivals_from(tree, tech, model, csr, top, journal)
+        self.recompute_arrivals_from(tree, tech, model, csr, top)
     }
 
     /// The state half of a star-buffer toggle (the knob was already
@@ -384,34 +381,33 @@ impl CornerState {
     /// re-time the star alone (cap bit-unchanged) or push the cap change
     /// up and re-propagate the dirty subtree. Returns `false` — journal
     /// entries left for the owner to revert — on infeasibility.
-    pub(crate) fn apply_star_toggle(
+    fn apply_star_toggle(
         &mut self,
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
         csr: &TreeCsr,
         si: usize,
-        journal: &mut (impl Journal + ?Sized),
     ) -> bool {
         let v = tree.topo.stars[si].node as usize;
         let new_cap = self.node_cap(tree, tech, csr, v);
         if new_cap == self.cap[v] {
             // Load at the star root is (bit-)unchanged, so no trunk state
             // moves — but the star's own stage delay did change.
-            self.recompute_star(tree, tech, model, si, journal);
+            self.recompute_star(tree, tech, model, si);
             return true;
         }
-        journal.record(Entry::Cap(v as u32, self.cap[v]));
+        self.journal.push(Entry::Cap(v as u32, self.cap[v]));
         self.cap[v] = new_cap;
         let top = if v == 0 {
             0
         } else {
-            match self.propagate_caps_up(tree, tech, csr, v, journal) {
+            match self.propagate_caps_up(tree, tech, csr, v) {
                 Some(top) => top,
                 None => return false,
             }
         };
-        self.recompute_arrivals_from(tree, tech, model, csr, top, journal)
+        self.recompute_arrivals_from(tree, tech, model, csr, top)
     }
 
     /// `cap[start]` just changed (`start` ≠ 0): walk the ancestor path,
@@ -427,7 +423,6 @@ impl CornerState {
         tech: &Technology,
         csr: &TreeCsr,
         start: usize,
-        journal: &mut (impl Journal + ?Sized),
     ) -> Option<usize> {
         let mut top = start;
         let mut v = start;
@@ -436,14 +431,14 @@ impl CornerState {
             if ev.up_cap_ff == self.up_cap[v] {
                 break;
             }
-            journal.record(Entry::UpCap(v as u32, self.up_cap[v]));
+            self.journal.push(Entry::UpCap(v as u32, self.up_cap[v]));
             self.up_cap[v] = ev.up_cap_ff;
             let p = tree.topo.nodes[v].parent.expect("non-root") as usize;
             let new_cap = self.node_cap(tree, tech, csr, p);
             if new_cap == self.cap[p] {
                 break;
             }
-            journal.record(Entry::Cap(p as u32, self.cap[p]));
+            self.journal.push(Entry::Cap(p as u32, self.cap[p]));
             self.cap[p] = new_cap;
             top = p;
             v = p;
@@ -465,7 +460,6 @@ impl CornerState {
         model: EvalModel,
         csr: &TreeCsr,
         top: usize,
-        journal: &mut (impl Journal + ?Sized),
     ) -> bool {
         let buf = tech.buffer();
         // Grow-only reuse: the stack is taken out of `self` for the
@@ -511,12 +505,12 @@ impl CornerState {
                 ok = false;
                 break;
             };
-            journal.record(Entry::Arr(v, self.arr[vu]));
+            self.journal.push(Entry::Arr(v, self.arr[vu]));
             self.arr[vu] = new_arr;
-            journal.record(Entry::Slew(v, self.slew[vu]));
+            self.journal.push(Entry::Slew(v, self.slew[vu]));
             self.slew[vu] = new_slew;
             if let Some(si) = tree.topo.nodes[vu].star {
-                self.recompute_star(tree, tech, model, si as usize, journal);
+                self.recompute_star(tree, tech, model, si as usize);
             }
             stack.extend_from_slice(csr.children(v));
         }
@@ -533,7 +527,6 @@ impl CornerState {
         tech: &Technology,
         model: EvalModel,
         si: usize,
-        journal: &mut (impl Journal + ?Sized),
     ) {
         let v = tree.topo.stars[si].node as usize;
         let buf = tech.buffer();
@@ -547,7 +540,7 @@ impl CornerState {
             };
             base_slew = buf.output_slew_ps(slew_in, self.star_load[si]);
         }
-        journal.record(Entry::StarBase(
+        self.journal.push(Entry::StarBase(
             si as u32,
             self.star_base[si],
             self.star_base_slew[si],
@@ -556,114 +549,186 @@ impl CornerState {
         self.star_base_slew[si] = base_slew;
         for &sk in &tree.topo.stars[si].sinks {
             let sku = sk as usize;
-            journal.record(Entry::SinkArr(sk, self.arrivals[sku]));
+            self.journal.push(Entry::SinkArr(sk, self.arrivals[sku]));
             self.arrivals[sku] = base + self.branch_d[sku];
         }
     }
 
-    /// Reverts one overwritten numeric value. Knob entries belong to the
-    /// owning evaluator (they mutate the tree, not this state).
-    pub(crate) fn undo_entry(&mut self, e: Entry) {
-        match e {
-            Entry::Cap(v, old) => self.cap[v as usize] = old,
-            Entry::UpCap(v, old) => self.up_cap[v as usize] = old,
-            Entry::Arr(v, old) => self.arr[v as usize] = old,
-            Entry::Slew(v, old) => self.slew[v as usize] = old,
-            Entry::StarBase(si, base, slew) => {
-                self.star_base[si as usize] = base;
-                self.star_base_slew[si as usize] = slew;
-            }
-            Entry::SinkArr(sk, old) => self.arrivals[sk as usize] = old,
-            Entry::Scale(..) | Entry::Pattern(..) | Entry::StarBuffer(..) => {
-                unreachable!("knob entries are reverted by the owning evaluator")
+    /// Reverts every journaled value past `len`, newest first.
+    fn rollback(&mut self, len: usize) {
+        while self.journal.len() > len {
+            match self.journal.pop().expect("journal longer than len") {
+                Entry::Cap(v, old) => self.cap[v as usize] = old,
+                Entry::UpCap(v, old) => self.up_cap[v as usize] = old,
+                Entry::Arr(v, old) => self.arr[v as usize] = old,
+                Entry::Slew(v, old) => self.slew[v as usize] = old,
+                Entry::StarBase(si, base, slew) => {
+                    self.star_base[si as usize] = base;
+                    self.star_base_slew[si as usize] = slew;
+                }
+                Entry::SinkArr(sk, old) => self.arrivals[sk as usize] = old,
             }
         }
     }
 }
 
-/// The mutation / undo / query surface the optimization passes run over,
-/// implemented by the single-corner [`IncrementalEval`] and the
-/// multi-corner [`crate::mcmm::MultiCornerEval`].
-///
-/// The *objective view* methods ([`TrialEval::latency_skew_ps`],
-/// [`TrialEval::star_earliest`], [`TrialEval::star_load`],
-/// [`TrialEval::tech`], [`TrialEval::metrics`]) are what a pass scores
-/// and ranks with: the single-corner evaluator reports its one corner,
-/// while the MCMM evaluator reports according to its configured
-/// [`crate::mcmm::RobustObjective`] (worst-corner by default) — which is
-/// how the same pass optimizes nominal or worst-corner MOES without
-/// changing a line.
-pub trait TrialEval {
-    /// The underlying tree (knobs reflect all non-undone mutations).
-    fn tree(&self) -> &SynthesizedTree;
-    /// The delay model the evaluator propagates.
-    fn model(&self) -> EvalModel;
-    /// The technology of the objective view (see trait docs).
-    fn tech(&self) -> &Technology;
-    /// Full metrics of the objective view's corner.
-    fn metrics(&self) -> TreeMetrics;
-    /// `(latency_ps, skew_ps)` of the objective view, in one fold.
-    fn latency_skew_ps(&self) -> (f64, f64);
-    /// Downstream capacitance at trunk node `v` (objective view).
-    fn load_at(&self, v: usize) -> f64;
-    /// Unshielded load of star `si` (objective view).
-    fn star_load(&self, si: usize) -> f64;
-    /// Earliest sink arrival within star `si` (objective view).
-    fn star_earliest(&self, si: usize) -> f64;
-    /// Current drive scale of the buffer embedded in edge `edge`.
-    fn buffer_scale(&self, edge: usize) -> f64;
-    /// Re-sizes the buffer embedded in `edge`; `false` = rolled back.
-    fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool;
-    /// Re-assigns the pattern of `edge`; `false` = rolled back.
-    fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool;
-    /// Adds/removes the refinement buffer of star `si`; `false` = rolled
-    /// back.
-    fn set_star_buffer(&mut self, si: usize, on: bool) -> bool;
-    /// Current journal position (pass to [`TrialEval::undo_to`]).
-    fn mark(&self) -> usize;
-    /// Reverts all state back to `mark`.
-    fn undo_to(&mut self, mark: usize);
-    /// Reverts the most recent mutation.
-    fn undo(&mut self);
-    /// Accepts all mutations so far (undo can no longer cross this point).
-    fn commit(&mut self);
-}
-
-/// Incremental evaluator over a [`SynthesizedTree`]. See the module docs
-/// for the dirty-path invariants.
+/// Incremental evaluator over a [`SynthesizedTree`] under K ≥ 1 corners.
+/// See the module docs for the dirty-path invariants and the journal.
 #[derive(Debug)]
 pub struct IncrementalEval<'a> {
     tree: &'a mut SynthesizedTree,
-    tech: &'a Technology,
+    /// One technology per corner, in corner order.
+    techs: &'a [Technology],
+    /// Index of the nominal corner in `techs`.
+    nominal: usize,
     model: EvalModel,
+    objective: RobustObjective,
     /// Flat trunk adjacency (cloned from the topology's cache so the tree
-    /// can stay mutably borrowed).
+    /// can stay mutably borrowed), shared by every corner state.
     csr: TreeCsr,
-    /// The resident evaluation state under `tech`.
-    state: CornerState,
-    journal: Vec<Entry>,
-    /// Journal position at the start of the last mutation.
+    /// One resident evaluation state per corner, in corner order.
+    states: Vec<CornerState>,
+    /// One undo record per mutation since the last commit: the knob's
+    /// previous value.
+    records: Vec<Knob>,
+    /// For record `r`, `corner_lens[r * K + k]` is corner `k`'s journal
+    /// length before that mutation.
+    corner_lens: Vec<usize>,
+    /// Record count at the start of the last mutation.
     last_mark: usize,
+    /// Memoized [`IncrementalEval::focus_corner`]: the worst-skew fold is
+    /// O(corners × stars), and passes query the objective view once per
+    /// star when ranking — without this cache a ranking sweep would be
+    /// O(corners × stars²). Invalidated by every mutation and undo.
+    focus: Cell<Option<usize>>,
+    /// Corner-parallel fan-out control; see
+    /// [`IncrementalEval::with_parallel`].
+    parallel: Option<bool>,
+    /// Run-budget token: once it trips, every mutation is rejected.
+    cancel: Option<CancelToken>,
+    /// Telemetry counter for per-corner repairs, resolved once at
+    /// construction: the per-move hot path is a branch on `None` when no
+    /// collector is installed — no atomic, no lock, no allocation (the
+    /// bench crate's counting-allocator harness pins this).
+    corner_evals: Option<dscts_telemetry::Counter>,
 }
 
 impl<'a> IncrementalEval<'a> {
-    /// Builds the full evaluation state with one batch-equivalent pass.
+    /// Builds the single-corner evaluator under `tech` with one
+    /// batch-equivalent pass.
     ///
     /// # Panics
     ///
     /// Panics if any edge lacks a pattern or is electrically infeasible
     /// under the current scales (exactly like [`SynthesizedTree::evaluate`]).
     pub fn new(tree: &'a mut SynthesizedTree, tech: &'a Technology, model: EvalModel) -> Self {
-        let csr = tree.topo.csr().clone();
-        let state = CornerState::new(tree, tech, model, &csr);
-        IncrementalEval {
+        Self::build(
             tree,
-            tech,
+            std::slice::from_ref(tech),
+            0,
             model,
+            RobustObjective::Nominal,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds one state per corner of `corners` (one batch-equivalent pass
+    /// each), scoring the objective view through `objective`.
+    ///
+    /// A derated corner can overload a buffer the DP placed near its
+    /// nominal max-load budget; that returns the typed
+    /// [`CtsError::NoFeasiblePattern`] of the first infeasible corner, in
+    /// corner order — the same error [`crate::CornerReport::try_evaluate`]
+    /// reports — so callers can retry through the recovery ladder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any edge lacks a pattern.
+    pub fn with_corners(
+        tree: &'a mut SynthesizedTree,
+        corners: &'a CornerSet,
+        model: EvalModel,
+        objective: RobustObjective,
+    ) -> Result<Self, CtsError> {
+        Self::build(
+            tree,
+            corners.techs(),
+            corners.nominal_index(),
+            model,
+            objective,
+        )
+    }
+
+    fn build(
+        tree: &'a mut SynthesizedTree,
+        techs: &'a [Technology],
+        nominal: usize,
+        model: EvalModel,
+        objective: RobustObjective,
+    ) -> Result<Self, CtsError> {
+        let csr = tree.topo.csr().clone();
+        let states = techs
+            .iter()
+            .map(|tech| CornerState::try_new(tree, tech, model, &csr))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(IncrementalEval {
+            tree,
+            techs,
+            nominal,
+            model,
+            objective,
             csr,
-            state,
-            journal: Vec::new(),
+            states,
+            records: Vec::new(),
+            corner_lens: Vec::new(),
             last_mark: 0,
+            focus: Cell::new(None),
+            parallel: None,
+            cancel: None,
+            corner_evals: dscts_telemetry::active().map(|t| t.counter("mcmm.corner_evals")),
+        })
+    }
+
+    /// Controls the corner-parallel mutation fan-out (builder style).
+    ///
+    /// The K per-corner dirty-path repairs of one mutation are independent
+    /// given the shared knob write, so they can run on separate threads.
+    /// `Some(true)` forces the parallel path, `Some(false)` forces the
+    /// serial loop, and `None` (the default) picks automatically: parallel
+    /// only when there is more than one corner, more than one thread, and
+    /// the trunk is at least `PAR_FANOUT_MIN_NODES` nodes (so the repair
+    /// work amortizes the per-mutation thread spawn).
+    ///
+    /// Both paths are bit-identical at any thread count: every corner
+    /// repairs into its own journal either way.
+    pub fn with_parallel(mut self, parallel: Option<bool>) -> Self {
+        self.parallel = parallel;
+        self
+    }
+
+    /// Attaches (or clears) a run-budget token. Once it trips, every
+    /// mutation is rejected — knob and all corners untouched, `false`
+    /// returned — exactly like an infeasible move, so a budgeted pass
+    /// winds down through its normal reject path.
+    pub(crate) fn set_cancel(&mut self, token: Option<CancelToken>) {
+        self.cancel = token;
+    }
+
+    /// The attached run-budget token, if any.
+    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
+    }
+
+    /// Whether the next mutation will fan out in parallel.
+    fn use_parallel(&self) -> bool {
+        let eligible = self.states.len() > 1;
+        match self.parallel {
+            Some(p) => p && eligible,
+            None => {
+                eligible
+                    && self.tree.topo.nodes.len() >= PAR_FANOUT_MIN_NODES
+                    && rayon::current_num_threads() > 1
+            }
         }
     }
 
@@ -672,37 +737,9 @@ impl<'a> IncrementalEval<'a> {
         self.tree
     }
 
-    /// The delay model this evaluator propagates.
+    /// The delay model every corner propagates.
     pub fn model(&self) -> EvalModel {
         self.model
-    }
-
-    /// The technology the evaluator times against.
-    pub fn tech(&self) -> &Technology {
-        self.tech
-    }
-
-    /// Per-sink arrival times, bit-identical to
-    /// [`TreeMetrics::arrivals`] of a batch evaluation.
-    pub fn arrivals(&self) -> &[f64] {
-        self.state.arrivals()
-    }
-
-    /// Downstream capacitance at trunk node `v` (what the sink end of its
-    /// incoming edge drives) — the incremental replacement for the former
-    /// `sizing::probe_load` full pass.
-    pub fn load_at(&self, v: usize) -> f64 {
-        self.state.load_at(v)
-    }
-
-    /// Unshielded load of star `si` (wire + sink pins).
-    pub fn star_load(&self, si: usize) -> f64 {
-        self.state.star_load(si)
-    }
-
-    /// Earliest sink arrival within star `si`.
-    pub fn star_earliest(&self, si: usize) -> f64 {
-        self.state.star_earliest(si)
     }
 
     /// Current drive scale of the buffer embedded in edge `edge`.
@@ -710,33 +747,125 @@ impl<'a> IncrementalEval<'a> {
         self.tree.buffer_scales[edge]
     }
 
-    /// Maximum sink arrival. Bit-identical to [`TreeMetrics::latency_ps`]:
-    /// within a star, arrivals are `base + d` with `d ≥ 0` constant, and
-    /// `x ↦ base + x` is monotone, so the per-star maximum is attained at
-    /// the maximal `d` and equals the fold over all sinks.
+    // --- Objective view ---------------------------------------------------
+
+    /// The corner the objective view ranks stars with: the nominal
+    /// corner, or — under [`RobustObjective::WorstCorner`] — the corner
+    /// currently attaining the worst skew. Memoized between mutations
+    /// (see the `focus` field) so per-star objective-view queries stay
+    /// O(1) after the first.
+    pub fn focus_corner(&self) -> usize {
+        match self.objective {
+            RobustObjective::Nominal => self.nominal,
+            RobustObjective::WorstCorner => {
+                if let Some(k) = self.focus.get() {
+                    return k;
+                }
+                let mut worst = 0;
+                let mut worst_skew = f64::NEG_INFINITY;
+                for (k, s) in self.states.iter().enumerate() {
+                    let (_, skew) = s.latency_skew_ps();
+                    if skew > worst_skew {
+                        worst_skew = skew;
+                        worst = k;
+                    }
+                }
+                self.focus.set(Some(worst));
+                worst
+            }
+        }
+    }
+
+    /// The technology of the focus corner.
+    pub fn tech(&self) -> &Technology {
+        &self.techs[self.focus_corner()]
+    }
+
+    /// `(latency_ps, skew_ps)` of the objective view in one fold: the
+    /// nominal corner's, or under [`RobustObjective::WorstCorner`] the
+    /// component-wise maximum over all corners (possibly attained at
+    /// different corners). Trial-move inner loops score through this.
+    pub fn latency_skew_ps(&self) -> (f64, f64) {
+        match self.objective {
+            RobustObjective::Nominal => self.states[self.nominal].latency_skew_ps(),
+            RobustObjective::WorstCorner => {
+                let mut lat = f64::NEG_INFINITY;
+                let mut skew = f64::NEG_INFINITY;
+                for s in &self.states {
+                    let (l, k) = s.latency_skew_ps();
+                    lat = lat.max(l);
+                    skew = skew.max(k);
+                }
+                (lat, skew)
+            }
+        }
+    }
+
+    /// Latency of the objective view. At K = 1 bit-identical to
+    /// [`TreeMetrics::latency_ps`]: within a star, arrivals are `base + d`
+    /// with `d ≥ 0` constant, and `x ↦ base + x` is monotone, so the
+    /// per-star maximum is attained at the maximal `d` and equals the fold
+    /// over all sinks.
     pub fn latency_ps(&self) -> f64 {
         self.latency_skew_ps().0
     }
 
-    /// Latest minus earliest sink arrival, bit-identical to
-    /// [`TreeMetrics::skew_ps`].
+    /// Skew of the objective view (at K = 1 bit-identical to
+    /// [`TreeMetrics::skew_ps`]).
     pub fn skew_ps(&self) -> f64 {
         self.latency_skew_ps().1
     }
 
-    /// `(latency_ps, skew_ps)` in one fold over the stars — the single
-    /// accumulation behind [`IncrementalEval::latency_ps`] and
-    /// [`IncrementalEval::skew_ps`], so the three accessors cannot drift.
-    /// Trial-move inner loops evaluate their objective through this to
-    /// pay one star scan instead of two.
-    pub fn latency_skew_ps(&self) -> (f64, f64) {
-        self.state.latency_skew_ps()
+    /// Downstream capacitance at trunk node `v` (what the sink end of its
+    /// incoming edge drives) in the focus corner.
+    pub fn load_at(&self, v: usize) -> f64 {
+        self.states[self.focus_corner()].cap[v]
     }
 
-    /// Full metrics of the current state, bit-identical to
-    /// [`SynthesizedTree::evaluate`] on the mutated tree.
+    /// Unshielded load of star `si` (wire + sink pins) in the focus
+    /// corner.
+    pub fn star_load(&self, si: usize) -> f64 {
+        self.states[self.focus_corner()].star_load[si]
+    }
+
+    /// Earliest sink arrival within star `si` in the focus corner.
+    pub fn star_earliest(&self, si: usize) -> f64 {
+        self.states[self.focus_corner()].star_earliest(si)
+    }
+
+    /// Full metrics of the nominal corner, bit-identical to
+    /// [`SynthesizedTree::evaluate`] of the mutated tree under its
+    /// technology — so nominal and robust schedules report like for like.
     pub fn metrics(&self) -> TreeMetrics {
-        self.state.metrics(self.tree, self.tech)
+        self.corner_metrics(self.nominal)
+    }
+
+    // --- Per-corner queries -----------------------------------------------
+
+    /// Number of corners.
+    pub fn corner_count(&self) -> usize {
+        self.states.len()
+    }
+
+    /// `(latency_ps, skew_ps)` of corner `k`.
+    pub fn corner_latency_skew_ps(&self, k: usize) -> (f64, f64) {
+        self.states[k].latency_skew_ps()
+    }
+
+    /// Full metrics of corner `k`, bit-identical to
+    /// [`SynthesizedTree::evaluate`] under that corner's technology.
+    pub fn corner_metrics(&self, k: usize) -> TreeMetrics {
+        self.states[k].metrics(self.tree, &self.techs[k])
+    }
+
+    /// The cross-corner robust summary of the current state (full
+    /// per-corner metrics are folded, so this is a reporting call, not an
+    /// inner-loop one).
+    pub fn robust_metrics(&self) -> RobustMetrics {
+        let per_corner: Vec<TreeMetrics> = (0..self.states.len())
+            .map(|k| self.corner_metrics(k))
+            .collect();
+        RobustMetrics::from_corner_metrics(&per_corner)
     }
 
     // --- Mutations -------------------------------------------------------
@@ -744,7 +873,7 @@ impl<'a> IncrementalEval<'a> {
     /// Re-sizes the buffer embedded in `edge` (a non-root trunk node).
     ///
     /// Returns `false` — with the state fully rolled back — when the new
-    /// scale makes any pattern on the dirty path infeasible.
+    /// scale makes any pattern on the dirty path infeasible in any corner.
     ///
     /// # Panics
     ///
@@ -752,30 +881,15 @@ impl<'a> IncrementalEval<'a> {
     pub fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
         assert!(edge != 0, "node 0 has no incoming edge");
         assert!(scale > 0.0, "buffer scale must be positive");
-        let mark = self.journal.len();
-        self.last_mark = mark;
+        self.last_mark = self.records.len();
         if self.tree.buffer_scales[edge] == scale {
             return true;
         }
-        self.journal
-            .push(Entry::Scale(edge as u32, self.tree.buffer_scales[edge]));
+        self.begin(Knob::Scale(edge as u32, self.tree.buffer_scales[edge]));
         self.tree.buffer_scales[edge] = scale;
-        // The injected fault fires *after* propagation so the rollback
-        // must revert a fully repropagated dirty path, not just the knob.
-        if self.state.repropagate_edge(
-            self.tree,
-            self.tech,
-            self.model,
-            &self.csr,
-            edge,
-            &mut self.journal,
-        ) && !fault::fault_infeasible(fault::SITE_INCREMENTAL)
-        {
-            true
-        } else {
-            self.undo_to(mark);
-            false
-        }
+        self.fan_out(|state, tree, tech, model, csr| {
+            state.repropagate_edge(tree, tech, model, csr, edge)
+        })
     }
 
     /// Re-assigns the pattern of `edge` (a non-root trunk node). Side
@@ -783,59 +897,90 @@ impl<'a> IncrementalEval<'a> {
     /// [`SynthesizedTree::validate_sides`] before accepting a final tree.
     ///
     /// Returns `false` — with the state fully rolled back — when the new
-    /// pattern is infeasible on this edge or overloads an ancestor buffer.
+    /// pattern is infeasible on this edge or overloads an ancestor buffer
+    /// in any corner.
     ///
     /// # Panics
     ///
     /// Panics if `edge` is 0.
     pub fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
         assert!(edge != 0, "node 0 has no incoming edge");
-        let mark = self.journal.len();
-        self.last_mark = mark;
+        self.last_mark = self.records.len();
         if self.tree.patterns[edge] == Some(pattern) {
             return true;
         }
-        self.journal
-            .push(Entry::Pattern(edge as u32, self.tree.patterns[edge]));
+        self.begin(Knob::Pattern(edge as u32, self.tree.patterns[edge]));
         self.tree.patterns[edge] = Some(pattern);
-        if self.state.repropagate_edge(
-            self.tree,
-            self.tech,
-            self.model,
-            &self.csr,
-            edge,
-            &mut self.journal,
-        ) && !fault::fault_infeasible(fault::SITE_INCREMENTAL)
-        {
-            true
-        } else {
-            self.undo_to(mark);
-            false
-        }
+        self.fan_out(|state, tree, tech, model, csr| {
+            state.repropagate_edge(tree, tech, model, csr, edge)
+        })
     }
 
     /// Adds or removes the skew-refinement buffer driving star `si`.
     ///
     /// Returns `false` — with the state fully rolled back — when the
-    /// change overloads a buffer on the ancestor path.
+    /// change overloads a buffer on the ancestor path in any corner.
     pub fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        let mark = self.journal.len();
-        self.last_mark = mark;
+        self.last_mark = self.records.len();
         if self.tree.star_buffers[si] == on {
             return true;
         }
-        self.journal
-            .push(Entry::StarBuffer(si as u32, self.tree.star_buffers[si]));
+        self.begin(Knob::StarBuffer(si as u32, self.tree.star_buffers[si]));
         self.tree.star_buffers[si] = on;
-        if self.state.apply_star_toggle(
-            self.tree,
-            self.tech,
-            self.model,
-            &self.csr,
-            si,
-            &mut self.journal,
-        ) && !fault::fault_infeasible(fault::SITE_INCREMENTAL)
-        {
+        self.fan_out(|state, tree, tech, model, csr| {
+            state.apply_star_toggle(tree, tech, model, csr, si)
+        })
+    }
+
+    /// Opens the undo record of one mutation: the knob's previous value
+    /// plus every corner's current journal length.
+    fn begin(&mut self, knob: Knob) {
+        self.focus.set(None);
+        self.records.push(knob);
+        self.corner_lens
+            .extend(self.states.iter().map(|s| s.journal.len()));
+    }
+
+    /// Repairs every corner after the knob write `begin` recorded:
+    /// `apply(state, tree, tech, model, csr)` per corner, serially (stopping
+    /// at the first infeasible corner) or in parallel. Rolls the whole
+    /// mutation back and returns `false` when the run budget has tripped,
+    /// any corner is infeasible, or the injected evaluator fault fires.
+    fn fan_out(
+        &mut self,
+        apply: impl Fn(&mut CornerState, &SynthesizedTree, &Technology, EvalModel, &TreeCsr) -> bool
+            + Sync,
+    ) -> bool {
+        let mark = self.records.len() - 1;
+        // An expired budget rejects the move before any repair work, through
+        // the same path as an infeasible corner.
+        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
+        let ok = !cancelled && {
+            if let Some(counter) = &self.corner_evals {
+                counter.add(self.states.len() as u64);
+            }
+            let (tree, techs, model, csr) = (&*self.tree, self.techs, self.model, &self.csr);
+            if self.use_parallel() {
+                let mut work: Vec<(&mut CornerState, &Technology, bool)> = self
+                    .states
+                    .iter_mut()
+                    .zip(techs)
+                    .map(|(state, tech)| (state, tech, false))
+                    .collect();
+                work.par_iter_mut().for_each(|(state, tech, ok)| {
+                    *ok = apply(state, tree, tech, model, csr);
+                });
+                work.iter().all(|&(.., ok)| ok)
+            } else {
+                self.states
+                    .iter_mut()
+                    .zip(techs)
+                    .all(|(state, tech)| apply(state, tree, tech, model, csr))
+            }
+        };
+        // The injected fault fires *after* propagation, so the rollback must
+        // revert fully repaired dirty paths, not just the knob.
+        if ok && !fault::fault_infeasible(fault::SITE_INCREMENTAL) {
             true
         } else {
             self.undo_to(mark);
@@ -846,19 +991,30 @@ impl<'a> IncrementalEval<'a> {
     // --- Undo machinery --------------------------------------------------
 
     /// Current journal position; pass to [`IncrementalEval::undo_to`] to
-    /// revert every mutation made after this call.
+    /// revert every mutation — knob and all corners — made after this
+    /// call.
     pub fn mark(&self) -> usize {
-        self.journal.len()
+        self.records.len()
     }
 
-    /// Reverts all state back to `mark` (from [`IncrementalEval::mark`]).
+    /// Reverts all state back to `mark` (from [`IncrementalEval::mark`]):
+    /// every corner's journal is unwound to its length at the mark, and
+    /// the knobs are restored newest first — so the tree and every corner
+    /// land exactly where they were.
     pub fn undo_to(&mut self, mark: usize) {
-        while self.journal.len() > mark {
-            match self.journal.pop().expect("journal non-empty") {
-                Entry::Scale(e, old) => self.tree.buffer_scales[e as usize] = old,
-                Entry::Pattern(e, old) => self.tree.patterns[e as usize] = old,
-                Entry::StarBuffer(si, old) => self.tree.star_buffers[si as usize] = old,
-                numeric => self.state.undo_entry(numeric),
+        self.focus.set(None);
+        if mark < self.records.len() {
+            let k = self.states.len();
+            for (state, &len) in self.states.iter_mut().zip(&self.corner_lens[mark * k..]) {
+                state.rollback(len);
+            }
+            self.corner_lens.truncate(mark * k);
+            for knob in self.records.drain(mark..).rev() {
+                match knob {
+                    Knob::Scale(e, old) => self.tree.buffer_scales[e as usize] = old,
+                    Knob::Pattern(e, old) => self.tree.patterns[e as usize] = old,
+                    Knob::StarBuffer(si, old) => self.tree.star_buffers[si as usize] = old,
+                }
             }
         }
         self.last_mark = self.last_mark.min(mark);
@@ -870,62 +1026,15 @@ impl<'a> IncrementalEval<'a> {
         self.undo_to(self.last_mark);
     }
 
-    /// Accepts all mutations so far: clears the journal, making them
+    /// Accepts all mutations so far: clears the journals, making them
     /// permanent (undo can no longer cross this point).
     pub fn commit(&mut self) {
-        self.journal.clear();
+        self.records.clear();
+        self.corner_lens.clear();
+        for state in &mut self.states {
+            state.journal.clear();
+        }
         self.last_mark = 0;
-    }
-}
-
-impl TrialEval for IncrementalEval<'_> {
-    fn tree(&self) -> &SynthesizedTree {
-        IncrementalEval::tree(self)
-    }
-    fn model(&self) -> EvalModel {
-        IncrementalEval::model(self)
-    }
-    fn tech(&self) -> &Technology {
-        IncrementalEval::tech(self)
-    }
-    fn metrics(&self) -> TreeMetrics {
-        IncrementalEval::metrics(self)
-    }
-    fn latency_skew_ps(&self) -> (f64, f64) {
-        IncrementalEval::latency_skew_ps(self)
-    }
-    fn load_at(&self, v: usize) -> f64 {
-        IncrementalEval::load_at(self, v)
-    }
-    fn star_load(&self, si: usize) -> f64 {
-        IncrementalEval::star_load(self, si)
-    }
-    fn star_earliest(&self, si: usize) -> f64 {
-        IncrementalEval::star_earliest(self, si)
-    }
-    fn buffer_scale(&self, edge: usize) -> f64 {
-        IncrementalEval::buffer_scale(self, edge)
-    }
-    fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
-        IncrementalEval::set_buffer_scale(self, edge, scale)
-    }
-    fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
-        IncrementalEval::set_pattern(self, edge, pattern)
-    }
-    fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        IncrementalEval::set_star_buffer(self, si, on)
-    }
-    fn mark(&self) -> usize {
-        IncrementalEval::mark(self)
-    }
-    fn undo_to(&mut self, mark: usize) {
-        IncrementalEval::undo_to(self, mark)
-    }
-    fn undo(&mut self) {
-        IncrementalEval::undo(self)
-    }
-    fn commit(&mut self) {
-        IncrementalEval::commit(self)
     }
 }
 
@@ -1037,17 +1146,19 @@ mod tests {
     }
 
     #[test]
-    fn trial_eval_object_view_matches_inherent() {
-        // The trait surface is a faithful delegate of the inherent API.
+    fn one_corner_objective_view_is_that_corner() {
+        // At K = 1 every objective-view query reads the only corner.
         let (mut t, tech) = tree();
         let mut inc = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
-        let inherent = inc.metrics();
-        let via_trait = TrialEval::metrics(&inc);
-        assert_eq!(inherent, via_trait);
-        let e: &mut dyn TrialEval = &mut inc;
-        assert_eq!(e.latency_skew_ps(), (inherent.latency_ps, inherent.skew_ps));
-        assert!(e.set_star_buffer(0, true));
-        e.undo();
-        assert_eq!(e.metrics(), inherent);
+        let m = inc.corner_metrics(0);
+        assert_eq!(inc.corner_count(), 1);
+        assert_eq!(inc.metrics(), m);
+        assert_eq!(inc.focus_corner(), 0);
+        assert_eq!(inc.latency_skew_ps(), (m.latency_ps, m.skew_ps));
+        assert_eq!(inc.latency_skew_ps(), inc.corner_latency_skew_ps(0));
+        assert!(inc.set_star_buffer(0, true));
+        inc.undo();
+        assert_eq!(inc.metrics(), m);
+        assert_eq!(inc.robust_metrics().arrival_spread_ps, 0.0);
     }
 }

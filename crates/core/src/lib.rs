@@ -36,13 +36,15 @@
 //! hot paths run rayon-parallel with bit-identical results at any thread
 //! count.
 //!
-//! Every optimization pass runs on the [`IncrementalEval`] engine: full
-//! evaluation state stays resident and each trial move re-propagates only
-//! its dirty ancestor path and subtree, with journaled undo for rejected
-//! moves — bit-identical to [`SynthesizedTree::evaluate`] and orders of
-//! magnitude faster in the inner loops. The legacy free functions
-//! ([`sizing::resize_for_skew`], [`skew::refine`]) remain as thin,
-//! bit-identical wrappers over the corresponding passes.
+//! Every optimization pass runs on the one [`IncrementalEval`] engine:
+//! full evaluation state stays resident and each trial move re-propagates
+//! only its dirty ancestor path and subtree, with journaled undo for
+//! rejected moves — bit-identical to [`SynthesizedTree::evaluate`] and
+//! orders of magnitude faster in the inner loops. The same evaluator
+//! holds one technology or every corner of a [`dscts_tech::CornerSet`]
+//! ([`IncrementalEval::with_corners`]), so every pass, built-in or
+//! custom, runs corner-aware unchanged. Passes run through one entry
+//! point, [`PassManager::run`].
 //!
 //! Most users want the [`DsCts`] pipeline builder; custom optimization
 //! schedules plug in through [`DsCts::schedule`] (see the [`opt`] module
@@ -103,8 +105,8 @@
 //! [`resilience::RunBudget`] (wall-clock deadline and/or max optimization
 //! trials). The minted [`resilience::CancelToken`] is checked
 //! cooperatively at stage boundaries and inside the long loops (per-height
-//! DP propagation, DSE sweep classes, optimization trial loops, MCMM
-//! corner fan-out). Cancellation before the tree exists (route/insertion)
+//! DP propagation, DSE sweep classes, optimization trial loops, every
+//! evaluator mutation). Cancellation before the tree exists (route/insertion)
 //! aborts with [`CtsError::Cancelled`]; cancellation during optimization
 //! *truncates the schedule* instead — remaining passes are skipped, the
 //! cheap evaluation stage still runs, and the result is a valid partial
@@ -211,8 +213,8 @@ pub use dp::{
     PruneMode, RootCand,
 };
 pub use error::CtsError;
-pub use incremental::{IncrementalEval, TrialEval};
-pub use mcmm::{CornerReport, MultiCornerEval, RobustMetrics, RobustObjective};
+pub use incremental::IncrementalEval;
+pub use mcmm::{CornerReport, RobustMetrics, RobustObjective};
 pub use opt::{
     AnnealConfig, AnnealedSizingPass, OptCtx, OptPass, OptSchedule, PassManager, PassReport,
     PassStats, PatternSearchConfig, PatternSearchPass, ScheduleReport,

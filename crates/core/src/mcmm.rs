@@ -1,33 +1,20 @@
-//! Multi-corner multi-mode (MCMM) evaluation and robust optimization.
+//! Multi-corner multi-mode (MCMM) objectives and reports.
 //!
 //! The paper optimizes skew/latency/resources under a single nominal
 //! delay model, but real double-side CTS sign-off is multi-corner:
 //! front/back RC, nTSV and buffer delays derate differently across PVT
 //! corners (`dscts_tech::CornerSet`), and a tree sized at nominal can be
-//! badly skewed at SS. This module makes every optimizer and sweep built
-//! on the incremental engine corner-aware through one new subsystem:
+//! badly skewed at SS. The incremental evaluator itself is corner-aware
+//! ([`crate::IncrementalEval::with_corners`] keeps one resident state per
+//! corner and repairs every corner on each mutation); this module holds
+//! what sits around it:
 //!
-//! * [`MultiCornerEval`] — K resident [`crate::IncrementalEval`]-style
-//!   evaluation states (one per corner, sharing the per-corner derated
-//!   technologies a [`CornerSet`] owns) over the **same**
-//!   [`SynthesizedTree`]. Every mutation
-//!   ([`MultiCornerEval::set_buffer_scale`],
-//!   [`MultiCornerEval::set_pattern`],
-//!   [`MultiCornerEval::set_star_buffer`]) writes the knob once and fans
-//!   the dirty-path repair out to all corners — each corner walks *its
-//!   own* dirty ancestor path and subtree (early stops differ per corner
-//!   because shielding is electrical), never a full re-evaluate — under a
-//!   **single shared undo journal** whose entries are corner-tagged, so
-//!   one [`MultiCornerEval::mark`]/[`MultiCornerEval::undo_to`] pair
-//!   reverts the knob and every corner atomically. A mutation that is
-//!   infeasible in *any* corner rolls the whole fan-out back and returns
-//!   `false`.
 //! * [`RobustObjective`] — which cross-corner reduction the evaluator's
-//!   *objective view* (the [`TrialEval`] surface the optimization passes
-//!   score with) reports: the nominal corner, or the component-wise
-//!   worst corner (minimax). Running any [`crate::opt`] schedule through
-//!   [`crate::opt::PassManager::run_corners`] therefore optimizes
-//!   worst-corner MOES instead of nominal without changing a pass.
+//!   *objective view* (what the optimization passes score with) reports:
+//!   the nominal corner, or the component-wise worst corner (minimax).
+//!   Any [`crate::opt`] schedule run over a corner-aware evaluator
+//!   therefore optimizes worst-corner MOES instead of nominal without
+//!   changing a pass.
 //! * [`RobustMetrics`] / [`CornerReport`] — cross-corner summaries:
 //!   worst-corner latency/skew (and which corner attains them) plus the
 //!   cross-corner arrival spread, an OCV proxy (the maximum over sinks
@@ -35,48 +22,21 @@
 //!
 //! # Bit-identity and cost
 //!
-//! Each corner state runs exactly the arithmetic of the single-corner
-//! engine (they share `CornerState`), so a [`MultiCornerEval`] over a
-//! single identity corner ([`CornerSet::nominal_only`]) is bit-identical
-//! to [`crate::IncrementalEval`] under arbitrary interleaved mutations
-//! and undos — enforced by `mcmm_proptests` for both [`EvalModel`]s.
-//! A K-corner mutation costs K dirty paths (O(K·(depth + subtree))),
-//! which the `mcmm_eval` criterion group shows is far cheaper than the K
-//! full `evaluate()` calls a non-incremental MCMM loop would pay.
+//! Every corner runs exactly the single-corner repair arithmetic, so an
+//! evaluator over a single identity corner ([`CornerSet::nominal_only`])
+//! is bit-identical to [`crate::IncrementalEval::new`] under arbitrary
+//! interleaved mutations and undos — enforced by `mcmm_proptests` for
+//! both [`EvalModel`]s. A K-corner mutation costs K dirty paths
+//! (O(K·(depth + subtree))), which the `mcmm_eval` criterion group shows
+//! is far cheaper than the K full `evaluate()` calls a non-incremental
+//! MCMM loop would pay.
 
-use crate::incremental::{CornerState, Entry, Journal, TrialEval};
-use crate::pattern::Pattern;
-use crate::resilience::{fault, CancelToken};
+use crate::error::CtsError;
 use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_geom::TreeCsr;
-use dscts_tech::{CornerSet, Technology};
-use rayon::prelude::*;
+use dscts_tech::CornerSet;
 
-/// Journal tag marking a knob entry (tree mutation) rather than a
-/// per-corner numeric entry.
-const KNOB: u32 = u32::MAX;
-
-/// Minimum trunk-node count before the auto gate turns the corner-parallel
-/// fan-out on. Below this, a per-corner dirty path is microseconds and the
-/// shim's per-call thread spawn would dominate (the C1–C5 trunks are ~1k
-/// nodes); above it — the 100k+-sink scaled designs — the per-corner
-/// repair work amortizes the spawn.
-const PAR_FANOUT_MIN_NODES: usize = 10_000;
-
-/// A journal adapter that tags every recorded entry with its corner.
-struct TaggedJournal<'j> {
-    corner: u32,
-    journal: &'j mut Vec<(u32, Entry)>,
-}
-
-impl Journal for TaggedJournal<'_> {
-    fn record(&mut self, e: Entry) {
-        self.journal.push((self.corner, e));
-    }
-}
-
-/// Which cross-corner reduction the evaluator's objective view (its
-/// [`TrialEval`] surface) reports to the optimization passes.
+/// Which cross-corner reduction the evaluator's objective view reports
+/// to the optimization passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RobustObjective {
     /// Score with the nominal corner only — the single-corner behaviour,
@@ -86,10 +46,11 @@ pub enum RobustObjective {
     /// and the maximum skew over all corners (possibly attained at
     /// different corners). Minimizing a weighted sum of these minimizes
     /// an upper bound on every corner's MOES — the minimax ("robust")
-    /// objective. Star-level rankings ([`TrialEval::star_earliest`],
-    /// [`TrialEval::star_load`], [`TrialEval::tech`]) come from the
-    /// corner currently attaining the worst skew, the one a skew-repair
-    /// pass needs to fix.
+    /// objective. Star-level rankings
+    /// ([`crate::IncrementalEval::star_earliest`],
+    /// [`crate::IncrementalEval::star_load`],
+    /// [`crate::IncrementalEval::tech`]) come from the corner currently
+    /// attaining the worst skew, the one a skew-repair pass needs to fix.
     #[default]
     WorstCorner,
 }
@@ -172,548 +133,37 @@ pub struct CornerReport {
 }
 
 impl CornerReport {
-    /// Assembles a report from per-corner metrics (in `corners` order),
-    /// folding the robust summary — the one place the report's fields
-    /// are populated, shared by [`CornerReport::evaluate`] and
-    /// [`MultiCornerEval::corner_report`].
-    pub fn from_per_corner(corners: &CornerSet, per_corner: Vec<TreeMetrics>) -> CornerReport {
-        let robust = RobustMetrics::from_corner_metrics(&per_corner);
-        CornerReport {
+    /// Evaluates `tree` under every corner of `corners` (batch
+    /// evaluation per corner) and folds the robust summary.
+    ///
+    /// A pattern the DP chose near its buffer's max-load budget at
+    /// nominal can overload that buffer under a capacitance-derating
+    /// corner. That is a data-dependent infeasibility of *this* tree at
+    /// *this* corner, reported as the typed
+    /// [`CtsError::NoFeasiblePattern`] of the first offending corner (in
+    /// corner order) so callers can retry through the recovery ladder —
+    /// relaxations change the pattern assignment — instead of crashing
+    /// mid-sign-off.
+    pub fn try_evaluate(
+        tree: &SynthesizedTree,
+        corners: &CornerSet,
+        model: EvalModel,
+    ) -> Result<CornerReport, CtsError> {
+        let per_corner = corners
+            .techs()
+            .iter()
+            .map(|tech| tree.try_evaluate(tech, model))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(CornerReport {
             corner_names: corners
                 .corners()
                 .iter()
                 .map(|c| c.name().to_owned())
                 .collect(),
+            robust: RobustMetrics::from_corner_metrics(&per_corner),
             per_corner,
             nominal: corners.nominal_index(),
-            robust,
-        }
-    }
-
-    /// Evaluates `tree` under every corner of `corners` (batch
-    /// evaluation per corner) and folds the robust summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assigned pattern is infeasible under one of the
-    /// corner technologies — possible whenever a corner derates
-    /// capacitances upward; sign-off paths should use
-    /// [`CornerReport::try_evaluate`] instead.
-    pub fn evaluate(tree: &SynthesizedTree, corners: &CornerSet, model: EvalModel) -> CornerReport {
-        CornerReport::try_evaluate(tree, corners, model).expect("tree feasible at every corner")
-    }
-
-    /// Fallible [`CornerReport::evaluate`]: a pattern the DP chose near
-    /// its buffer's max-load budget at nominal can overload that buffer
-    /// under a capacitance-derating corner. That is a data-dependent
-    /// infeasibility of *this* tree at *this* corner, reported as the
-    /// typed [`CtsError::NoFeasiblePattern`] of the first offending
-    /// corner (in corner order) so callers can retry through the
-    /// recovery ladder — relaxations change the pattern assignment —
-    /// instead of crashing mid-sign-off.
-    ///
-    /// [`CtsError::NoFeasiblePattern`]: crate::CtsError::NoFeasiblePattern
-    pub fn try_evaluate(
-        tree: &SynthesizedTree,
-        corners: &CornerSet,
-        model: EvalModel,
-    ) -> Result<CornerReport, crate::CtsError> {
-        Ok(CornerReport::from_per_corner(
-            corners,
-            corners
-                .techs()
-                .iter()
-                .map(|tech| tree.try_evaluate(tech, model))
-                .collect::<Result<Vec<_>, _>>()?,
-        ))
-    }
-}
-
-/// Multi-corner incremental evaluator: K resident per-corner evaluation
-/// states over one [`SynthesizedTree`], mutated in lockstep under a
-/// single corner-tagged undo journal. See the [module docs](self).
-#[derive(Debug)]
-pub struct MultiCornerEval<'a> {
-    tree: &'a mut SynthesizedTree,
-    corners: &'a CornerSet,
-    model: EvalModel,
-    objective: RobustObjective,
-    /// Flat trunk adjacency, shared by every corner state.
-    csr: TreeCsr,
-    /// One resident evaluation state per corner, in corner order.
-    states: Vec<CornerState>,
-    /// The shared journal: `(corner, entry)` pairs, with [`KNOB`] tagging
-    /// tree-knob entries. One `mark`/`undo_to` reverts knob and all
-    /// corners atomically.
-    journal: Vec<(u32, Entry)>,
-    /// Journal position at the start of the last mutation.
-    last_mark: usize,
-    /// Memoized [`MultiCornerEval::focus_corner`]: the worst-skew fold
-    /// is O(corners × stars), and passes query the objective view once
-    /// per star when ranking — without this cache a ranking sweep would
-    /// be O(corners × stars²). Invalidated by every mutation and undo.
-    focus: std::cell::Cell<Option<usize>>,
-    /// Corner-parallel fan-out control: `Some(true)` forces the parallel
-    /// path, `Some(false)` forces serial, `None` (default) auto-gates on
-    /// tree size and thread count. See [`MultiCornerEval::with_parallel`].
-    parallel: Option<bool>,
-    /// Reusable per-corner scratch journals for the parallel fan-out
-    /// (grow-only, so steady-state parallel mutations allocate nothing).
-    scratch: Vec<Vec<Entry>>,
-    /// Optional run-budget token: a deadline firing mid-move rejects the
-    /// move (fully rolled back) instead of leaving corners half-repaired.
-    cancel: Option<CancelToken>,
-    /// Telemetry counter for corner fan-outs, resolved once at
-    /// construction: the per-move hot path is a branch on `None` when no
-    /// collector is installed — no atomic, no lock, no allocation (the
-    /// bench crate's counting-allocator harness pins this).
-    corner_evals: Option<dscts_telemetry::Counter>,
-}
-
-impl<'a> MultiCornerEval<'a> {
-    /// Builds the K per-corner states with one batch-equivalent pass
-    /// each, under the default [`RobustObjective::WorstCorner`] view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge lacks a pattern or is electrically infeasible
-    /// under any corner (derated wire caps can push a marginal pattern
-    /// over the buffer's load limit — exactly the failure a from-scratch
-    /// [`SynthesizedTree::evaluate`] under that corner would hit).
-    pub fn new(tree: &'a mut SynthesizedTree, corners: &'a CornerSet, model: EvalModel) -> Self {
-        let csr = tree.topo.csr().clone();
-        let states = corners
-            .techs()
-            .iter()
-            .map(|tech| CornerState::new(tree, tech, model, &csr))
-            .collect();
-        MultiCornerEval {
-            tree,
-            corners,
-            model,
-            objective: RobustObjective::default(),
-            csr,
-            states,
-            journal: Vec::new(),
-            last_mark: 0,
-            focus: std::cell::Cell::new(None),
-            parallel: None,
-            scratch: Vec::new(),
-            cancel: None,
-            corner_evals: dscts_telemetry::active().map(|t| t.counter("mcmm.corner_evals")),
-        }
-    }
-
-    /// Sets the objective view (builder style).
-    pub fn with_objective(mut self, objective: RobustObjective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    /// Controls the corner-parallel mutation fan-out (builder style).
-    ///
-    /// The K per-corner dirty-path repairs of one mutation are independent
-    /// given the shared knob write, so they can run on separate threads.
-    /// `Some(true)` forces the parallel path, `Some(false)` forces the
-    /// serial loop, and `None` (the default) picks automatically: parallel
-    /// only when there is more than one corner, more than one thread, and
-    /// the trunk is at least `PAR_FANOUT_MIN_NODES` nodes (so the repair
-    /// work amortizes the per-mutation thread spawn).
-    ///
-    /// Both paths are bit-identical at any thread count: each corner
-    /// journals into its own scratch buffer and the buffers are merged
-    /// into the shared journal in corner order — exactly the order the
-    /// serial loop would have produced.
-    pub fn with_parallel(mut self, parallel: Option<bool>) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Attaches (or clears) a run-budget cancellation token. Once the
-    /// token trips, every subsequent mutation is rejected — knob and all
-    /// corners rolled back, `false` returned — exactly like an infeasible
-    /// corner, so a budgeted optimization pass winds down through its
-    /// normal reject path. `None` (the default) never rejects.
-    pub fn set_cancel(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// Whether the next mutation will fan out in parallel.
-    fn use_parallel(&self) -> bool {
-        let eligible = self.states.len() > 1;
-        match self.parallel {
-            Some(p) => p && eligible,
-            None => {
-                eligible
-                    && self.tree.topo.nodes.len() >= PAR_FANOUT_MIN_NODES
-                    && rayon::current_num_threads() > 1
-            }
-        }
-    }
-
-    /// The configured objective view.
-    pub fn objective(&self) -> RobustObjective {
-        self.objective
-    }
-
-    /// The corner set this evaluator fans out over.
-    pub fn corner_set(&self) -> &CornerSet {
-        self.corners
-    }
-
-    /// Number of corners.
-    pub fn corner_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The underlying tree (knobs reflect all non-undone mutations).
-    pub fn tree(&self) -> &SynthesizedTree {
-        self.tree
-    }
-
-    /// The delay model every corner propagates.
-    pub fn model(&self) -> EvalModel {
-        self.model
-    }
-
-    // --- Per-corner queries ----------------------------------------------
-
-    /// `(latency_ps, skew_ps)` of corner `k`.
-    pub fn corner_latency_skew_ps(&self, k: usize) -> (f64, f64) {
-        self.states[k].latency_skew_ps()
-    }
-
-    /// Full metrics of corner `k`, bit-identical to
-    /// [`SynthesizedTree::evaluate`] under that corner's technology.
-    pub fn corner_metrics(&self, k: usize) -> TreeMetrics {
-        self.states[k].metrics(self.tree, self.corners.tech(k))
-    }
-
-    /// Per-sink arrivals of corner `k`.
-    pub fn corner_arrivals(&self, k: usize) -> &[f64] {
-        self.states[k].arrivals()
-    }
-
-    // --- Cross-corner queries --------------------------------------------
-
-    /// Component-wise worst `(latency_ps, skew_ps)` over all corners, in
-    /// one fold per corner — the robust inner-loop objective.
-    pub fn worst_latency_skew_ps(&self) -> (f64, f64) {
-        let mut lat = f64::NEG_INFINITY;
-        let mut skew = f64::NEG_INFINITY;
-        for s in &self.states {
-            let (l, k) = s.latency_skew_ps();
-            lat = lat.max(l);
-            skew = skew.max(k);
-        }
-        (lat, skew)
-    }
-
-    /// The corner the objective view ranks stars with: the nominal
-    /// corner, or — under [`RobustObjective::WorstCorner`] — the corner
-    /// currently attaining the worst skew. Memoized between mutations
-    /// (see the `focus` field) so per-star objective-view queries stay
-    /// O(1) after the first.
-    pub fn focus_corner(&self) -> usize {
-        match self.objective {
-            RobustObjective::Nominal => self.corners.nominal_index(),
-            RobustObjective::WorstCorner => {
-                if let Some(k) = self.focus.get() {
-                    return k;
-                }
-                let mut worst = 0;
-                let mut worst_skew = f64::NEG_INFINITY;
-                for (k, s) in self.states.iter().enumerate() {
-                    let (_, skew) = s.latency_skew_ps();
-                    if skew > worst_skew {
-                        worst_skew = skew;
-                        worst = k;
-                    }
-                }
-                self.focus.set(Some(worst));
-                worst
-            }
-        }
-    }
-
-    /// Full metrics of every corner, in corner order.
-    fn per_corner_metrics(&self) -> Vec<TreeMetrics> {
-        (0..self.states.len())
-            .map(|k| self.corner_metrics(k))
-            .collect()
-    }
-
-    /// The cross-corner robust summary of the current state (full
-    /// per-corner metrics are folded, so this is a reporting call, not an
-    /// inner-loop one — inner loops use
-    /// [`MultiCornerEval::worst_latency_skew_ps`]).
-    pub fn robust_metrics(&self) -> RobustMetrics {
-        RobustMetrics::from_corner_metrics(&self.per_corner_metrics())
-    }
-
-    /// The full corner report of the current state.
-    pub fn corner_report(&self) -> CornerReport {
-        CornerReport::from_per_corner(self.corners, self.per_corner_metrics())
-    }
-
-    // --- Mutations -------------------------------------------------------
-
-    /// Fans a knob mutation out to every corner: `apply(state, tech,
-    /// journal)` per corner, rolling the knob and every touched corner
-    /// back atomically when any corner reports infeasibility.
-    ///
-    /// Serially, corners repair one after another into the shared tagged
-    /// journal (with an early break on the first infeasible corner). In
-    /// parallel ([`MultiCornerEval::with_parallel`]), every corner repairs
-    /// concurrently into its own scratch journal and the scratches are
-    /// appended to the shared journal in corner order afterwards — on
-    /// success the shared journal is bit-identical to the serial one, and
-    /// on failure `undo_to(mark)` restores the identical pre-mutation
-    /// state either way.
-    fn fan_out(
-        &mut self,
-        mark: usize,
-        apply: impl Fn(
-                &mut CornerState,
-                &SynthesizedTree,
-                &Technology,
-                EvalModel,
-                &TreeCsr,
-                &mut dyn Journal,
-            ) -> bool
-            + Sync,
-    ) -> bool {
-        self.focus.set(None);
-        // An expired budget (or an injected MCMM fault) rejects the move
-        // through the same path as an infeasible corner: the already
-        // journaled knob rolls back and the caller sees `false`.
-        if fault::fault_infeasible(fault::SITE_MCMM)
-            || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-        {
-            self.undo_to(mark);
-            return false;
-        }
-        if let Some(counter) = &self.corner_evals {
-            counter.add(self.states.len() as u64);
-        }
-        let mut ok = true;
-        if self.use_parallel() {
-            if self.scratch.len() < self.states.len() {
-                self.scratch.resize_with(self.states.len(), Vec::new);
-            }
-            let tree = &*self.tree;
-            let corners = self.corners;
-            let model = self.model;
-            let csr = &self.csr;
-            let apply = &apply;
-            let mut work: Vec<(usize, &mut CornerState, &mut Vec<Entry>, bool)> = self
-                .states
-                .iter_mut()
-                .zip(self.scratch.iter_mut())
-                .enumerate()
-                .map(|(k, (state, buf))| {
-                    buf.clear();
-                    (k, state, buf, true)
-                })
-                .collect();
-            work.par_iter_mut().for_each(|(k, state, buf, corner_ok)| {
-                *corner_ok = apply(state, tree, corners.tech(*k), model, csr, &mut **buf);
-            });
-            ok = work.iter().all(|(.., corner_ok)| *corner_ok);
-            drop(work);
-            for (k, buf) in self.scratch.iter_mut().enumerate() {
-                for e in buf.drain(..) {
-                    self.journal.push((k as u32, e));
-                }
-            }
-        } else {
-            for (k, state) in self.states.iter_mut().enumerate() {
-                let mut journal = TaggedJournal {
-                    corner: k as u32,
-                    journal: &mut self.journal,
-                };
-                if !apply(
-                    state,
-                    self.tree,
-                    self.corners.tech(k),
-                    self.model,
-                    &self.csr,
-                    &mut journal,
-                ) {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            self.undo_to(mark);
-        }
-        ok
-    }
-
-    /// Re-sizes the buffer embedded in `edge` (a non-root trunk node) in
-    /// every corner. Returns `false` — with knob and all corners rolled
-    /// back — when the new scale is infeasible in *any* corner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is 0 or `scale` is not positive.
-    pub fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
-        assert!(edge != 0, "node 0 has no incoming edge");
-        assert!(scale > 0.0, "buffer scale must be positive");
-        let mark = self.journal.len();
-        self.last_mark = mark;
-        if self.tree.buffer_scales[edge] == scale {
-            return true;
-        }
-        self.journal.push((
-            KNOB,
-            Entry::Scale(edge as u32, self.tree.buffer_scales[edge]),
-        ));
-        self.tree.buffer_scales[edge] = scale;
-        self.fan_out(mark, |state, tree, tech, model, csr, journal| {
-            state.repropagate_edge(tree, tech, model, csr, edge, journal)
         })
-    }
-
-    /// Re-assigns the pattern of `edge` (a non-root trunk node) in every
-    /// corner. Side legality is *not* checked here; run
-    /// [`SynthesizedTree::validate_sides`] before accepting a final tree.
-    /// Returns `false` — fully rolled back — when the pattern is
-    /// infeasible in *any* corner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is 0.
-    pub fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
-        assert!(edge != 0, "node 0 has no incoming edge");
-        let mark = self.journal.len();
-        self.last_mark = mark;
-        if self.tree.patterns[edge] == Some(pattern) {
-            return true;
-        }
-        self.journal
-            .push((KNOB, Entry::Pattern(edge as u32, self.tree.patterns[edge])));
-        self.tree.patterns[edge] = Some(pattern);
-        self.fan_out(mark, |state, tree, tech, model, csr, journal| {
-            state.repropagate_edge(tree, tech, model, csr, edge, journal)
-        })
-    }
-
-    /// Adds or removes the skew-refinement buffer driving star `si`, in
-    /// every corner. Returns `false` — fully rolled back — when the
-    /// change overloads a buffer in *any* corner.
-    pub fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        let mark = self.journal.len();
-        self.last_mark = mark;
-        if self.tree.star_buffers[si] == on {
-            return true;
-        }
-        self.journal.push((
-            KNOB,
-            Entry::StarBuffer(si as u32, self.tree.star_buffers[si]),
-        ));
-        self.tree.star_buffers[si] = on;
-        self.fan_out(mark, |state, tree, tech, model, csr, journal| {
-            state.apply_star_toggle(tree, tech, model, csr, si, journal)
-        })
-    }
-
-    // --- Undo machinery --------------------------------------------------
-
-    /// Current journal position; pass to [`MultiCornerEval::undo_to`] to
-    /// revert every mutation — knob and all corners — made after this
-    /// call.
-    pub fn mark(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Reverts all state back to `mark`: knob entries restore the tree,
-    /// corner-tagged entries restore their corner's state, in reverse
-    /// order — so the tree and every corner land exactly where they were.
-    pub fn undo_to(&mut self, mark: usize) {
-        self.focus.set(None);
-        while self.journal.len() > mark {
-            let (tag, e) = self.journal.pop().expect("journal non-empty");
-            if tag == KNOB {
-                match e {
-                    Entry::Scale(edge, old) => self.tree.buffer_scales[edge as usize] = old,
-                    Entry::Pattern(edge, old) => self.tree.patterns[edge as usize] = old,
-                    Entry::StarBuffer(si, old) => self.tree.star_buffers[si as usize] = old,
-                    _ => unreachable!("knob tag carries only knob entries"),
-                }
-            } else {
-                self.states[tag as usize].undo_entry(e);
-            }
-        }
-        self.last_mark = self.last_mark.min(mark);
-    }
-
-    /// Reverts the most recent mutation (no-op if it was already undone
-    /// or committed).
-    pub fn undo(&mut self) {
-        self.undo_to(self.last_mark);
-    }
-
-    /// Accepts all mutations so far: clears the shared journal, making
-    /// them permanent (undo can no longer cross this point).
-    pub fn commit(&mut self) {
-        self.journal.clear();
-        self.last_mark = 0;
-    }
-}
-
-impl TrialEval for MultiCornerEval<'_> {
-    fn tree(&self) -> &SynthesizedTree {
-        MultiCornerEval::tree(self)
-    }
-    fn model(&self) -> EvalModel {
-        MultiCornerEval::model(self)
-    }
-    fn tech(&self) -> &Technology {
-        self.corners.tech(self.focus_corner())
-    }
-    fn metrics(&self) -> TreeMetrics {
-        self.corner_metrics(self.corners.nominal_index())
-    }
-    fn latency_skew_ps(&self) -> (f64, f64) {
-        match self.objective {
-            RobustObjective::Nominal => self.corner_latency_skew_ps(self.corners.nominal_index()),
-            RobustObjective::WorstCorner => self.worst_latency_skew_ps(),
-        }
-    }
-    fn load_at(&self, v: usize) -> f64 {
-        self.states[self.focus_corner()].load_at(v)
-    }
-    fn star_load(&self, si: usize) -> f64 {
-        self.states[self.focus_corner()].star_load(si)
-    }
-    fn star_earliest(&self, si: usize) -> f64 {
-        self.states[self.focus_corner()].star_earliest(si)
-    }
-    fn buffer_scale(&self, edge: usize) -> f64 {
-        self.tree.buffer_scales[edge]
-    }
-    fn set_buffer_scale(&mut self, edge: usize, scale: f64) -> bool {
-        MultiCornerEval::set_buffer_scale(self, edge, scale)
-    }
-    fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
-        MultiCornerEval::set_pattern(self, edge, pattern)
-    }
-    fn set_star_buffer(&mut self, si: usize, on: bool) -> bool {
-        MultiCornerEval::set_star_buffer(self, si, on)
-    }
-    fn mark(&self) -> usize {
-        MultiCornerEval::mark(self)
-    }
-    fn undo_to(&mut self, mark: usize) {
-        MultiCornerEval::undo_to(self, mark)
-    }
-    fn undo(&mut self) {
-        MultiCornerEval::undo(self)
-    }
-    fn commit(&mut self) {
-        MultiCornerEval::commit(self)
     }
 }
 
@@ -721,6 +171,7 @@ impl TrialEval for MultiCornerEval<'_> {
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::incremental::IncrementalEval;
     use crate::route::HierarchicalRouter;
     use dscts_netlist::BenchmarkSpec;
     use dscts_tech::Technology;
@@ -743,6 +194,16 @@ mod tests {
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 
+    /// The worst-corner evaluator over `corners`.
+    fn robust<'a>(
+        t: &'a mut SynthesizedTree,
+        corners: &'a CornerSet,
+        model: EvalModel,
+    ) -> IncrementalEval<'a> {
+        IncrementalEval::with_corners(t, corners, model, RobustObjective::WorstCorner)
+            .expect("C4 is feasible at every PVT corner")
+    }
+
     #[test]
     fn per_corner_states_match_batch_per_corner() {
         let (mut t, tech) = tree();
@@ -753,7 +214,7 @@ mod tests {
                 .iter()
                 .map(|ct| t.evaluate(ct, model))
                 .collect();
-            let mc = MultiCornerEval::new(&mut t, &corners, model);
+            let mc = robust(&mut t, &corners, model);
             for (k, b) in batch.iter().enumerate() {
                 assert_eq!(&mc.corner_metrics(k), b, "corner {k}");
             }
@@ -767,7 +228,7 @@ mod tests {
         let edge = (1..t.topo.nodes.len())
             .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
             .expect("some buffered edge");
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = robust(&mut t, &corners, EvalModel::Elmore);
         assert!(mc.set_buffer_scale(edge, 2.0));
         assert!(mc.set_star_buffer(0, true));
         let per_corner: Vec<TreeMetrics> = (0..mc.corner_count())
@@ -787,7 +248,7 @@ mod tests {
     fn shared_journal_reverts_all_corners_atomically() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Nldm);
+        let mut mc = robust(&mut t, &corners, EvalModel::Nldm);
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
@@ -809,7 +270,7 @@ mod tests {
         let edge = (1..t.topo.nodes.len())
             .find(|&i| t.patterns[i].is_some_and(|p| p.buffers() > 0))
             .expect("some buffered edge");
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = robust(&mut t, &corners, EvalModel::Elmore);
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
@@ -825,8 +286,8 @@ mod tests {
     fn worst_view_bounds_every_corner() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
-        let (wl, ws) = mc.worst_latency_skew_ps();
+        let mc = robust(&mut t, &corners, EvalModel::Elmore);
+        let (wl, ws) = mc.latency_skew_ps();
         for k in 0..mc.corner_count() {
             let (l, s) = mc.corner_latency_skew_ps(k);
             assert!(l <= wl && s <= ws);
@@ -843,14 +304,23 @@ mod tests {
     fn objective_views_differ_as_configured() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
-        let worst = TrialEval::latency_skew_ps(&mc);
-        assert_eq!(worst, mc.worst_latency_skew_ps());
-        let nominal_view = {
-            let mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore)
-                .with_objective(RobustObjective::Nominal);
-            TrialEval::latency_skew_ps(&mc)
-        };
+        let mc = robust(&mut t, &corners, EvalModel::Elmore);
+        let worst = mc.latency_skew_ps();
+        let corner_max = (0..mc.corner_count())
+            .map(|k| mc.corner_latency_skew_ps(k))
+            .fold(
+                (f64::NEG_INFINITY, f64::NEG_INFINITY),
+                |(l, s), (cl, cs)| (l.max(cl), s.max(cs)),
+            );
+        assert_eq!(worst, corner_max);
+        let nominal_view = IncrementalEval::with_corners(
+            &mut t,
+            &corners,
+            EvalModel::Elmore,
+            RobustObjective::Nominal,
+        )
+        .expect("feasible")
+        .latency_skew_ps();
         assert!(nominal_view.0 < worst.0, "SS latency dominates TT");
     }
 
@@ -858,8 +328,8 @@ mod tests {
     fn focus_corner_cache_tracks_mutations() {
         let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
-        let fresh_focus = |mc: &MultiCornerEval<'_>| {
+        let mut mc = robust(&mut t, &corners, EvalModel::Elmore);
+        let fresh_focus = |mc: &IncrementalEval<'_>| {
             // The uncached answer: argmax of per-corner skew.
             (0..mc.corner_count())
                 .max_by(|&a, &b| {
@@ -885,7 +355,8 @@ mod tests {
     fn corner_report_matches_batch() {
         let (t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
-        let report = CornerReport::evaluate(&t, &corners, EvalModel::Nldm);
+        let report = CornerReport::try_evaluate(&t, &corners, EvalModel::Nldm)
+            .expect("tree feasible at the PVT preset");
         assert_eq!(report.corner_names, ["SS", "TT", "FF"]);
         assert_eq!(report.nominal, 1);
         assert_eq!(
@@ -898,22 +369,24 @@ mod tests {
         );
     }
 
-    /// `try_evaluate` is bit-identical to `evaluate` on feasible corner
-    /// sets, and reports the typed `NoFeasiblePattern` (instead of
-    /// panicking) when a corner derates capacitances past a pattern
-    /// buffer's max load — the corner sign-off failure mode a service
-    /// retry ladder recovers from.
+    /// `try_evaluate` matches the resident evaluator's per-corner metrics
+    /// on feasible corner sets, and reports the typed `NoFeasiblePattern`
+    /// (instead of panicking) when a corner derates capacitances past a
+    /// pattern buffer's max load — the corner sign-off failure mode a
+    /// service retry ladder recovers from. The corner-aware evaluator's
+    /// constructor reports the identical error.
     #[test]
     fn corner_report_try_evaluate_types_corner_infeasibility() {
         use dscts_tech::{Corner, DerateFactors, WireDerate};
-        let (t, tech) = tree();
+        let (mut t, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
         let report = CornerReport::try_evaluate(&t, &corners, EvalModel::Nldm)
             .expect("tree feasible at the PVT preset");
-        assert_eq!(
-            report,
-            CornerReport::evaluate(&t, &corners, EvalModel::Nldm)
-        );
+        let eval = robust(&mut t, &corners, EvalModel::Nldm);
+        for (k, m) in report.per_corner.iter().enumerate() {
+            assert_eq!(&eval.corner_metrics(k), m, "corner {k}");
+        }
+        drop(eval);
 
         // A hostile corner: wire capacitance ×50 overloads any embedded
         // buffer the DP placed against its nominal max-load budget.
@@ -936,16 +409,23 @@ mod tests {
         let err = CornerReport::try_evaluate(&t, &hostile, EvalModel::Nldm)
             .expect_err("overloaded corner must fail typed");
         assert!(
-            matches!(err, crate::CtsError::NoFeasiblePattern { .. }),
+            matches!(err, CtsError::NoFeasiblePattern { .. }),
             "expected the typed data-dependent infeasibility, got {err:?}"
         );
+        let eval_err = IncrementalEval::with_corners(
+            &mut t,
+            &hostile,
+            EvalModel::Nldm,
+            RobustObjective::WorstCorner,
+        )
+        .expect_err("the evaluator must fail typed too");
+        assert_eq!(eval_err, err);
     }
 
     #[test]
     fn single_nominal_corner_is_bit_identical_to_incremental() {
         // The proptest suite exercises this over random designs and
         // interleaved mutations; this is the deterministic smoke case.
-        use crate::incremental::IncrementalEval;
         let (t, tech) = tree();
         let corners = CornerSet::nominal_only(&tech);
         let edge = (1..t.topo.nodes.len())
@@ -954,7 +434,7 @@ mod tests {
         let mut t_inc = t.clone();
         let mut t_mc = t.clone();
         let mut inc = IncrementalEval::new(&mut t_inc, &tech, EvalModel::Elmore);
-        let mut mc = MultiCornerEval::new(&mut t_mc, &corners, EvalModel::Elmore);
+        let mut mc = robust(&mut t_mc, &corners, EvalModel::Elmore);
         assert_eq!(inc.metrics(), mc.corner_metrics(0));
         assert_eq!(
             inc.set_buffer_scale(edge, 0.5),
@@ -964,6 +444,6 @@ mod tests {
         inc.undo();
         mc.undo();
         assert_eq!(inc.metrics(), mc.corner_metrics(0));
-        assert_eq!(inc.latency_skew_ps(), mc.worst_latency_skew_ps());
+        assert_eq!(inc.latency_skew_ps(), mc.latency_skew_ps());
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! The paper's post-CTS phase (§III-D) is one fixed refinement loop, but
 //! every optimizer this repo has grown since — greedy buffer sizing,
-//! end-point refinement, and now annealed sizing and pattern local search
-//! — is the *same shape*: a trial-move loop over a resident incremental
+//! end-point refinement, annealed sizing and pattern local search — is
+//! the *same shape*: a trial-move loop over a resident incremental
 //! evaluation of the tree, accepting moves that improve an objective and
 //! rolling rejected ones back through the journal. This module makes that
 //! shape a first-class API:
 //!
 //! * [`OptPass`] — one optimizer: a name and a `run` over a shared
-//!   [`OptCtx`] (the [`IncrementalEval`], technology, delay model, and a
-//!   seeded RNG), returning [`PassStats`].
+//!   [`OptCtx`] (the [`IncrementalEval`] and a seeded RNG), returning
+//!   [`PassStats`].
 //! * [`OptSchedule`] — an ordered, cloneable list of passes plus the RNG
 //!   seed; the value a [`crate::DsCts`] pipeline carries.
 //! * [`PassManager`] — executes a schedule over one evaluator, wrapping
@@ -18,16 +18,17 @@
 //!   [`PassReport`] (folded into [`crate::Outcome::stages`] as
 //!   `opt:<name>` timings by the pipeline).
 //!
-//! The pre-existing optimizers are re-expressed as passes —
-//! [`crate::sizing::SizingPass`] and [`crate::skew::EndpointRefinePass`]
-//! — with the legacy free functions kept as thin, bit-identical wrappers.
-//! Because [`IncrementalEval`] is bit-identical to the batch evaluator
-//! after every mutation, running several passes over one shared evaluator
-//! produces exactly the trees the legacy chain of per-pass evaluators
-//! produced (property-tested in `opt_proptests`).
+//! The evaluator may hold one corner or several
+//! ([`IncrementalEval::with_corners`]); a pass sees the same surface
+//! either way and scores through the evaluator's objective view, so every
+//! pass — built-in or custom — optimizes nominal or worst-corner MOES
+//! without changing a line. Because [`IncrementalEval`] is bit-identical
+//! to the batch evaluator after every mutation, running several passes
+//! over one shared evaluator produces exactly the trees a chain of
+//! per-pass evaluators would (property-tested in `opt_proptests`).
 //!
-//! Two new optimizers ship on top of the API, closing both remaining
-//! ROADMAP items unlocked by the incremental engine:
+//! The built-in passes are [`crate::sizing::SizingPass`],
+//! [`crate::skew::EndpointRefinePass`] and:
 //!
 //! * [`AnnealedSizingPass`] — seeded, deterministic simulated annealing
 //!   over [`IncrementalEval::set_buffer_scale`] (and optionally
@@ -39,7 +40,7 @@
 //!   [`IncrementalEval::set_pattern`] swaps. Only swaps preserving both
 //!   endpoint sides are proposed (which provably preserves the §III-C
 //!   connectivity constraint), and
-//!   [`SynthesizedTree::validate_sides`] gates the final result
+//!   [`crate::SynthesizedTree::validate_sides`] gates the final result
 //!   defensively.
 //!
 //! # Plugging a custom pass into the pipeline
@@ -86,132 +87,62 @@
 //! ```
 
 use crate::dp::MoesWeights;
-use crate::incremental::{IncrementalEval, TrialEval};
-use crate::mcmm::{MultiCornerEval, RobustObjective};
+use crate::incremental::IncrementalEval;
 use crate::pattern::PatternSet;
 use crate::resilience::CancelToken;
 use crate::skew::{EndpointRefinePass, SkewConfig};
-use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_tech::{CornerSet, Technology};
+use crate::synth::TreeMetrics;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The shared state one optimization schedule threads through its passes:
 /// the resident evaluator (which borrows the tree mutably and writes
-/// accepted knobs through) and a deterministic RNG.
-///
-/// The evaluator defaults to the single-corner [`IncrementalEval`]; a
-/// multi-corner schedule runs over `OptCtx<MultiCornerEval>` (the
-/// [`MultiOptCtx`] alias) built by [`OptCtx::new_multi`], where every
-/// trial move fans out to all corners and the objective view follows the
-/// configured [`RobustObjective`]. The technology and delay model are
-/// reachable through the evaluator, so a pass needs nothing beyond this
-/// context.
+/// accepted knobs through) and a deterministic RNG. The technology, delay
+/// model, corners and run-budget token are all reachable through the
+/// evaluator, so a pass needs nothing beyond this context.
 #[derive(Debug)]
-pub struct OptCtx<'t, E: TrialEval = IncrementalEval<'t>> {
-    eval: E,
+pub struct OptCtx<'t> {
+    eval: IncrementalEval<'t>,
     rng: SmallRng,
-    cancel: Option<CancelToken>,
-    _tree: PhantomData<&'t mut SynthesizedTree>,
 }
-
-/// An [`OptCtx`] over the multi-corner evaluator — what
-/// [`OptPass::run_multi`] receives.
-pub type MultiOptCtx<'t> = OptCtx<'t, MultiCornerEval<'t>>;
 
 impl<'t> OptCtx<'t> {
-    /// Builds the single-corner context: one full evaluation pass over
-    /// `tree`, plus an RNG seeded with `seed`.
-    pub fn new(
-        tree: &'t mut SynthesizedTree,
-        tech: &'t Technology,
-        model: EvalModel,
-        seed: u64,
-    ) -> Self {
-        OptCtx {
-            eval: IncrementalEval::new(tree, tech, model),
-            rng: SmallRng::seed_from_u64(seed),
-            cancel: None,
-            _tree: PhantomData,
-        }
-    }
-}
-
-impl<'t> MultiOptCtx<'t> {
-    /// Builds the multi-corner context: one full evaluation pass per
-    /// corner over the same `tree`, scoring through `objective`.
-    pub fn new_multi(
-        tree: &'t mut SynthesizedTree,
-        corners: &'t CornerSet,
-        model: EvalModel,
-        objective: RobustObjective,
-        seed: u64,
-    ) -> Self {
-        OptCtx {
-            eval: MultiCornerEval::new(tree, corners, model).with_objective(objective),
-            rng: SmallRng::seed_from_u64(seed),
-            cancel: None,
-            _tree: PhantomData,
-        }
-    }
-}
-
-impl<'t, E: TrialEval> OptCtx<'t, E> {
     /// The resident evaluator (read-only).
-    pub fn eval(&self) -> &E {
+    pub fn eval(&self) -> &IncrementalEval<'t> {
         &self.eval
     }
 
     /// The resident evaluator, for mutations.
-    pub fn eval_mut(&mut self) -> &mut E {
+    pub fn eval_mut(&mut self) -> &mut IncrementalEval<'t> {
         &mut self.eval
     }
 
     /// The evaluator and the RNG together — for passes (like annealing)
     /// that interleave trial moves with random draws.
-    pub fn parts(&mut self) -> (&mut E, &mut SmallRng) {
+    pub fn parts(&mut self) -> (&mut IncrementalEval<'t>, &mut SmallRng) {
         (&mut self.eval, &mut self.rng)
     }
 
-    /// The deterministic per-pass RNG.
+    /// The deterministic per-pass RNG. The [`PassManager`] re-seeds it
+    /// before every pass (with `schedule seed + pass index`) so a pass's
+    /// random stream never depends on how many draws its predecessors
+    /// consumed.
     pub fn rng(&mut self) -> &mut SmallRng {
         &mut self.rng
     }
 
-    /// The technology of the evaluator's objective view.
-    pub fn tech(&self) -> &Technology {
-        self.eval.tech()
-    }
-
-    /// The delay model the evaluator propagates.
-    pub fn model(&self) -> EvalModel {
-        self.eval.model()
-    }
-
-    /// Re-seeds the RNG. The [`PassManager`] calls this before every pass
-    /// (with `schedule seed + pass index`) so a pass's random stream never
-    /// depends on how many draws its predecessors consumed.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = SmallRng::seed_from_u64(seed);
-    }
-
     /// The run's cooperative cancellation token, if a
-    /// [`crate::resilience::RunBudget`] governs this schedule. Built-in
-    /// passes poll it inside their trial loops and charge each attempted
-    /// move to the trial budget; custom passes that ignore it are still
-    /// truncated at the next pass boundary.
+    /// [`crate::resilience::RunBudget`] governs this schedule. Once it
+    /// trips the evaluator rejects every move; built-in passes also poll
+    /// it inside their trial loops and charge each attempted move to the
+    /// trial budget, and custom passes that ignore it are still truncated
+    /// at the next pass boundary.
     pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Attaches (or clears) the cancellation token.
-    pub fn set_cancel(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
+        self.eval.cancel()
     }
 }
 
@@ -252,21 +183,6 @@ pub trait OptPass: Send + Sync {
 
     /// Executes the pass over the shared context.
     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats;
-
-    /// Executes the pass over a multi-corner context (every trial move
-    /// fans out to all corners; the objective view follows the context's
-    /// [`RobustObjective`]). All built-in passes support this by running
-    /// their generic trial loop over the [`TrialEval`] surface; the
-    /// default implementation panics so a custom single-corner pass
-    /// scheduled into a corner-aware pipeline fails loudly instead of
-    /// silently optimizing the wrong objective.
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let _ = ctx;
-        panic!(
-            "pass `{}` does not implement multi-corner execution (OptPass::run_multi)",
-            self.name()
-        );
-    }
 }
 
 /// One executed pass: its stats plus metrics either side and wall clock.
@@ -401,104 +317,39 @@ impl<'a> PassManager<'a> {
         PassManager { schedule }
     }
 
-    /// Runs every pass in order over a single resident evaluator built
-    /// from `tree`; accepted knobs are written through to the tree.
-    pub fn run(
-        &self,
-        tree: &mut SynthesizedTree,
-        tech: &Technology,
-        model: EvalModel,
-    ) -> ScheduleReport {
-        self.run_cancel(tree, tech, model, None)
-    }
-
-    /// [`PassManager::run`] under a run budget: the token is polled at
-    /// every pass boundary and inside the built-in passes' trial loops.
+    /// Runs every pass in order over `eval`; accepted knobs are written
+    /// through to its tree. Each pass gets a fresh RNG seeded with
+    /// `schedule seed + pass index`, and the report's before/after
+    /// metrics are the evaluator's nominal corner
+    /// ([`IncrementalEval::metrics`]), so nominal and robust runs compare
+    /// like for like.
+    ///
+    /// `cancel` attaches a run budget: the evaluator rejects every move
+    /// once the token trips, the built-in passes poll it inside their
+    /// trial loops, and it is checked at every pass boundary.
     /// Cancellation truncates the schedule — finished work is kept, the
-    /// report is flagged [`ScheduleReport::truncated`]. `None` is
-    /// bit-identical to [`PassManager::run`].
-    pub fn run_cancel(
-        &self,
-        tree: &mut SynthesizedTree,
-        tech: &Technology,
-        model: EvalModel,
-        cancel: Option<&CancelToken>,
-    ) -> ScheduleReport {
-        let mut ctx = OptCtx::new(tree, tech, model, self.schedule.seed);
-        ctx.set_cancel(cancel.cloned());
-        self.run_on(&mut ctx)
-    }
-
-    /// Runs every pass in order over one resident **multi-corner**
-    /// evaluator (K per-corner states over the same tree), every trial
-    /// move fanned out to all corners and scored through `objective` —
-    /// the robust counterpart of [`PassManager::run`]. The report's
-    /// before/after metrics are the *nominal* corner's (so nominal and
-    /// robust runs compare like for like); cross-corner summaries come
-    /// from [`crate::mcmm::CornerReport::evaluate`] on the finished tree.
-    pub fn run_corners(
-        &self,
-        tree: &mut SynthesizedTree,
-        corners: &CornerSet,
-        model: EvalModel,
-        objective: RobustObjective,
-    ) -> ScheduleReport {
-        self.run_corners_cancel(tree, corners, model, objective, None)
-    }
-
-    /// [`PassManager::run_corners`] under a run budget — the multi-corner
-    /// counterpart of [`PassManager::run_cancel`]. The token additionally
-    /// reaches the evaluator's per-corner fan-out, so a deadline firing
-    /// mid-move rolls that move back in every corner before the schedule
-    /// truncates.
-    pub fn run_corners_cancel(
-        &self,
-        tree: &mut SynthesizedTree,
-        corners: &CornerSet,
-        model: EvalModel,
-        objective: RobustObjective,
-        cancel: Option<&CancelToken>,
-    ) -> ScheduleReport {
-        let mut ctx = OptCtx::new_multi(tree, corners, model, objective, self.schedule.seed);
-        ctx.eval_mut().set_cancel(cancel.cloned());
-        ctx.set_cancel(cancel.cloned());
-        self.run_multi_on(&mut ctx)
-    }
-
-    /// Runs the schedule over an existing context (for drivers that keep
-    /// the evaluator resident across schedules).
-    pub fn run_on(&self, ctx: &mut OptCtx<'_>) -> ScheduleReport {
-        self.execute(ctx, &|pass, ctx| pass.run(ctx))
-    }
-
-    /// Runs the schedule over an existing multi-corner context.
-    pub fn run_multi_on(&self, ctx: &mut MultiOptCtx<'_>) -> ScheduleReport {
-        self.execute(ctx, &|pass, ctx| pass.run_multi(ctx))
-    }
-
-    /// The schedule loop, shared by the single- and multi-corner entry
-    /// points: reseed per pass, time it, defensively commit, record
-    /// before/after metrics (the evaluator's [`TrialEval::metrics`] —
-    /// nominal-corner metrics for the MCMM evaluator).
-    fn execute<'t, E: TrialEval>(
-        &self,
-        ctx: &mut OptCtx<'t, E>,
-        invoke: &dyn Fn(&dyn OptPass, &mut OptCtx<'t, E>) -> PassStats,
-    ) -> ScheduleReport {
-        let before = ctx.eval().metrics();
+    /// report is flagged [`ScheduleReport::truncated`]. `None`, or a token
+    /// that never trips, is bit-identical to an unbudgeted run.
+    pub fn run(&self, eval: IncrementalEval<'_>, cancel: Option<&CancelToken>) -> ScheduleReport {
+        let mut ctx = OptCtx {
+            eval,
+            rng: SmallRng::seed_from_u64(self.schedule.seed),
+        };
+        ctx.eval.set_cancel(cancel.cloned());
+        let before = ctx.eval.metrics();
         let mut passes = Vec::with_capacity(self.schedule.passes.len());
         let mut entering = before.clone();
         let mut truncated = false;
         for (i, pass) in self.schedule.passes.iter().enumerate() {
-            if ctx.cancel().is_some_and(CancelToken::is_cancelled) {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
                 // Budget expired between passes: keep what earlier passes
                 // committed, skip the rest of the schedule.
                 truncated = true;
                 break;
             }
-            ctx.reseed(self.schedule.seed.wrapping_add(i as u64));
+            ctx.rng = SmallRng::seed_from_u64(self.schedule.seed.wrapping_add(i as u64));
             let t0 = Instant::now();
-            let stats = invoke(pass.as_ref(), ctx);
+            let stats = pass.run(&mut ctx);
             let seconds = t0.elapsed().as_secs_f64();
             // Per-pass telemetry reuses the report's wall clock (one
             // measurement, two consumers) and aggregates trial counts.
@@ -510,8 +361,8 @@ impl<'a> PassManager<'a> {
                     .add(stats.accepted as u64);
             }
             // Defensive: a pass that forgot to commit still keeps its work.
-            ctx.eval_mut().commit();
-            let after = ctx.eval().metrics();
+            ctx.eval.commit();
+            let after = ctx.eval.metrics();
             passes.push(PassReport {
                 name: pass.name(),
                 attempted: stats.attempted,
@@ -524,7 +375,7 @@ impl<'a> PassManager<'a> {
             entering = after;
         }
         // A budget that fired inside the final pass still truncated it.
-        truncated |= ctx.cancel().is_some_and(CancelToken::is_cancelled);
+        truncated |= cancel.is_some_and(CancelToken::is_cancelled);
         ScheduleReport {
             before,
             after: entering,
@@ -542,8 +393,8 @@ impl<'a> PassManager<'a> {
 /// i.e. `1 + inserted_buffers()`), so the value agrees exactly with
 /// [`moes_objective_of`] over the same state. Over a multi-corner
 /// evaluator with the worst-corner objective this weighs worst-corner
-/// latency and skew — the robust MOES the MCMM schedule minimizes.
-pub fn moes_objective<E: TrialEval>(w: &MoesWeights, eval: &E, buffers: i64, ntsvs: i64) -> f64 {
+/// latency and skew — the robust MOES a corner-aware schedule minimizes.
+pub fn moes_objective(w: &MoesWeights, eval: &IncrementalEval, buffers: i64, ntsvs: i64) -> f64 {
     let (latency_ps, skew_ps) = eval.latency_skew_ps();
     w.weigh(latency_ps, buffers as f64, ntsvs as f64, skew_ps)
 }
@@ -638,15 +489,14 @@ impl Default for AnnealedSizingPass {
 }
 
 impl AnnealedSizingPass {
-    /// The annealing loop over any [`TrialEval`] — one implementation
-    /// shared by the single-corner and multi-corner executions, so the
-    /// robust anneal is the nominal anneal with a different objective
-    /// view (and per-corner fan-out inside each trial move). A cancelled
-    /// budget stops proposing moves; the pass still reverts to its best
-    /// accepted configuration, so truncation never corrupts the tree.
-    fn anneal<E: TrialEval>(
+    /// The annealing loop. Over a corner-aware evaluator the robust
+    /// anneal is the nominal anneal with a different objective view (and
+    /// per-corner repair inside each trial move). A cancelled budget
+    /// stops proposing moves; the pass still reverts to its best accepted
+    /// configuration, so truncation never corrupts the tree.
+    fn anneal(
         &self,
-        eval: &mut E,
+        eval: &mut IncrementalEval,
         rng: &mut SmallRng,
         cancel: Option<&CancelToken>,
     ) -> PassStats {
@@ -763,12 +613,6 @@ impl OptPass for AnnealedSizingPass {
         let (eval, rng) = ctx.parts();
         self.anneal(eval, rng, cancel.as_ref())
     }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        let (eval, rng) = ctx.parts();
-        self.anneal(eval, rng, cancel.as_ref())
-    }
 }
 
 // --- Pattern local search ------------------------------------------------
@@ -807,7 +651,7 @@ impl Default for PatternSearchConfig {
 ///
 /// Only swaps preserving **both endpoint sides** are proposed: every
 /// vertex keeps its side, so the §III-C connectivity constraint is
-/// preserved by construction (and [`SynthesizedTree::validate_sides`]
+/// preserved by construction (and [`crate::SynthesizedTree::validate_sides`]
 /// gates the final tree defensively — a failed gate rolls the whole pass
 /// back). Note the swap alphabet ignores any DSE mode restriction the DP
 /// ran under: a node forced intra-side by a fanout threshold may gain an
@@ -836,13 +680,12 @@ impl Default for PatternSearchPass {
 }
 
 impl PatternSearchPass {
-    /// The hill-climbing sweep over any [`TrialEval`] — shared by the
-    /// single-corner and multi-corner executions (under a multi-corner
-    /// evaluator a swap must be feasible in *every* corner to be
-    /// proposed, and improvement is judged in the objective view). A
-    /// cancelled budget ends the sweep after the current edge; accepted
-    /// swaps are kept and the side gate still runs.
-    fn climb<E: TrialEval>(&self, eval: &mut E, cancel: Option<&CancelToken>) -> PassStats {
+    /// The hill-climbing sweep (under a corner-aware evaluator a swap must
+    /// be feasible in *every* corner to be proposed, and improvement is
+    /// judged in the objective view). A cancelled budget ends the sweep
+    /// after the current edge; accepted swaps are kept and the side gate
+    /// still runs.
+    fn climb(&self, eval: &mut IncrementalEval, cancel: Option<&CancelToken>) -> PassStats {
         let cfg = &self.cfg;
         let pass_mark = eval.mark();
         let alphabet = cfg.patterns.patterns();
@@ -888,8 +731,11 @@ impl PatternSearchPass {
                     eval.undo();
                 }
                 if let Some((obj, q, nb, nv)) = winner {
-                    let ok = eval.set_pattern(v, q);
-                    debug_assert!(ok, "winning trial pattern must stay feasible");
+                    // The winner was feasible when scored; re-applying it
+                    // fails only when the run budget tripped since.
+                    if !eval.set_pattern(v, q) {
+                        break 'rounds;
+                    }
                     cur = obj;
                     buffers = nb;
                     ntsvs = nv;
@@ -922,20 +768,18 @@ impl OptPass for PatternSearchPass {
         let cancel = ctx.cancel().cloned();
         self.climb(ctx.eval_mut(), cancel.as_ref())
     }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.climb(ctx.eval_mut(), cancel.as_ref())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig};
+    use crate::mcmm::{CornerReport, RobustObjective};
     use crate::route::HierarchicalRouter;
-    use crate::sizing::{resize_for_skew, SizingConfig, SizingPass};
+    use crate::sizing::{SizingConfig, SizingPass};
+    use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
+    use dscts_tech::{CornerSet, Technology};
 
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
@@ -955,12 +799,22 @@ mod tests {
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 
+    /// Runs `schedule` over a fresh single-corner evaluator of `t`.
+    fn run(
+        schedule: &OptSchedule,
+        t: &mut SynthesizedTree,
+        tech: &Technology,
+        model: EvalModel,
+    ) -> ScheduleReport {
+        PassManager::new(schedule).run(IncrementalEval::new(t, tech, model), None)
+    }
+
     #[test]
     fn empty_schedule_is_identity() {
         let (mut t, tech) = tree();
         let before = t.evaluate(&tech, EvalModel::Elmore);
         let schedule = OptSchedule::new();
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert!(rep.passes.is_empty());
         assert_eq!(rep.before, before);
         assert_eq!(rep.after, before);
@@ -973,7 +827,7 @@ mod tests {
         let schedule = OptSchedule::new()
             .with(SizingPass::new(SizingConfig::default()))
             .with(AnnealedSizingPass::default());
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert_eq!(rep.passes.len(), 2);
         assert_eq!(rep.before, rep.passes[0].before);
         assert_eq!(rep.passes[0].after, rep.passes[1].before);
@@ -993,7 +847,7 @@ mod tests {
             let schedule = OptSchedule::new()
                 .seed(seed)
                 .with(AnnealedSizingPass::default());
-            let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+            let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
             (t, rep)
         };
         let (t1, r1) = run_once(7);
@@ -1013,17 +867,17 @@ mod tests {
         // no star toggles, latency-greedy DP leaves skew on the table.
         let (base, tech) = tree();
         let mut greedy = base.clone();
-        let g = resize_for_skew(
+        let g = run(
+            &OptSchedule::new().with(SizingPass::default()),
             &mut greedy,
             &tech,
             EvalModel::Elmore,
-            &SizingConfig::default(),
         );
         let mut annealed = base.clone();
         let schedule = OptSchedule::new()
             .seed(7)
             .with(AnnealedSizingPass::default());
-        let a = PassManager::new(&schedule).run(&mut annealed, &tech, EvalModel::Elmore);
+        let a = run(&schedule, &mut annealed, &tech, EvalModel::Elmore);
         assert_eq!(a.after.buffers, g.after.buffers, "equal resource bounds");
         assert_eq!(a.after.ntsvs, g.after.ntsvs);
         assert!(
@@ -1047,7 +901,7 @@ mod tests {
         };
         let w = cfg.weights;
         let schedule = OptSchedule::new().with(AnnealedSizingPass::new(cfg));
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Nldm);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Nldm);
         assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
         assert_eq!(t.validate_sides(), Ok(()));
     }
@@ -1058,13 +912,13 @@ mod tests {
         assert_eq!(t.validate_sides(), Ok(()));
         let cfg = PatternSearchConfig::default();
         let schedule = OptSchedule::new().with(PatternSearchPass::new(cfg));
-        let rep = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         let w = cfg.weights;
         assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
         assert_eq!(t.validate_sides(), Ok(()));
         // Hill climbing is deterministic: a second run from the result is
         // a fixed point.
-        let rep2 = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let rep2 = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert_eq!(rep2.passes[0].accepted, 0);
         assert_eq!(rep2.before, rep2.after);
     }
@@ -1074,7 +928,7 @@ mod tests {
         let (base, tech) = tree();
         let mut t = base.clone();
         let schedule = OptSchedule::new().with(PatternSearchPass::default());
-        let _ = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let _ = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         for (old, new) in base.patterns.iter().zip(&t.patterns).skip(1) {
             let (old, new) = (old.expect("assigned"), new.expect("assigned"));
             assert_eq!(old.root_side(), new.root_side());
@@ -1089,27 +943,29 @@ mod tests {
         // objective and once fanned out over SS/TT/FF with the
         // worst-corner objective. At equal resource bounds the robust run
         // must leave less skew in the worst corner.
-        use crate::mcmm::{CornerReport, RobustObjective};
-        use dscts_tech::CornerSet;
         let (base, tech) = tree();
         let corners = CornerSet::asap7_pvt(&tech);
         let schedule = OptSchedule::default_post_cts(SkewConfig::default())
             .with(AnnealedSizingPass::default())
             .seed(7);
-        let mgr = PassManager::new(&schedule);
+        let signoff = |t: &SynthesizedTree| {
+            CornerReport::try_evaluate(t, &corners, EvalModel::Elmore).expect("feasible corners")
+        };
 
         let mut nominal = base.clone();
-        let _ = mgr.run(&mut nominal, &tech, EvalModel::Elmore);
-        let rn = CornerReport::evaluate(&nominal, &corners, EvalModel::Elmore);
+        let _ = run(&schedule, &mut nominal, &tech, EvalModel::Elmore);
+        let rn = signoff(&nominal);
 
         let mut robust = base.clone();
-        let rep = mgr.run_corners(
+        let eval = IncrementalEval::with_corners(
             &mut robust,
             &corners,
             EvalModel::Elmore,
             RobustObjective::WorstCorner,
-        );
-        let rr = CornerReport::evaluate(&robust, &corners, EvalModel::Elmore);
+        )
+        .expect("feasible corners");
+        let rep = PassManager::new(&schedule).run(eval, None);
+        let rr = signoff(&robust);
 
         assert_eq!(
             rn.per_corner[0].buffers, rr.per_corner[0].buffers,
@@ -1130,28 +986,55 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multi-corner")]
-    fn custom_pass_without_run_multi_panics_in_corner_mode() {
-        use crate::mcmm::RobustObjective;
-        use dscts_tech::CornerSet;
-        struct NominalOnlyPass;
-        impl OptPass for NominalOnlyPass {
+    fn custom_pass_runs_in_corner_mode() {
+        // A corner-unaware pass (the module docs' example, plus a probe of
+        // the evaluator it ran over) scheduled into a corner-aware
+        // pipeline: its moves reach every corner, and each corner's
+        // resident metrics equal a batch sign-off of the finished tree.
+        use std::sync::Mutex;
+        #[derive(Default)]
+        struct MaxDrivePass {
+            seen: Mutex<Vec<TreeMetrics>>,
+        }
+        impl OptPass for MaxDrivePass {
             fn name(&self) -> Cow<'static, str> {
-                Cow::Borrowed("nominal-only")
+                Cow::Borrowed("max-drive")
             }
-            fn run(&self, _ctx: &mut OptCtx<'_>) -> PassStats {
-                PassStats::default()
+            fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+                let eval = ctx.eval_mut();
+                let mut stats = PassStats::default();
+                for v in 1..eval.tree().topo.nodes.len() {
+                    if eval.tree().patterns[v].is_some_and(|p| p.buffers() > 0) {
+                        stats.attempted += 1;
+                        if eval.set_buffer_scale(v, 2.0) {
+                            stats.accepted += 1;
+                        }
+                    }
+                }
+                eval.commit();
+                *self.seen.lock().expect("unpoisoned") = (0..eval.corner_count())
+                    .map(|k| eval.corner_metrics(k))
+                    .collect();
+                stats
             }
         }
-        let (mut t, tech) = tree();
+
+        let design = BenchmarkSpec::c4_riscv32i().generate();
+        let tech = Technology::asap7();
         let corners = CornerSet::asap7_pvt(&tech);
-        let schedule = OptSchedule::new().with(NominalOnlyPass);
-        let _ = PassManager::new(&schedule).run_corners(
-            &mut t,
-            &corners,
-            EvalModel::Elmore,
-            RobustObjective::WorstCorner,
-        );
+        let pass = Arc::new(MaxDrivePass::default());
+        let outcome = crate::DsCts::new(tech.clone())
+            .corners(corners.clone())
+            .schedule(OptSchedule::new().with_arc(pass.clone()))
+            .try_run(&design)
+            .expect("C4 is feasible at every PVT corner");
+        let report = outcome.optimization.as_ref().expect("schedule ran");
+        assert!(report.passes[0].accepted > 0);
+        let signoff = CornerReport::try_evaluate(&outcome.tree, &corners, EvalModel::Elmore)
+            .expect("finished tree feasible at every corner");
+        let seen = pass.seen.lock().expect("unpoisoned");
+        assert_eq!(seen.len(), 3);
+        assert_eq!(*seen, signoff.per_corner);
     }
 
     #[test]
@@ -1174,6 +1057,6 @@ mod tests {
             ..AnnealConfig::default()
         };
         let schedule = OptSchedule::new().with(AnnealedSizingPass::new(cfg));
-        let _ = PassManager::new(&schedule).run(&mut t, &tech, EvalModel::Elmore);
+        let _ = run(&schedule, &mut t, &tech, EvalModel::Elmore);
     }
 }

@@ -36,9 +36,8 @@
 //! Besides [`DsCts::run`]/[`DsCts::try_run`] (which execute the whole
 //! stage sequence), every stage can be **driven individually** —
 //! [`DsCts::route`], [`DsCts::insert`] / [`DsCts::insert_with_modes`],
-//! [`DsCts::optimize_tree`] (or the legacy [`DsCts::refine_tree`]),
-//! [`DsCts::evaluate_tree`] — so batch drivers can amortize shared work
-//! across configurations. The batched DSE engine
+//! [`DsCts::optimize_tree`], [`DsCts::evaluate_tree`] — so batch drivers
+//! can amortize shared work across configurations. The batched DSE engine
 //! ([`crate::dse::SweepEngine`]) routes a design once and then fans the
 //! insertion + optimization + evaluation tail out over mode-equivalence
 //! classes of the threshold sweep; the Table III regenerator shares one
@@ -49,12 +48,13 @@
 
 use crate::dp::{DpConfig, DpResult, ModeRule, MoesWeights, PruneMode, RootCand};
 use crate::error::CtsError;
+use crate::incremental::IncrementalEval;
 use crate::mcmm::{CornerReport, RobustObjective};
 use crate::opt::{OptSchedule, PassManager, ScheduleReport};
 use crate::pattern::{Mode, PatternSet};
 use crate::resilience::{fault, CancelToken, RecoveryPolicy, RecoveryStep, Relaxation, RunBudget};
 use crate::route::{HierarchicalRouter, RoutingStyle};
-use crate::skew::{refine, EndpointRefinePass, RefineReport, SkewConfig};
+use crate::skew::{EndpointRefinePass, RefineReport, SkewConfig};
 use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
 use crate::tree::ClockTopo;
 use dscts_netlist::Design;
@@ -361,7 +361,7 @@ impl OptimizeStage {
 
     /// A stage executing `schedule` over every corner of `corners`,
     /// scored through `objective` (see
-    /// [`crate::opt::PassManager::run_corners`]).
+    /// [`IncrementalEval::with_corners`]).
     pub fn new_corners(
         schedule: OptSchedule,
         corners: Arc<CornerSet>,
@@ -373,12 +373,11 @@ impl OptimizeStage {
         }
     }
 
-    /// Reconstructs the legacy [`RefineReport`] from a schedule run, when
-    /// the schedule included an [`EndpointRefinePass`]. The pass reports
-    /// the same trigger flag, added-buffer count and surrounding metrics
-    /// the free-standing [`refine`] computes, so the reconstruction is
-    /// exact for the default single-refine schedule. When a custom
-    /// schedule runs several refine passes, the **last** one is reported
+    /// Reconstructs the [`RefineReport`] from a schedule run, when the
+    /// schedule included an [`EndpointRefinePass`]: the pass's trigger
+    /// flag, added-buffer count and surrounding metrics, exact for the
+    /// default single-refine schedule. When a custom schedule runs
+    /// several refine passes, the **last** one is reported
     /// (the closest to the final tree); its `after` still predates any
     /// later non-refine passes. Matching is by pass name —
     /// [`EndpointRefinePass::NAME`] is reserved for the built-in pass.
@@ -403,21 +402,14 @@ impl Stage for OptimizeStage {
     }
 
     fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        let eval = ctx.eval;
-        let tech = ctx.tech;
-        let cancel = ctx.cancel.clone();
         // invariant: the engine only runs optimize after insertion.
         let tree = ctx
             .tree
             .as_mut()
             .expect("insertion stage deposits the tree");
-        let manager = PassManager::new(&self.schedule);
-        let report = match &self.corners {
-            Some((corners, objective)) => {
-                manager.run_corners_cancel(tree, corners, eval, *objective, cancel.as_ref())
-            }
-            None => manager.run_cancel(tree, tech, eval, cancel.as_ref()),
-        };
+        let corners = self.corners.as_ref().map(|(c, o)| (&**c, *o));
+        let eval = schedule_eval(tree, ctx.tech, corners, ctx.eval)?;
+        let report = PassManager::new(&self.schedule).run(eval, ctx.cancel.as_ref());
         // A truncated schedule is the *degraded but valid* outcome the
         // budget promises: skip the rest, still evaluate, flag it.
         ctx.degraded |= report.truncated;
@@ -451,9 +443,27 @@ impl Stage for EvalStage {
             .expect("insertion stage deposits the tree");
         ctx.metrics = Some(tree.evaluate(ctx.tech, ctx.eval));
         if let Some(corners) = &self.corners {
-            ctx.corner_report = Some(CornerReport::evaluate(tree, corners, ctx.eval));
+            ctx.corner_report = Some(CornerReport::try_evaluate(tree, corners, ctx.eval)?);
         }
         Ok(())
+    }
+}
+
+/// The evaluator an optimize schedule runs over: `tech` alone, or every
+/// corner of `corners` scored through its objective. A corner that makes
+/// the tree electrically infeasible is the typed
+/// [`CtsError::NoFeasiblePattern`] the recovery ladder retries.
+fn schedule_eval<'t>(
+    tree: &'t mut SynthesizedTree,
+    tech: &'t Technology,
+    corners: Option<(&'t CornerSet, RobustObjective)>,
+    model: EvalModel,
+) -> Result<IncrementalEval<'t>, CtsError> {
+    match corners {
+        Some((corners, objective)) => {
+            IncrementalEval::with_corners(tree, corners, model, objective)
+        }
+        None => Ok(IncrementalEval::new(tree, tech, model)),
     }
 }
 
@@ -570,14 +580,16 @@ impl DsCts {
     }
 
     /// Enables MCMM: the optimize stage runs its schedule over one
-    /// resident multi-corner evaluator (every trial move fanned out to
-    /// all of `corners`, scored by the configured
+    /// resident corner-aware evaluator (every trial move repaired in all
+    /// of `corners`, scored by the configured
     /// [`DsCts::robust_objective`]), and [`Outcome::corners`] reports
     /// per-corner metrics plus the cross-corner robust summary of the
     /// final tree. [`Outcome::metrics`] stays the pipeline technology's
     /// nominal view, so corner-aware and nominal runs compare like for
     /// like. The corner set should be expanded from this pipeline's
-    /// technology ([`dscts_tech::CornerSet::expand`]).
+    /// technology ([`dscts_tech::CornerSet::expand`]). A tree that is
+    /// electrically infeasible at some corner fails the run with
+    /// [`CtsError::NoFeasiblePattern`], which [`DsCts::recovery`] retries.
     pub fn corners(mut self, corners: CornerSet) -> Self {
         self.corners = Some(Arc::new(corners));
         self
@@ -749,29 +761,21 @@ impl DsCts {
         insert_on_suffix(topo, &self.tech, &self.dp, modes, cancel, reuse)
     }
 
-    /// Runs only the legacy skew-refinement pass on a synthesized tree,
-    /// in place, ignoring any custom schedule. Returns `None` (doing
-    /// nothing) when refinement is disabled. Most staged drivers want
-    /// [`DsCts::optimize_tree`], which runs the configured schedule.
-    pub fn refine_tree(&self, tree: &mut SynthesizedTree) -> Option<RefineReport> {
-        self.skew
-            .as_ref()
-            .map(|cfg| refine(tree, &self.tech, self.eval, cfg))
-    }
-
     /// Runs only the optimize stage on a synthesized tree, in place:
     /// exactly the configured [`DsCts::effective_schedule`] — over the
     /// configured corners when the pipeline is corner-aware — so any
     /// composition with the other staged drivers is bit-identical to
     /// [`DsCts::run`]. Returns `None` (doing nothing) when no pass is
     /// scheduled, mirroring the optional [`OptimizeStage`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`CtsError`] display text when a configured corner
+    /// makes the tree electrically infeasible;
+    /// [`DsCts::optimize_tree_cancel`] returns that error instead.
     pub fn optimize_tree(&self, tree: &mut SynthesizedTree) -> Option<ScheduleReport> {
-        let schedule = self.effective_schedule()?;
-        let manager = PassManager::new(&schedule);
-        Some(match &self.corners {
-            Some(corners) => manager.run_corners(tree, corners, self.eval, self.robust),
-            None => manager.run(tree, &self.tech, self.eval),
-        })
+        self.optimize_tree_cancel(tree, None)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`DsCts::optimize_tree`] observing an external [`CancelToken`]:
@@ -782,19 +786,21 @@ impl DsCts {
     /// [`DsCts::optimize_tree`]. This is the checkpoint that lets sweep
     /// classes and service jobs degrade mid-optimization instead of
     /// overshooting their deadline by a whole schedule.
+    ///
+    /// Returns [`CtsError::NoFeasiblePattern`], leaving the tree
+    /// untouched, when a configured corner makes the tree electrically
+    /// infeasible.
     pub fn optimize_tree_cancel(
         &self,
         tree: &mut SynthesizedTree,
         cancel: Option<&CancelToken>,
-    ) -> Option<ScheduleReport> {
-        let schedule = self.effective_schedule()?;
-        let manager = PassManager::new(&schedule);
-        Some(match &self.corners {
-            Some(corners) => {
-                manager.run_corners_cancel(tree, corners, self.eval, self.robust, cancel)
-            }
-            None => manager.run_cancel(tree, &self.tech, self.eval, cancel),
-        })
+    ) -> Result<Option<ScheduleReport>, CtsError> {
+        let Some(schedule) = self.effective_schedule() else {
+            return Ok(None);
+        };
+        let corners = self.corners.as_deref().map(|c| (c, self.robust));
+        let eval = schedule_eval(tree, &self.tech, corners, self.eval)?;
+        Ok(Some(PassManager::new(&schedule).run(eval, cancel)))
     }
 
     /// Runs only the evaluation stage: final metrics under the configured
@@ -1146,6 +1152,12 @@ mod tests {
         assert_eq!(whole.metrics, metrics);
         assert_eq!(whole.root_candidates, dp.root_candidates);
         assert_eq!(whole.chosen, dp.chosen);
+        // Outcome::refinement is the default schedule's refine pass.
+        assert_eq!(
+            whole.refinement,
+            OptimizeStage::refine_report(&optimization)
+        );
+        assert!(whole.refinement.is_some());
         let whole_opt = whole.optimization.expect("default schedule ran");
         assert_eq!(whole_opt.before, optimization.before);
         assert_eq!(whole_opt.after, optimization.after);
@@ -1153,18 +1165,28 @@ mod tests {
 
     #[test]
     fn legacy_refine_tree_matches_default_schedule() {
-        // The pre-pass-API staged driver is a wrapper over the same
-        // arithmetic the default schedule runs: composing with it stays
-        // bit-identical to `run`, and Outcome::refinement reconstructs
-        // exactly what the free-standing refine() reports.
+        // Refinement alone, driven by hand over an evaluator of the
+        // inserted tree, is the same arithmetic the default schedule runs:
+        // the tree stays bit-identical to `run`, and Outcome::refinement
+        // is exactly what the refine pass reports.
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let pipe = DsCts::new(Technology::asap7());
         let whole = pipe.run(&d);
         let topo = pipe.route(&d).expect("routable");
         let (mut tree, _dp) = pipe.insert(topo).expect("feasible");
-        let refinement = pipe.refine_tree(&mut tree);
+        let mut eval = IncrementalEval::new(&mut tree, &pipe.tech, pipe.eval);
+        let before = eval.metrics();
+        let stats = EndpointRefinePass::new(SkewConfig::default()).run_on(&mut eval, None);
+        eval.commit();
+        let refinement = RefineReport {
+            triggered: stats.triggered,
+            buffers_added: stats.accepted,
+            before,
+            after: eval.metrics(),
+        };
+        drop(eval);
         assert_eq!(whole.tree, tree);
-        assert_eq!(whole.refinement, refinement);
+        assert_eq!(whole.refinement, Some(refinement));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - [`RunBudget`] + [`CancelToken`] — a wall-clock deadline and a trial
 //!   budget observed *cooperatively*: the pipeline checks the token at
 //!   stage boundaries and inside the long loops (per-height DP
-//!   propagation, sweep classes, pass trial loops, MCMM corner fan-out).
+//!   propagation, sweep classes, pass trial loops, evaluator mutations).
 //!   Mandatory stages report [`CtsError::Cancelled`]; the optimization
 //!   stage truncates instead and the run completes with
 //!   [`Outcome::degraded`](crate::Outcome::degraded) set.
@@ -297,8 +297,8 @@ impl RecoveryPolicy {
 ///
 /// Site names (also the `stage` carried by resulting errors):
 /// `"route"`, `"dp"`, `"synth"`, `"eval"` take `Error`/`Panic` faults;
-/// `"incremental"` and `"mcmm"` take `Infeasible` faults at the evaluator
-/// mutation/fan-out boundary, exercising journal rollback.
+/// `"incremental"` takes `Infeasible` faults after an evaluator mutation
+/// has repaired every corner, exercising journal rollback.
 pub mod fault {
     /// Injection site inside [`HierarchicalRouter`](crate::HierarchicalRouter).
     pub const SITE_ROUTE: &str = "route";
@@ -309,11 +309,9 @@ pub mod fault {
     /// Injection site in the evaluation stage.
     pub const SITE_EVAL: &str = "eval";
     /// Infeasibility site in [`IncrementalEval`](crate::IncrementalEval)
-    /// mutations (fires mid-mutation, after the knob is journaled).
+    /// mutations (fires after every corner's dirty path was repaired, so
+    /// the rollback must revert fully propagated state).
     pub const SITE_INCREMENTAL: &str = "incremental";
-    /// Infeasibility site in [`MultiCornerEval`](crate::MultiCornerEval)
-    /// corner fan-out.
-    pub const SITE_MCMM: &str = "mcmm";
 
     /// What an armed site does when it fires.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

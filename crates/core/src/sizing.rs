@@ -17,15 +17,12 @@
 //! invariants), so this is a pure speedup.
 //!
 //! The optimizer is packaged as [`SizingPass`] for the composable
-//! [`crate::opt`] schedule API; [`resize_for_skew`] remains as a thin,
-//! bit-identical wrapper that builds a fresh evaluator, runs the pass
-//! once, and reports before/after metrics.
+//! [`crate::opt`] schedule API; schedule it through
+//! [`crate::opt::PassManager`] or a [`crate::DsCts`] pipeline.
 
-use crate::incremental::{IncrementalEval, TrialEval};
-use crate::opt::{MultiOptCtx, OptCtx, OptPass, PassStats};
+use crate::incremental::IncrementalEval;
+use crate::opt::{OptCtx, OptPass, PassStats};
 use crate::resilience::CancelToken;
-use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_tech::Technology;
 use std::borrow::Cow;
 
 /// Configuration of the sizing pass.
@@ -37,9 +34,9 @@ pub struct SizingConfig {
     pub scales: Vec<f64>,
     /// Safety cap on greedy sweep rounds. Every accepted move strictly
     /// reduces skew, so the sweep terminates on its own (a round with no
-    /// accepted move is a fixed point and `resize_for_skew` is then
-    /// idempotent); the cap only bounds pathological inputs. The default
-    /// is high enough that real designs converge well before hitting it.
+    /// accepted move is a fixed point and the pass is then idempotent);
+    /// the cap only bounds pathological inputs. The default is high
+    /// enough that real designs converge well before hitting it.
     pub max_rounds: usize,
 }
 
@@ -52,22 +49,10 @@ impl Default for SizingConfig {
     }
 }
 
-/// Outcome of [`resize_for_skew`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizingReport {
-    /// Buffers whose size changed.
-    pub resized: usize,
-    /// Metrics before sizing.
-    pub before: TreeMetrics,
-    /// Metrics after sizing.
-    pub after: TreeMetrics,
-}
-
 /// The greedy buffer-sizing optimizer as a composable [`OptPass`].
 ///
 /// Re-sizes the final buffer of each leaf path to balance sink arrivals;
 /// changes are kept only when they reduce skew without hurting latency.
-/// [`resize_for_skew`] wraps this pass for one-shot callers.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SizingPass {
     /// The scale alphabet and round cap.
@@ -83,34 +68,20 @@ impl SizingPass {
         SizingPass { cfg }
     }
 
-    /// Runs the greedy sweep over an existing evaluator — any
-    /// [`TrialEval`], so the same sweep sizes for nominal skew over an
-    /// [`IncrementalEval`] or for worst-corner skew over a
-    /// [`crate::mcmm::MultiCornerEval`]. This is the entire optimizer —
-    /// [`resize_for_skew`] and both [`OptPass`] execution paths delegate
-    /// here, so they cannot drift.
+    /// Runs the greedy sweep over an existing evaluator — sizing for
+    /// nominal skew over a single-corner evaluator, or for worst-corner
+    /// skew over a corner-aware one. This is the entire optimizer; the
+    /// [`OptPass`] impl delegates here.
+    ///
+    /// Under a run budget the token is polled between stars and each
+    /// attempted scale is charged to the trial budget; cancellation keeps
+    /// every already-committed resize (accepted moves commit per star, so
+    /// truncation never corrupts the tree). `None` never cancels.
     ///
     /// # Panics
     ///
     /// Panics if the configured scales are empty or non-positive.
-    pub fn run_on<E: TrialEval>(&self, eval: &mut E) -> PassStats {
-        self.run_on_cancel(eval, None)
-    }
-
-    /// [`SizingPass::run_on`] under a run budget. The token is polled
-    /// between stars and each attempted scale is charged to the trial
-    /// budget; cancellation keeps every already-committed resize (accepted
-    /// moves commit per star, so truncation never corrupts the tree).
-    /// `None` is bit-identical to [`SizingPass::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured scales are empty or non-positive.
-    pub fn run_on_cancel<E: TrialEval>(
-        &self,
-        eval: &mut E,
-        cancel: Option<&CancelToken>,
-    ) -> PassStats {
+    pub fn run_on(&self, eval: &mut IncrementalEval, cancel: Option<&CancelToken>) -> PassStats {
         let cfg = &self.cfg;
         assert!(
             !cfg.scales.is_empty() && cfg.scales.iter().all(|&s| s > 0.0),
@@ -174,9 +145,9 @@ impl SizingPass {
                     }
                     eval.undo();
                 }
-                if (best.1 - old_scale).abs() > 1e-12 {
-                    let ok = eval.set_buffer_scale(edge, best.1);
-                    debug_assert!(ok, "winning trial scale must stay feasible");
+                // The winner was feasible when scored; re-applying it fails
+                // only when the run budget tripped since.
+                if (best.1 - old_scale).abs() > 1e-12 && eval.set_buffer_scale(edge, best.1) {
                     eval.commit();
                     changed += 1;
                 }
@@ -197,39 +168,7 @@ impl OptPass for SizingPass {
 
     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
         let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-}
-
-/// Greedily re-sizes the final buffer of each leaf path to balance sink
-/// arrivals. Changes are kept only when they reduce skew without hurting
-/// latency; the tree is otherwise left untouched.
-///
-/// Thin wrapper over [`SizingPass::run_on`] — bit-identical to scheduling
-/// a [`SizingPass`] through the [`crate::opt::PassManager`].
-///
-/// # Panics
-///
-/// Panics if `cfg.scales` is empty or contains non-positive values.
-pub fn resize_for_skew(
-    tree: &mut SynthesizedTree,
-    tech: &Technology,
-    model: EvalModel,
-    cfg: &SizingConfig,
-) -> SizingReport {
-    let mut eval = IncrementalEval::new(tree, tech, model);
-    let before = eval.metrics();
-    let stats = SizingPass::new(cfg.clone()).run_on(&mut eval);
-    let after = eval.metrics();
-    SizingReport {
-        resized: stats.accepted,
-        before,
-        after,
+        self.run_on(ctx.eval_mut(), cancel.as_ref())
     }
 }
 
@@ -237,8 +176,11 @@ pub fn resize_for_skew(
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::opt::{OptSchedule, PassManager, ScheduleReport};
     use crate::route::HierarchicalRouter;
+    use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
+    use dscts_tech::Technology;
 
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
@@ -258,10 +200,16 @@ mod tests {
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 
+    /// One greedy sizing pass over `t`, through the pass manager.
+    fn size(t: &mut SynthesizedTree, tech: &Technology, cfg: SizingConfig) -> ScheduleReport {
+        let schedule = OptSchedule::new().with(SizingPass::new(cfg));
+        PassManager::new(&schedule).run(IncrementalEval::new(t, tech, EvalModel::Elmore), None)
+    }
+
     #[test]
     fn sizing_reduces_skew_without_latency_loss() {
         let (mut t, tech) = tree();
-        let report = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
+        let report = size(&mut t, &tech, SizingConfig::default());
         assert!(report.after.skew_ps <= report.before.skew_ps + 1e-9);
         assert!(report.after.latency_ps <= report.before.latency_ps + 1e-9);
         // Cell count is untouched: sizing only changes strengths.
@@ -272,9 +220,9 @@ mod tests {
     #[test]
     fn sizing_is_idempotent_at_fixed_point() {
         let (mut t, tech) = tree();
-        let _ = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-        let second = resize_for_skew(&mut t, &tech, EvalModel::Elmore, &SizingConfig::default());
-        assert_eq!(second.resized, 0);
+        let _ = size(&mut t, &tech, SizingConfig::default());
+        let second = size(&mut t, &tech, SizingConfig::default());
+        assert_eq!(second.passes[0].accepted, 0);
         assert_eq!(second.before, second.after);
     }
 
@@ -282,11 +230,10 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_empty_scales() {
         let (mut t, tech) = tree();
-        let _ = resize_for_skew(
+        let _ = size(
             &mut t,
             &tech,
-            EvalModel::Elmore,
-            &SizingConfig {
+            SizingConfig {
                 scales: vec![],
                 max_rounds: 1,
             },

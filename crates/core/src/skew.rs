@@ -17,13 +17,12 @@
 //!
 //! The optimizer is packaged as [`EndpointRefinePass`] for the composable
 //! [`crate::opt`] schedule API — the default pipeline schedule is exactly
-//! this one pass — with [`refine`] kept as a thin, bit-identical wrapper.
+//! this one pass.
 
-use crate::incremental::{IncrementalEval, TrialEval};
-use crate::opt::{MultiOptCtx, OptCtx, OptPass, PassStats};
+use crate::incremental::IncrementalEval;
+use crate::opt::{OptCtx, OptPass, PassStats};
 use crate::resilience::CancelToken;
-use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_tech::Technology;
+use crate::synth::TreeMetrics;
 use std::borrow::Cow;
 
 /// Configuration of the refinement step.
@@ -91,9 +90,16 @@ pub fn endpoint_budget(n_sinks: usize, max_endpoints: usize) -> usize {
 /// The §III-D end-point refinement optimizer as a composable [`OptPass`].
 ///
 /// This is the default pipeline's whole optimization schedule (see
-/// [`crate::opt::OptSchedule::default_post_cts`]); [`refine`] wraps it
-/// for one-shot callers. [`PassStats::triggered`] reports whether the
-/// skew-over-latency trigger condition held.
+/// [`crate::opt::OptSchedule::default_post_cts`]). [`PassStats::triggered`]
+/// reports whether the skew-over-latency trigger condition held.
+///
+/// A centroid is only padded when (a) it does not already carry a
+/// refinement buffer and (b) the added buffer delay will not push its
+/// sinks beyond the current maximum arrival (the *resource-aware* guard
+/// that keeps latency flat in Fig. 11). Each candidate buffer is applied
+/// through [`IncrementalEval`], so a round costs
+/// O(endpoints × (depth + subtree)) instead of a full tree evaluation per
+/// round, and a rejected round is a journal rollback.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EndpointRefinePass {
     /// Trigger, budget and round cap.
@@ -112,28 +118,18 @@ impl EndpointRefinePass {
         EndpointRefinePass { cfg }
     }
 
-    /// Runs the refinement rounds over an existing evaluator — any
-    /// [`TrialEval`], so the same rounds pad nominal end-points over an
-    /// [`IncrementalEval`] or worst-corner end-points over a
-    /// [`crate::mcmm::MultiCornerEval`] (trigger, ranking and the
+    /// Runs the refinement rounds over an existing evaluator — padding
+    /// nominal end-points over a single-corner evaluator, or worst-corner
+    /// end-points over a corner-aware one (trigger, ranking and the
     /// accept/rollback guard all read the objective view). This is the
-    /// entire optimizer — [`refine`] and both [`OptPass`] execution
-    /// paths delegate here, so they cannot drift.
-    pub fn run_on<E: TrialEval>(&self, eval: &mut E) -> PassStats {
-        self.run_on_cancel(eval, None)
-    }
-
-    /// [`EndpointRefinePass::run_on`] under a run budget. The token is
-    /// polled between padded end-points and each attempted pad is charged
-    /// to the trial budget; cancellation ends the current round early (the
-    /// round's accept-or-rollback guard still runs, so the tree is left in
-    /// a committed, skew-improving state). `None` is bit-identical to
-    /// [`EndpointRefinePass::run_on`].
-    pub fn run_on_cancel<E: TrialEval>(
-        &self,
-        eval: &mut E,
-        cancel: Option<&CancelToken>,
-    ) -> PassStats {
+    /// entire optimizer; the [`OptPass`] impl delegates here.
+    ///
+    /// Under a run budget the token is polled between padded end-points
+    /// and each attempted pad is charged to the trial budget; cancellation
+    /// ends the current round early (the round's accept-or-rollback guard
+    /// still runs, so the tree is left in a committed, skew-improving
+    /// state). `None` never cancels.
+    pub fn run_on(&self, eval: &mut IncrementalEval, cancel: Option<&CancelToken>) -> PassStats {
         let cfg = &self.cfg;
         let n_sinks = eval.tree().topo.sink_pos.len();
         let budget_per_round = endpoint_budget(n_sinks, cfg.max_endpoints);
@@ -211,45 +207,7 @@ impl OptPass for EndpointRefinePass {
 
     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
         let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-
-    fn run_multi(&self, ctx: &mut MultiOptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.run_on_cancel(ctx.eval_mut(), cancel.as_ref())
-    }
-}
-
-/// Runs skew refinement in place, adding end-point buffers at low-level
-/// centroids. Returns a [`RefineReport`].
-///
-/// A centroid is only padded when (a) it does not already carry a
-/// refinement buffer and (b) the added buffer delay will not push its
-/// sinks beyond the current maximum arrival (the *resource-aware* guard
-/// that keeps latency flat in Fig. 11).
-///
-/// Each candidate buffer is applied through [`IncrementalEval`], so a
-/// round costs O(endpoints × (depth + subtree)) instead of a full tree
-/// evaluation per round, and a rejected round is a journal rollback.
-///
-/// Thin wrapper over [`EndpointRefinePass::run_on`] — bit-identical to
-/// scheduling an [`EndpointRefinePass`] through the
-/// [`crate::opt::PassManager`].
-pub fn refine(
-    tree: &mut SynthesizedTree,
-    tech: &Technology,
-    model: EvalModel,
-    cfg: &SkewConfig,
-) -> RefineReport {
-    let mut eval = IncrementalEval::new(tree, tech, model);
-    let before = eval.metrics();
-    let stats = EndpointRefinePass::new(*cfg).run_on(&mut eval);
-    let after = eval.metrics();
-    RefineReport {
-        triggered: stats.triggered,
-        buffers_added: stats.accepted,
-        before,
-        after,
+        self.run_on(ctx.eval_mut(), cancel.as_ref())
     }
 }
 
@@ -257,9 +215,19 @@ pub fn refine(
 mod tests {
     use super::*;
     use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::opt::{OptSchedule, PassManager, PassReport};
     use crate::route::HierarchicalRouter;
-    use crate::synth::SynthesizedTree;
+    use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
+    use dscts_tech::Technology;
+
+    /// One refinement pass over `tree`, through the pass manager.
+    fn refine(tree: &mut SynthesizedTree, tech: &Technology, cfg: SkewConfig) -> PassReport {
+        let schedule = OptSchedule::new().with(EndpointRefinePass::new(cfg));
+        let eval = IncrementalEval::new(tree, tech, EvalModel::Elmore);
+        let mut report = PassManager::new(&schedule).run(eval, None);
+        report.passes.remove(0)
+    }
 
     #[test]
     fn scale_factor_matches_fig8() {
@@ -292,7 +260,7 @@ mod tests {
     #[test]
     fn refinement_reduces_skew_without_hurting_latency() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let tech = dscts_tech::Technology::asap7();
+        let tech = Technology::asap7();
         let mut topo = HierarchicalRouter::new().route(&d, &tech);
         topo.subdivide(20_000);
         // Latency-greedy MOES tends to leave skew on the table.
@@ -310,8 +278,7 @@ mod tests {
         let report = refine(
             &mut tree,
             &tech,
-            EvalModel::Elmore,
-            &SkewConfig {
+            SkewConfig {
                 trigger_percent: 0.0, // force the pass for the test
                 ..SkewConfig::default()
             },
@@ -322,15 +289,15 @@ mod tests {
         assert!(report.after.latency_ps <= report.before.latency_ps + 1e-9);
         assert_eq!(
             report.after.buffers,
-            report.before.buffers + report.buffers_added as u32
+            report.before.buffers + report.accepted as u32
         );
-        assert!(report.buffers_added <= 33);
+        assert!(report.accepted <= 33);
     }
 
     #[test]
     fn refinement_respects_trigger() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let tech = dscts_tech::Technology::asap7();
+        let tech = Technology::asap7();
         let mut topo = HierarchicalRouter::new().route(&d, &tech);
         topo.subdivide(20_000);
         let res = run_dp(&topo, &tech, &DpConfig::default());
@@ -338,14 +305,13 @@ mod tests {
         let report = refine(
             &mut tree,
             &tech,
-            EvalModel::Elmore,
-            &SkewConfig {
+            SkewConfig {
                 trigger_percent: 1_000.0, // never triggers
                 ..SkewConfig::default()
             },
         );
         assert!(!report.triggered);
-        assert_eq!(report.buffers_added, 0);
+        assert_eq!(report.accepted, 0);
         assert_eq!(report.before, report.after);
     }
 }

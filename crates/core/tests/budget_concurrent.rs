@@ -3,13 +3,14 @@
 //! PR 7's resilience suites cover single-run budget paths (stage
 //! boundaries, pass trial loops). These tests cover the *batch* engines:
 //! deadline expiry inside `SweepEngine`'s mode-class fan-out, trial
-//! budgets truncating mid-sweep, and the MCMM corner fan-out observing a
+//! budgets truncating mid-sweep, and corner-aware evaluators observing a
 //! shared token from several threads at once.
 
 use dscts_core::dse::SweepEngine;
 use dscts_core::opt::{OptSchedule, PassManager};
 use dscts_core::{
-    AnnealConfig, AnnealedSizingPass, CtsError, DsCts, EvalModel, RobustObjective, RunBudget,
+    AnnealConfig, AnnealedSizingPass, CancelToken, CtsError, DsCts, EvalModel, IncrementalEval,
+    RobustObjective, RunBudget, ScheduleReport, SynthesizedTree,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
@@ -17,6 +18,20 @@ use std::time::Duration;
 
 fn small_design() -> dscts_netlist::Design {
     BenchmarkSpec::scaled(600, 3).generate()
+}
+
+/// Runs `schedule` over the three ASAP7 PVT corners of `tree`, scoring
+/// the worst one.
+fn run_corners(
+    schedule: &OptSchedule,
+    tree: &mut SynthesizedTree,
+    corners: &CornerSet,
+    cancel: Option<&CancelToken>,
+) -> ScheduleReport {
+    let eval =
+        IncrementalEval::with_corners(tree, corners, EvalModel::Elmore, RobustObjective::default())
+            .expect("small design is feasible at every PVT corner");
+    PassManager::new(schedule).run(eval, cancel)
 }
 
 fn annealed_base(tech: Technology) -> DsCts {
@@ -105,13 +120,7 @@ fn mcmm_fanout_under_concurrent_load_truncates_typed() {
                 scope.spawn(move || {
                     let token = RunBudget::new().with_max_trials(1).token();
                     token.record_trial(); // trip it before the fan-out
-                    let report = PassManager::new(schedule).run_corners_cancel(
-                        &mut tree,
-                        corners,
-                        EvalModel::Elmore,
-                        RobustObjective::default(),
-                        Some(&token),
-                    );
+                    let report = run_corners(schedule, &mut tree, corners, Some(&token));
                     (tree, report)
                 })
             })
@@ -150,12 +159,7 @@ fn mcmm_fanout_concurrent_untripped_matches_plain() {
     let schedule = base.effective_schedule().expect("annealed schedule");
 
     let mut plain_tree = tree.clone();
-    let plain_report = PassManager::new(&schedule).run_corners(
-        &mut plain_tree,
-        &corners,
-        EvalModel::Elmore,
-        RobustObjective::default(),
-    );
+    let plain_report = run_corners(&schedule, &mut plain_tree, &corners, None);
     let reference = plain_tree.evaluate(&tech, EvalModel::Elmore);
 
     std::thread::scope(|scope| {
@@ -170,13 +174,7 @@ fn mcmm_fanout_concurrent_untripped_matches_plain() {
                 let token = RunBudget::new()
                     .with_deadline(Duration::from_secs(3600))
                     .token();
-                let report = PassManager::new(schedule).run_corners_cancel(
-                    &mut tree,
-                    corners,
-                    EvalModel::Elmore,
-                    RobustObjective::default(),
-                    Some(&token),
-                );
+                let report = run_corners(schedule, &mut tree, corners, Some(&token));
                 assert!(!report.truncated);
                 assert_eq!(report.after, plain_report.after);
                 assert_eq!(&tree.evaluate(tech, EvalModel::Elmore), reference);

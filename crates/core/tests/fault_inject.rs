@@ -4,22 +4,33 @@
 //! [`CtsError::Internal`] from `try_run`, an armed `Panic` is caught at
 //! the nearest isolation boundary (stage or DP worker) and converted to
 //! the same typed error, and an armed `Infeasible` makes the evaluator
-//! mutation report `false` with its journal — and every corner replica —
-//! rolled back bit-identically. Arms fire once and disarm, so the same
-//! pipeline retried under an exhausted plan succeeds.
+//! mutation report `false` with its journal — and every corner's state —
+//! rolled back bit-identically, at one corner and at three. Arms fire
+//! once and disarm, so the same pipeline retried under an exhausted plan
+//! succeeds.
 
 #![cfg(feature = "fault-inject")]
 
 use dscts_core::resilience::fault::{
-    FaultKind, FaultPlan, SITE_DP, SITE_EVAL, SITE_INCREMENTAL, SITE_MCMM, SITE_ROUTE, SITE_SYNTH,
+    FaultKind, FaultPlan, SITE_DP, SITE_EVAL, SITE_INCREMENTAL, SITE_ROUTE, SITE_SYNTH,
 };
 use dscts_core::{
     run_dp, CtsError, DpConfig, DsCts, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights,
-    MultiCornerEval, Pattern, SynthesizedTree, TreeMetrics,
+    Pattern, RobustObjective, SynthesizedTree, TreeMetrics,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes this file's tests. An installed plan is process-global, so
+/// a test building its tree (route, DP) while another test's plan is
+/// armed would consume that plan's arms; each test holds this lock for
+/// everything it runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn design() -> dscts_netlist::Design {
     BenchmarkSpec::c4_riscv32i().generate()
@@ -53,6 +64,7 @@ fn buffered_edge(t: &SynthesizedTree) -> usize {
 
 #[test]
 fn error_faults_surface_as_typed_internal_errors() {
+    let _serial = serial();
     // `Error` arms return `CtsError::Internal` tagged with the *site*
     // name — the error is constructed at the injection point itself.
     let d = design();
@@ -73,6 +85,7 @@ fn error_faults_surface_as_typed_internal_errors() {
 
 #[test]
 fn panic_faults_are_caught_at_isolation_boundaries() {
+    let _serial = serial();
     // `Panic` arms unwind to the nearest `catch_unwind` boundary — the
     // per-stage wrapper in `try_run_once`, or the DP worker closure —
     // and come back as `Internal` tagged with the *boundary*'s name.
@@ -102,6 +115,7 @@ fn panic_faults_are_caught_at_isolation_boundaries() {
 
 #[test]
 fn arms_fire_once_then_disarm() {
+    let _serial = serial();
     // One plan, two runs: the first trips the arm, the second sails
     // through — and matches a run that never saw a fault, bit for bit.
     let d = design();
@@ -116,6 +130,7 @@ fn arms_fire_once_then_disarm() {
 
 #[test]
 fn arm_after_skips_a_deterministic_number_of_visits() {
+    let _serial = serial();
     // `arm_after(_, _, k)` lets exactly k visits pass. The incremental
     // site is visited once per mutation, so skips=1 means: first
     // mutation clean, second rejected, third clean again (disarmed).
@@ -165,6 +180,7 @@ proptest! {
 
     #[test]
     fn injected_infeasibility_rolls_back_the_incremental_journal(raw in mutations()) {
+        let _serial = serial();
         let (mut t, tech) = tree();
         let ops = resolve(&t, &raw);
         let baseline = t.evaluate(&tech, EvalModel::Elmore);
@@ -198,17 +214,26 @@ proptest! {
 
     #[test]
     fn injected_infeasibility_rolls_back_every_corner(raw in mutations()) {
+        let _serial = serial();
         let (mut t, tech) = tree();
         let ops = resolve(&t, &raw);
         let corners = CornerSet::asap7_pvt(&tech);
-        let mut mc = MultiCornerEval::new(&mut t, &corners, EvalModel::Elmore);
+        let mut mc = IncrementalEval::with_corners(
+            &mut t,
+            &corners,
+            EvalModel::Elmore,
+            RobustObjective::WorstCorner,
+        )
+        .expect("C4 is feasible at every PVT corner");
         let before: Vec<TreeMetrics> = (0..mc.corner_count())
             .map(|k| mc.corner_metrics(k))
             .collect();
         for op in ops {
             let mark = mc.mark();
+            // One evaluator site at every K: it fires after all three
+            // corners repaired their dirty paths.
             let _guard = FaultPlan::new()
-                .arm(SITE_MCMM, FaultKind::Infeasible)
+                .arm(SITE_INCREMENTAL, FaultKind::Infeasible)
                 .install();
             let ok = match op {
                 Mutation::Scale(edge, s) => mc.set_buffer_scale(edge, s),

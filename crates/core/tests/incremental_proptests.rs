@@ -8,10 +8,10 @@
 //! `f64`s, via `TreeMetrics: PartialEq` — a from-scratch
 //! `SynthesizedTree::evaluate` of the mutated tree, for both delay models.
 
-use dscts_core::sizing::{resize_for_skew, SizingConfig};
+use dscts_core::opt::{OptSchedule, PassManager};
 use dscts_core::{
     run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
-    SynthesizedTree,
+    SizingPass, SynthesizedTree,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::Technology;
@@ -151,7 +151,9 @@ proptest! {
         // evaluation of its output tree reports.
         for model in [EvalModel::Elmore, EvalModel::Nldm] {
             let (mut tree, tech) = small_tree(sinks, seed);
-            let report = resize_for_skew(&mut tree, &tech, model, &SizingConfig::default());
+            let schedule = OptSchedule::new().with(SizingPass::default());
+            let eval = IncrementalEval::new(&mut tree, &tech, model);
+            let report = PassManager::new(&schedule).run(eval, None);
             let batch = tree.evaluate(&tech, model);
             prop_assert_eq!(&report.after, &batch);
             prop_assert!(report.after.skew_ps <= report.before.skew_ps + 1e-9);

@@ -1,18 +1,21 @@
-//! Property tests for the MCMM subsystem:
+//! Property tests for the corner-aware incremental evaluator:
 //!
-//! * a [`MultiCornerEval`] holding a **single identity corner** is
-//!   bit-identical to [`IncrementalEval`] under arbitrary interleaved
-//!   mutations and undos, for both delay models — mutation return
-//!   values, per-step metrics, and the final written-through tree all
-//!   agree as exact `f64`s;
+//! * the **single identity corner** evaluator
+//!   ([`IncrementalEval::with_corners`] over [`CornerSet::nominal_only`])
+//!   is bit-identical to [`IncrementalEval::new`] under arbitrary
+//!   interleaved mutations and undos, for both delay models — mutation
+//!   return values, per-step metrics, and the final written-through tree
+//!   all agree as exact `f64`s;
+//! * at **three corners**, every corner matches a from-scratch
+//!   evaluation under its technology after every step, and the parallel
+//!   fan-out is bit-identical to the serial one at 1, 2 and 4 threads;
 //! * **monotonicity**: a uniformly slower corner (every derate ≥ 1)
 //!   never reports lower latency than the nominal corner, at any point
 //!   of a mutation sequence.
 
-use dscts_core::mcmm::MultiCornerEval;
 use dscts_core::{
     run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
-    SynthesizedTree,
+    RobustObjective, SynthesizedTree,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{Corner, CornerSet, DerateFactors, Technology, WireDerate};
@@ -73,9 +76,19 @@ fn op() -> impl Strategy<Value = Op> {
 
 const FF_PATTERNS: [Pattern; 3] = [Pattern::Buffer, Pattern::WiringF, Pattern::Ntsv1];
 
-/// Applies `ops` in lockstep to an [`IncrementalEval`] and a
-/// single-identity-corner [`MultiCornerEval`] over clones of the same
-/// tree, asserting bit-identity at every step.
+/// The worst-corner evaluator over `corners`.
+fn robust<'a>(
+    t: &'a mut SynthesizedTree,
+    corners: &'a CornerSet,
+    model: EvalModel,
+) -> IncrementalEval<'a> {
+    IncrementalEval::with_corners(t, corners, model, RobustObjective::WorstCorner)
+        .expect("small designs are feasible at every test corner")
+}
+
+/// Applies `ops` in lockstep to [`IncrementalEval::new`] and the
+/// single-identity-corner evaluator over clones of the same tree,
+/// asserting bit-identity at every step.
 fn lockstep(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, ops: &[Op]) {
     let corners = CornerSet::nominal_only(tech);
     let buffered: Vec<usize> = (1..tree.topo.nodes.len())
@@ -87,7 +100,7 @@ fn lockstep(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, ops: &[
     let mut t_inc = tree.clone();
     let mut t_mc = tree.clone();
     let mut inc = IncrementalEval::new(&mut t_inc, tech, model);
-    let mut mc = MultiCornerEval::new(&mut t_mc, &corners, model);
+    let mut mc = robust(&mut t_mc, &corners, model);
     for &op in ops {
         match op {
             Op::Scale(i, s) if !buffered.is_empty() => {
@@ -121,9 +134,11 @@ fn lockstep(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, ops: &[
             }
         }
         // Bit-identical state after every step.
+        assert_eq!(inc.metrics(), mc.metrics());
         assert_eq!(inc.metrics(), mc.corner_metrics(0));
         assert_eq!(inc.latency_skew_ps(), mc.corner_latency_skew_ps(0));
-        assert_eq!(inc.latency_skew_ps(), mc.worst_latency_skew_ps());
+        assert_eq!(inc.latency_skew_ps(), mc.latency_skew_ps());
+        assert_eq!(inc.mark(), mc.mark());
         let r = mc.robust_metrics();
         assert_eq!(r.arrival_spread_ps, 0.0, "one corner has no spread");
     }
@@ -169,8 +184,8 @@ fn monotone(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, slow: f
     let n_stars = tree.topo.stars.len();
 
     let mut t = tree.clone();
-    let mut mc = MultiCornerEval::new(&mut t, &corners, model);
-    let check = |mc: &MultiCornerEval<'_>| {
+    let mut mc = robust(&mut t, &corners, model);
+    let check = |mc: &IncrementalEval<'_>| {
         let (nom_lat, _) = mc.corner_latency_skew_ps(0);
         let (slow_lat, _) = mc.corner_latency_skew_ps(1);
         assert!(
@@ -220,6 +235,8 @@ type ScriptTrace = (Vec<bool>, Vec<Vec<(f64, f64)>>, SynthesizedTree);
 /// Applies `ops` through one K-corner evaluator with the given parallel
 /// setting, recording every mutation's return value, every step's
 /// per-corner `(latency, skew)`, and the final written-through tree.
+/// After every step each corner must equal a from-scratch evaluation of
+/// the current tree under that corner's technology.
 fn scripted(
     tree: &SynthesizedTree,
     corners: &CornerSet,
@@ -233,7 +250,7 @@ fn scripted(
     let n_edges = tree.topo.nodes.len() - 1;
     let n_stars = tree.topo.stars.len();
     let mut t = tree.clone();
-    let mut mc = MultiCornerEval::new(&mut t, corners, model).with_parallel(parallel);
+    let mut mc = robust(&mut t, corners, model).with_parallel(parallel);
     let mut rets = Vec::new();
     let mut steps = Vec::new();
     for &op in ops {
@@ -254,6 +271,13 @@ fn scripted(
             }
             Op::Undo => mc.undo(),
             Op::Commit => mc.commit(),
+        }
+        for (k, tech) in corners.techs().iter().enumerate() {
+            assert_eq!(
+                mc.corner_metrics(k),
+                mc.tree().evaluate(tech, model),
+                "corner {k} diverged from a from-scratch evaluation"
+            );
         }
         steps.push(
             (0..mc.corner_count())

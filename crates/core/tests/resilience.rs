@@ -7,7 +7,7 @@ use dscts_core::{
     RunBudget,
 };
 use dscts_netlist::BenchmarkSpec;
-use dscts_tech::{Layer, Technology};
+use dscts_tech::{CornerSet, Layer, Technology};
 use std::time::{Duration, Instant};
 
 fn design() -> dscts_netlist::Design {
@@ -222,4 +222,40 @@ fn recovery_ladder_exhausts_on_unsatisfiable_designs() {
         "unexpected error: {a}"
     );
     assert_eq!(a, b, "exhausted ladder must be deterministic");
+}
+
+#[test]
+fn corner_infeasible_design_fails_typed_and_recovers() {
+    // C2's DP places a buffer near its nominal max-load budget, which the
+    // SS corner's derated capacitances overload (node 1622). Corner-aware
+    // runs must report that as the typed, recoverable infeasibility —
+    // from the optimize stage, or from the evaluate stage when no pass is
+    // scheduled — never as an `Internal` panic.
+    let d = BenchmarkSpec::c2_swerv_wrapper().generate();
+    let tech = Technology::asap7();
+    let pipe = DsCts::new(tech.clone()).corners(CornerSet::asap7_pvt(&tech));
+    for pipe in [pipe.clone(), pipe.clone().skew_refinement(None)] {
+        let err = pipe.try_run(&d).expect_err("SS overloads a C2 buffer");
+        assert!(
+            matches!(err, CtsError::NoFeasiblePattern { node: 1622, .. }),
+            "expected the typed corner infeasibility, got {err}"
+        );
+    }
+    // Widening the alphabet and raising the candidate cap leave the SS
+    // overload in place; the third rung (single-side) yields a tree that
+    // is feasible at all three corners.
+    let policy = RecoveryPolicy::default();
+    let recovered = pipe
+        .recovery(policy.clone())
+        .try_run(&d)
+        .expect("single-side fallback is feasible at every corner");
+    let rungs: Vec<Relaxation> = recovered.recovery.iter().map(|s| s.relaxation).collect();
+    assert_eq!(rungs, policy.ladder());
+    assert_eq!(rungs.last(), Some(&Relaxation::SingleSide));
+    assert!(recovered
+        .recovery
+        .iter()
+        .all(|s| matches!(s.error, CtsError::NoFeasiblePattern { .. })));
+    let report = recovered.corners.expect("corner-aware run");
+    assert_eq!(report.per_corner.len(), 3);
 }

@@ -285,10 +285,9 @@ fn main() {
                     .arm_after(SITE_SYNTH, FaultKind::Panic, skips / 2)
                     .arm_after(SITE_EVAL, FaultKind::Error, skips)
                     .arm_after(SITE_INCREMENTAL, FaultKind::Infeasible, skips)
-                    .arm_after(SITE_MCMM, FaultKind::Infeasible, skips / 2)
                     .install();
                 std::thread::sleep(Duration::from_millis(25));
-                fired_total += 5usize.saturating_sub(guard.unfired());
+                fired_total += 4usize.saturating_sub(guard.unfired());
                 drop(guard);
                 round += 1;
                 std::thread::sleep(Duration::from_millis(5));
@@ -836,7 +835,7 @@ fn direct_attempt(pipe: &DsCts, design: &Design, kind: JobKind) -> OracleResult 
         }
         _ => pipe.insert(topo)?,
     };
-    pipe.optimize_tree(&mut tree);
+    pipe.optimize_tree_cancel(&mut tree, None)?;
     let metrics = pipe.evaluate_tree(&tree);
     let robust = match kind {
         JobKind::CornerSignoff => Some(

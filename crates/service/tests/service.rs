@@ -92,11 +92,12 @@ fn cache_hits_and_results_match_direct_staged_drivers() {
     let topo = base.route(&design).expect("route");
     let (mut tree, _dp) = base.insert(topo).expect("insert");
     base.optimize_tree(&mut tree);
-    let want = CornerReport::evaluate(
+    let want = CornerReport::try_evaluate(
         &tree,
         &CornerSet::asap7_pvt(base.technology()),
         base.delay_model(),
     )
+    .expect("small design is feasible at every PVT corner")
     .robust;
     assert_eq!(robust, want);
 
@@ -161,6 +162,56 @@ fn corner_infeasibility_fails_typed_and_does_not_quarantine() {
             JobResponse::Completed(_)
         ),
         "the design stays usable for corner-free jobs"
+    );
+    let stats = service.shutdown(DrainMode::Graceful).stats;
+    assert_eq!(stats.panics_caught, 0, "no panic reached the worker");
+}
+
+/// The same hostile corner set configured on the *pipeline*: the
+/// corner-aware optimize stage cannot build its evaluator, which must
+/// surface as the typed infeasibility the retry ladder climbs — never a
+/// panic that strikes the design.
+#[test]
+fn corner_aware_optimize_infeasibility_fails_typed_and_does_not_quarantine() {
+    use dscts_core::{CtsError, RecoveryPolicy};
+    use dscts_tech::{Corner, DerateFactors, WireDerate};
+    let tech = Technology::asap7();
+    let overload = WireDerate {
+        res: 1.0,
+        cap: 50.0,
+    };
+    let hot = Corner::new(
+        "HOT",
+        DerateFactors {
+            front_wire: overload,
+            back_wire: overload,
+            buffer_delay: 1.0,
+            ntsv: overload,
+        },
+    )
+    .expect("valid derates");
+    let hostile = CornerSet::expand(&tech, vec![hot, Corner::nominal("TT")], 1).expect("valid set");
+    let service = CtsService::start(
+        DsCts::new(tech).corners(hostile),
+        ServiceConfig {
+            workers: 1,
+            retry: Some(RecoveryPolicy::new()),
+            ..ServiceConfig::default()
+        },
+    );
+    let (key, _) = service.register_design(&small_design()).expect("routes");
+    for _ in 0..3 {
+        match submit_ok(&service, "t", key, JobKind::Score) {
+            JobResponse::Failed {
+                error: CtsError::NoFeasiblePattern { .. },
+                recovery,
+            } => assert!(!recovery.is_empty(), "the retry ladder must run"),
+            other => panic!("expected a typed corner infeasibility, got {other:?}"),
+        }
+    }
+    assert!(
+        service.quarantined().is_empty(),
+        "data-dependent infeasibility must not strike the design"
     );
     let stats = service.shutdown(DrainMode::Graceful).stats;
     assert_eq!(stats.panics_caught, 0, "no panic reached the worker");

@@ -4,7 +4,8 @@
 //! Full RFC 8259 value grammar: objects, arrays, strings with escapes
 //! (including `\uXXXX` surrogate pairs), numbers (parsed as `f64`),
 //! booleans and null. Object keys keep insertion order; duplicate keys
-//! are kept as-is and [`Json::get`] returns the first.
+//! are kept as-is and [`Json::get`] returns the first. Arrays and objects
+//! may nest at most `MAX_DEPTH` levels deep.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,12 +68,20 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so unbounded nesting (say, 100 000 `[`) would overflow
+/// the stack and abort the process, which no caller can catch; exported
+/// records nest a few levels at most.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON value from `text`, rejecting trailing
-/// non-whitespace. Errors carry a byte offset and a short reason.
+/// non-whitespace and arrays or objects nested more than `MAX_DEPTH`
+/// (128) levels deep. Errors carry a byte offset and a short reason.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -86,6 +95,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -114,8 +125,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -348,6 +370,26 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Hostile depth fails typed instead of overflowing the stack.
+        for open in ["[", "{\"a\":"] {
+            let hostile = open.repeat(100_000);
+            let err = parse(&hostile).expect_err("hostile nesting");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let at_limit = parse(&nested(MAX_DEPTH)).expect("exactly at the limit parses");
+        let mut v = &at_limit;
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().expect("array")[0];
+        }
+        assert_eq!(v, &Json::Arr(Vec::new()));
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
     }
 
     #[test]

@@ -102,20 +102,12 @@ impl RcTree {
     /// Total capacitance hanging at or below each node; `[0]` is the load
     /// the driver sees.
     pub fn downstream_cap(&self) -> Vec<f64> {
-        let mut caps = Vec::new();
-        self.downstream_cap_into(&mut caps);
-        caps
-    }
-
-    /// Buffer-reusing form of [`RcTree::downstream_cap`]: clears and fills
-    /// `out`, reusing its allocation across calls.
-    pub fn downstream_cap_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.nodes.iter().map(|n| n.cap));
+        let mut caps: Vec<f64> = self.nodes.iter().map(|n| n.cap).collect();
         for i in (1..self.nodes.len()).rev() {
             let p = self.nodes[i].parent.expect("non-root has parent").0 as usize;
-            out[p] += out[i];
+            caps[p] += caps[i];
         }
+        caps
     }
 
     /// Total capacitance presented to the driver.
@@ -125,24 +117,14 @@ impl RcTree {
 
     /// L-type Elmore delay from the root to every node (ps).
     pub fn elmore(&self) -> Vec<f64> {
-        let mut caps = Vec::new();
-        let mut delay = Vec::new();
-        self.elmore_into(&mut caps, &mut delay);
-        delay
-    }
-
-    /// Buffer-reusing form of [`RcTree::elmore`]: `caps_scratch` receives
-    /// the downstream capacitances, `out` the per-node delays. Both are
-    /// cleared first, so the same buffers can serve many trees.
-    pub fn elmore_into(&self, caps_scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
-        self.downstream_cap_into(caps_scratch);
-        out.clear();
-        out.resize(self.nodes.len(), 0.0);
+        let caps = self.downstream_cap();
+        let mut delay = vec![0.0; self.nodes.len()];
         for i in 1..self.nodes.len() {
             let n = &self.nodes[i];
             let p = n.parent.expect("non-root has parent").0 as usize;
-            out[i] = out[p] + n.res_from_parent * caps_scratch[i];
+            delay[i] = delay[p] + n.res_from_parent * caps[i];
         }
+        delay
     }
 
     /// PERI slew at every node given the driver's output slew (ps).
@@ -150,35 +132,18 @@ impl RcTree {
     /// Each node's transition is the composition of the driver edge with the
     /// `ln 9 ×` Elmore ramp of the wire path to that node.
     pub fn slews(&self, driver_slew: f64) -> Vec<f64> {
-        let mut caps = Vec::new();
-        let mut out = Vec::new();
-        self.slews_into(driver_slew, &mut caps, &mut out);
+        let mut out = self.elmore();
+        for d in &mut out {
+            *d = wire_slew(driver_slew, *d);
+        }
         out
     }
 
-    /// Buffer-reusing form of [`RcTree::slews`]: one Elmore pass into
-    /// `out` (via `caps_scratch`), then the PERI composition in place —
-    /// no intermediate delay vector per call.
-    pub fn slews_into(&self, driver_slew: f64, caps_scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
-        self.elmore_into(caps_scratch, out);
-        for d in out.iter_mut() {
-            *d = wire_slew(driver_slew, *d);
-        }
-    }
-
-    /// The wire's own 10–90 % ramp at a node (no driver edge), `ln 9 ·
-    /// elmore`. Convenience one-shot form: internally computes the full
-    /// Elmore vector, so for repeated queries compute [`RcTree::elmore`]
-    /// (or [`RcTree::elmore_into`]) once and use
-    /// [`RcTree::wire_ramp_from`].
+    /// The wire's own 10–90 % ramp at a node (no driver edge),
+    /// `ln 9 · elmore`. Computes the full Elmore vector, so for repeated
+    /// queries compute [`RcTree::elmore`] once and scale by `ln 9`.
     pub fn wire_ramp(&self, node: NodeId) -> f64 {
-        Self::wire_ramp_from(&self.elmore(), node)
-    }
-
-    /// The ramp at `node` given a precomputed Elmore vector — the
-    /// amortized form of [`RcTree::wire_ramp`].
-    pub fn wire_ramp_from(elmore: &[f64], node: NodeId) -> f64 {
-        LN9 * elmore[node.0 as usize]
+        LN9 * self.elmore()[node.0 as usize]
     }
 }
 
@@ -248,26 +213,6 @@ mod tests {
     fn rejects_negative_resistance() {
         let mut t = RcTree::new(0.0);
         let _ = t.add_node(t.root(), -1.0, 0.0);
-    }
-
-    #[test]
-    fn into_variants_match_allocating_forms() {
-        let mut t = RcTree::new(1.0);
-        let a = t.add_node(t.root(), 2.0, 3.0);
-        let b = t.add_node(a, 1.0, 5.0);
-        let _c = t.add_node(a, 4.0, 1.0);
-        let (mut caps, mut delays, mut slews) = (Vec::new(), Vec::new(), Vec::new());
-        t.downstream_cap_into(&mut caps);
-        assert_eq!(caps, t.downstream_cap());
-        t.elmore_into(&mut caps, &mut delays);
-        assert_eq!(delays, t.elmore());
-        t.slews_into(7.0, &mut caps, &mut slews);
-        assert_eq!(slews, t.slews(7.0));
-        assert_eq!(RcTree::wire_ramp_from(&delays, b), t.wire_ramp(b));
-        // Buffers are reused across trees of different sizes.
-        let small = RcTree::new(0.5);
-        small.elmore_into(&mut caps, &mut delays);
-        assert_eq!(delays, small.elmore());
     }
 
     #[test]

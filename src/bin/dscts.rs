@@ -30,10 +30,12 @@
 //! ```
 
 use dscts::baseline::{flip_backside, FlipMethod, HTreeCts};
-use dscts::core::sizing::{resize_for_skew, SizingConfig};
+use dscts::core::opt::PassManager;
+use dscts::core::sizing::SizingPass;
 use dscts::netlist::def::{parse_def, write_def_with_extras, ExtraComponent};
 use dscts::{
-    BenchmarkSpec, Design, DsCts, EvalModel, ModeRule, RecoveryPolicy, RunBudget, Technology,
+    BenchmarkSpec, Design, DsCts, EvalModel, IncrementalEval, ModeRule, OptSchedule,
+    RecoveryPolicy, RunBudget, Technology,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -225,10 +227,12 @@ fn run() -> Result<(), String> {
     };
 
     if has("--size") {
-        let report = resize_for_skew(&mut tree, &tech, model, &SizingConfig::default());
+        let schedule = OptSchedule::new().with(SizingPass::default());
+        let eval = IncrementalEval::new(&mut tree, &tech, model);
+        let report = PassManager::new(&schedule).run(eval, None);
         println!(
             "sizing: {} buffers resized, skew {:.3} -> {:.3} ps",
-            report.resized, report.before.skew_ps, report.after.skew_ps
+            report.passes[0].accepted, report.before.skew_ps, report.after.skew_ps
         );
     }
 

@@ -66,12 +66,13 @@
 //! # Multi-corner (MCMM) robust synthesis
 //!
 //! Expand the technology into PVT corners ([`CornerSet`]) and the same
-//! pipeline — and any optimization schedule — becomes corner-aware:
-//! every trial move fans out to all corners over one resident
-//! multi-corner evaluator ([`core::mcmm::MultiCornerEval`]) and is
-//! scored on the worst corner, so the robust-sized tree holds up at SS
-//! instead of only at nominal. Here a three-corner robust-sizing run
-//! (end-point refinement plus annealed sizing, both fanned out):
+//! pipeline — and any optimization schedule, custom passes included —
+//! becomes corner-aware: the one incremental evaluator
+//! ([`IncrementalEval::with_corners`]) keeps a resident state per corner,
+//! repairs every corner on each trial move, and scores the worst one, so
+//! the robust-sized tree holds up at SS instead of only at nominal. Here
+//! a three-corner robust-sizing run (end-point refinement plus annealed
+//! sizing, both corner-aware):
 //!
 //! ```
 //! use dscts::core::opt::{AnnealConfig, AnnealedSizingPass};
@@ -113,15 +114,15 @@ pub use dscts_tech as tech;
 pub use dscts_telemetry as telemetry;
 pub use dscts_timing as timing;
 
-/// Classic van Ginneken single-side buffer insertion (oracle / baseline).
+/// Classic van Ginneken single-side buffer insertion (standalone library).
 pub use dscts_buffer as vanginneken;
 
 pub use dscts_core::{
     baseline, dse, mcmm, opt, resilience, skew, CancelToken, CornerReport, CtsError, DsCts,
-    EvalModel, HierarchicalRouter, IncrementalEval, Mode, ModeRule, MoesWeights, MultiCornerEval,
-    OptSchedule, Outcome, Pattern, PatternSet, PipelineCtx, PruneMode, RecoveryPolicy,
-    RecoveryStep, Relaxation, RobustMetrics, RobustObjective, RootCand, RoutingStyle, RunBudget,
-    Stage, StageTiming, SynthesizedTree, TreeMetrics, TrialEval,
+    EvalModel, HierarchicalRouter, IncrementalEval, Mode, ModeRule, MoesWeights, OptSchedule,
+    Outcome, Pattern, PatternSet, PipelineCtx, PruneMode, RecoveryPolicy, RecoveryStep, Relaxation,
+    RobustMetrics, RobustObjective, RootCand, RoutingStyle, RunBudget, Stage, StageTiming,
+    SynthesizedTree, TreeMetrics,
 };
 pub use dscts_netlist::{BenchmarkSpec, Design};
 pub use dscts_tech::{
