@@ -36,14 +36,6 @@
 //!   and verify the budgeted run still completes (valid tree, full
 //!   metrics, `degraded` flag raised) inside the unbudgeted wall clock;
 //!   write both arms to `BENCH_pr7.json`;
-//! * `baseline --pr10` — run the learned-DSE comparison on all five
-//!   designs: exact Fig. 12 threshold sweeps feeding a telemetry
-//!   training corpus, a fixed-seed GBDT trained on it, then the
-//!   predictor-pruned `sweep_fanout_learned` under the default band;
-//!   assert in-process that every evaluated point and the whole Pareto
-//!   frontier match the exact sweep bit-for-bit on every design and
-//!   that at least half of all mode classes are skipped in aggregate;
-//!   write both arms to `BENCH_pr10.json`;
 //! * `baseline --scaling [--quick]` — run the full default pipeline on
 //!   the reproducible `BenchmarkSpec::scaled` fixtures (100k under
 //!   `--quick`; 100k/250k/1M otherwise), record per-stage wall clock +
@@ -160,150 +152,6 @@ fn sweep_records_json(records: &[SweepRecord]) -> String {
             format!(
                 "    {{\"design\": {:?}, \"thresholds\": {}, \"dp_runs\": {}, \"runtime_s\": {:.6}}}",
                 r.name, r.points, r.dp_runs, r.runtime_s
-            )
-        })
-        .collect();
-    rows.join(",\n")
-}
-
-/// One timed learned-DSE measurement (the `--pr10` workload): the exact
-/// batched sweep or its predictor-pruned counterpart.
-struct LearnedRecord {
-    /// `"<design>-learned-exact"` or `"<design>-learned-pruned"`.
-    name: String,
-    runtime_s: f64,
-    /// Mode classes evaluated exactly (DP runs paid for).
-    dp_runs: usize,
-    /// Mode classes skipped on the predictor's advice.
-    skipped: usize,
-    /// Points on the exact Pareto frontier of the arm's sweep.
-    frontier_points: usize,
-    /// `guaranteed_vs_predicted` frontier distance (`0` for the exact arm).
-    frontier_distance: f64,
-}
-
-/// Runs the learned-DSE comparison on all five designs: exact Fig. 12
-/// threshold sweeps collected into a telemetry training corpus, a GBDT
-/// trained on that corpus at a fixed seed, then
-/// [`dse::SweepEngine::sweep_fanout_learned`] under the default
-/// [`dse::PruneConfig`]. The PR 10 gates are asserted in-process — so
-/// the CI `--check BENCH_pr10.json` re-run gates quality, not just
-/// runtime: every evaluated point and the whole Pareto frontier are
-/// bit-identical to the exact sweep on every design, and at least half
-/// of all mode classes are skipped in aggregate.
-fn run_learned_pair(tech: &Technology) -> Vec<LearnedRecord> {
-    use dscts_learn::{Dataset, GbdtConfig, GbdtPredictor};
-    use std::sync::Arc;
-
-    let thresholds = fig12_thresholds(10);
-    let designs = all_designs();
-    let mut out = Vec::new();
-
-    // Phase 1: exact sweeps with a telemetry collector installed — the
-    // engine's per-class sweep records become the training corpus.
-    let collector = Arc::new(dscts_telemetry::Telemetry::new());
-    let mut exact_sweeps = Vec::new();
-    {
-        let _guard = dscts_telemetry::install(collector.clone());
-        for (id, design) in DESIGN_IDS.iter().zip(&designs) {
-            let base = DsCts::new(tech.clone());
-            let t0 = Instant::now();
-            let sweep = dse::SweepEngine::new(&base)
-                .try_sweep(design, thresholds.iter().copied())
-                .unwrap_or_else(|e| panic!("{id}: exact sweep failed: {e}"));
-            out.push(LearnedRecord {
-                name: format!("{id}-learned-exact"),
-                runtime_s: t0.elapsed().as_secs_f64(),
-                dp_runs: sweep.classes.len(),
-                skipped: 0,
-                frontier_points: dse::frontier_pairs(&sweep.points).len(),
-                frontier_distance: 0.0,
-            });
-            exact_sweeps.push(sweep);
-        }
-    }
-    let cfg = GbdtConfig {
-        depth: 6,
-        ..GbdtConfig::default()
-    };
-    let data = Dataset::from_records(&collector.snapshot().sweeps);
-    let model = GbdtPredictor::train(&data, &cfg).expect("sweep corpus is trainable");
-    println!(
-        "trained GBDT ({} trees, seed {}) on {} sweep records from {} designs",
-        cfg.trees,
-        cfg.seed,
-        data.len(),
-        DESIGN_IDS.len()
-    );
-
-    // Phase 2: predictor-pruned sweeps, gated against the exact arms.
-    let prune = dse::PruneConfig::default();
-    let (mut total, mut total_skipped) = (0usize, 0usize);
-    println!("design  time(ms)  classes  dp_runs  skipped  frontier  distance");
-    for ((id, design), exact) in DESIGN_IDS.iter().zip(&designs).zip(&exact_sweeps) {
-        let base = DsCts::new(tech.clone());
-        let t0 = Instant::now();
-        let learned = dse::SweepEngine::new(&base)
-            .sweep_fanout_learned(design, thresholds.iter().copied(), &model, &prune)
-            .unwrap_or_else(|e| panic!("{id}: learned sweep failed: {e}"));
-        let runtime_s = t0.elapsed().as_secs_f64();
-        // Gate 1: every evaluated point is bit-identical to its exact twin.
-        for p in &learned.points {
-            let twin = exact
-                .points
-                .iter()
-                .find(|q| q.threshold == p.threshold)
-                .unwrap_or_else(|| panic!("{id}: exact sweep lacks threshold {}", p.threshold));
-            assert_eq!(
-                p, twin,
-                "{id}: learned point diverged at threshold {}",
-                p.threshold
-            );
-        }
-        // Gate 2: zero Pareto-frontier loss at the default band width.
-        let frontier = dse::frontier_pairs(&learned.points);
-        assert_eq!(
-            frontier,
-            dse::frontier_pairs(&exact.points),
-            "{id}: pruning lost part of the exact Pareto frontier"
-        );
-        total += learned.classes.len();
-        total_skipped += learned.classes_skipped;
-        println!(
-            "{id:<7} {:>8.1} {:>8} {:>8} {:>8} {:>9} {:>9.4}",
-            runtime_s * 1e3,
-            learned.classes.len(),
-            learned.classes.len() - learned.classes_skipped,
-            learned.classes_skipped,
-            frontier.len(),
-            learned.guaranteed_vs_predicted,
-        );
-        out.push(LearnedRecord {
-            name: format!("{id}-learned-pruned"),
-            runtime_s,
-            dp_runs: learned.classes.len() - learned.classes_skipped,
-            skipped: learned.classes_skipped,
-            frontier_points: frontier.len(),
-            frontier_distance: learned.guaranteed_vs_predicted,
-        });
-    }
-    // Gate 3: the predictor must pay for itself — at least half of all
-    // mode classes skipped across the suite.
-    assert!(
-        total_skipped * 2 >= total,
-        "predictor skipped only {total_skipped}/{total} classes (< 50 %)"
-    );
-    println!("aggregate: skipped {total_skipped}/{total} mode classes");
-    out
-}
-
-fn learned_records_json(records: &[LearnedRecord]) -> String {
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"design\": {:?}, \"dp_runs\": {}, \"classes_skipped\": {}, \"frontier_points\": {}, \"frontier_distance\": {:.6}, \"runtime_s\": {:.6}}}",
-                r.name, r.dp_runs, r.skipped, r.frontier_points, r.frontier_distance, r.runtime_s
             )
         })
         .collect();
@@ -1116,21 +964,6 @@ fn main() {
         return;
     }
 
-    if args.first().map(String::as_str) == Some("--pr10") {
-        // Exact vs predictor-pruned DSE sweeps on all five designs — the
-        // PR 10 learned-DSE snapshot. The quality gates (point + frontier
-        // parity, >= 50 % classes skipped) are asserted inside
-        // `run_learned_pair`, so `--check BENCH_pr10.json` re-gates them.
-        let records = run_learned_pair(&tech);
-        let json = format!(
-            "{{\n  \"flow\": \"learned_dse_exact_vs_pruned\",\n  \"threads\": {},\n  \"records\": [\n{}\n  ]}}\n",
-            rayon::current_num_threads(),
-            learned_records_json(&records),
-        );
-        write_snapshot(&workspace_root().join("BENCH_pr10.json"), json);
-        return;
-    }
-
     if args.first().map(String::as_str) == Some("--scaling") {
         // The million-sink scaling tier: full default pipeline on the
         // reproducible `scaled(n, seed)` fixtures, per-stage wall clock +
@@ -1210,15 +1043,7 @@ fn main() {
         let is_sizing = reference.iter().all(|(d, _)| d.contains("-sizing-"));
         let is_mcmm = reference.iter().all(|(d, _)| d.contains("-mcmm-"));
         let is_scaling = reference.iter().all(|(d, _)| d.starts_with("scaled-"));
-        let is_learned = reference.iter().all(|(d, _)| d.contains("-learned-"));
-        let fresh: Vec<(String, f64)> = if is_learned {
-            // Re-runs the full train + prune comparison; the frontier and
-            // skip-rate gates are asserted inside.
-            run_learned_pair(&tech)
-                .into_iter()
-                .map(|r| (r.name, r.runtime_s))
-                .collect()
-        } else if is_scaling {
+        let fresh: Vec<(String, f64)> = if is_scaling {
             // Re-run only the quick (100k) subset: the committed snapshot
             // also holds the 250k/1M records, which stay un-checked in CI
             // — records without a fresh measurement are simply not

@@ -50,27 +50,6 @@
 //! deep subtrees are the bulk of the DP work. The copy is bit-identical
 //! by construction (a candidate set is a pure function of its subtree),
 //! so every sweep result above is unchanged.
-//!
-//! # Learned DSE
-//!
-//! [`SweepEngine::sweep_fanout_learned`] prunes a sweep with a trained
-//! [`MetricPredictor`] (e.g. the regressors in the `dscts-learn` crate):
-//! every class's cheap pre-DP [`ClassFeatures`] are predicted, the
-//! predicted Pareto frontier is walked with a dominance margin
-//! ([`PruneConfig::band`]) that absorbs prediction noise and collapses
-//! metric-twin classes, and only the predicted-frontier band — plus a
-//! few-shot calibration subset of off-band classes
-//! ([`PruneConfig::calibration_stride`]) — is evaluated exactly.
-//! The result quantifies its own pruning risk as
-//! [`LearnedSweepOutcome::guaranteed_vs_predicted`]: the largest
-//! relative latency improvement any *skipped* class's prediction claims
-//! over the exactly-evaluated frontier (`0.0` = the predictor concedes
-//! the evaluated band contains the whole frontier). Evaluated points
-//! are bit-identical to [`SweepEngine::try_sweep`]'s, so the pruned
-//! frontier equals the exact frontier whenever every true frontier
-//! class lands in the band — the zero-frontier-loss condition the
-//! `baseline --pr10` gate asserts on C1–C5 at the default
-//! [`PruneConfig`].
 
 use crate::dp::{mode_vector, DpSuffixCache, ModeRule};
 use crate::error::CtsError;
@@ -179,193 +158,6 @@ pub struct SweepOutcome {
     pub robust_points: Option<Vec<RobustPoint>>,
 }
 
-/// Cheap pre-DP features of one mode-equivalence class: everything a
-/// [`MetricPredictor`] may look at, all computable from the routed
-/// topology and the class's mode vector *before* any DP runs. The same
-/// values ride along in every telemetry sweep record
-/// ([`dscts_telemetry::SweepRecord`], schema v2), so models trained on
-/// exported logs see exactly the features the engine computes at
-/// prediction time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassFeatures {
-    /// Number of clock sinks.
-    pub sinks: u64,
-    /// Distinct internal fanout values (the mode-class alphabet size).
-    pub distinct_fanouts: u64,
-    /// Index of the class within this sweep's class list.
-    pub mode_class: u64,
-    /// Smallest member threshold.
-    pub threshold_lo: u32,
-    /// Largest member threshold.
-    pub threshold_hi: u32,
-    /// Trunk nodes forced intra-side by this class's mode vector.
-    pub intra_nodes: u64,
-    /// Leaf clusters (stars) of the routed topology.
-    pub stars: u64,
-    /// Half-perimeter of the sink bounding box, nm.
-    pub sink_spread_nm: u64,
-    /// Routed trunk wirelength, nm (insertion and optimization never
-    /// move trunk edges, so this equals the metric of the same name).
-    pub trunk_wirelength_nm: u64,
-    /// Log-bucketed histogram of the distinct fanout values (see
-    /// [`fanout_histogram`]).
-    pub fanout_hist: [u64; 4],
-}
-
-impl ClassFeatures {
-    /// Features of class `class_index` of a sweep over `topo`.
-    pub fn of(
-        topo: &ClockTopo,
-        levels: &[u32],
-        class_index: usize,
-        class: &ModeClass,
-        intra_nodes: usize,
-    ) -> Self {
-        ClassFeatures {
-            sinks: topo.sink_pos.len() as u64,
-            distinct_fanouts: levels.len() as u64,
-            mode_class: class_index as u64,
-            threshold_lo: class.thresholds.iter().copied().min().unwrap_or(0),
-            threshold_hi: class.thresholds.iter().copied().max().unwrap_or(0),
-            intra_nodes: intra_nodes as u64,
-            stars: topo.stars.len() as u64,
-            sink_spread_nm: topo.sink_spread().max(0) as u64,
-            trunk_wirelength_nm: topo.trunk_wirelength().max(0) as u64,
-            fanout_hist: fanout_histogram(levels),
-        }
-    }
-
-    /// The same features read back from an exported sweep record — the
-    /// single conversion the `dscts-learn` dataset ingester uses, so
-    /// training rows and prediction-time features cannot drift.
-    pub fn from_sweep_record(r: &telemetry::SweepRecord) -> Self {
-        ClassFeatures {
-            sinks: r.sinks,
-            distinct_fanouts: r.distinct_fanouts,
-            mode_class: r.mode_class,
-            threshold_lo: r.threshold_lo,
-            threshold_hi: r.threshold_hi,
-            intra_nodes: r.intra_nodes,
-            stars: r.stars,
-            sink_spread_nm: r.sink_spread_nm,
-            trunk_wirelength_nm: r.trunk_wirelength_nm,
-            fanout_hist: r.fanout_hist,
-        }
-    }
-}
-
-/// Log-bucketed histogram of distinct trunk fanout values: counts in
-/// `[1,8)`, `[8,32)`, `[32,128)` and `[128,∞)`. A fixed-width summary of
-/// the fanout distribution that fits a flat telemetry record.
-pub fn fanout_histogram(levels: &[u32]) -> [u64; 4] {
-    let mut hist = [0u64; 4];
-    for &f in levels {
-        let bucket = match f {
-            0..=7 => 0,
-            8..=31 => 1,
-            32..=127 => 2,
-            _ => 3,
-        };
-        hist[bucket] += 1;
-    }
-    hist
-}
-
-/// A predictor's estimate of the metrics one mode class would produce.
-/// Counts are real-valued: regressors interpolate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictedMetrics {
-    /// Predicted worst sink latency, ps.
-    pub latency_ps: f64,
-    /// Predicted global skew, ps.
-    pub skew_ps: f64,
-    /// Predicted buffer count.
-    pub buffers: f64,
-    /// Predicted nTSV count.
-    pub ntsvs: f64,
-}
-
-impl PredictedMetrics {
-    /// Predicted combined insertion resources (the Fig. 12 x-axis).
-    pub fn resources(&self) -> f64 {
-        self.buffers + self.ntsvs
-    }
-}
-
-/// A trained metric predictor: maps cheap pre-DP [`ClassFeatures`] to
-/// [`PredictedMetrics`]. Implemented by the `dscts-learn` regressors
-/// (ridge, GBDT); any `Sync` estimator works. Predictions only *rank*
-/// classes — every reported point is still exact.
-pub trait MetricPredictor: Sync {
-    /// Predict the metrics the class described by `features` produces.
-    fn predict(&self, features: &ClassFeatures) -> PredictedMetrics;
-}
-
-/// Pruning policy for [`SweepEngine::sweep_fanout_learned`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PruneConfig {
-    /// Dominance margin of the predicted-frontier walk: scanning
-    /// classes by ascending (predicted resources, predicted latency), a
-    /// class is *in-band* (evaluated exactly) iff its predicted latency
-    /// improves the best in-band latency so far by more than this
-    /// fraction. The margin separates two regimes of a well-trained
-    /// predictor: metric-twin classes — distinct mode vectors whose DP
-    /// outcomes coincide — tie within prediction noise (≲ 1e-4 relative
-    /// on the C1–C5 corpus) and fall below it, while real frontier
-    /// steps improve latency by ≳ 5e-4 and always clear it. `0.0` keeps
-    /// every strictly-improving class, noise included.
-    pub band: f64,
-    /// Few-shot calibration: every `calibration_stride`-th off-band
-    /// class, ranked by ascending band excess, is evaluated exactly
-    /// anyway. These points both audit the predictor near the band edge
-    /// and feed telemetry training rows from the region the model is
-    /// least sure about. `0` disables calibration.
-    pub calibration_stride: usize,
-    /// Sweeps with at most this many classes are evaluated exactly —
-    /// pruning only pays for itself on grids that actually fan out.
-    pub min_classes: usize,
-}
-
-impl Default for PruneConfig {
-    fn default() -> Self {
-        PruneConfig {
-            band: 3e-4,
-            calibration_stride: 8,
-            min_classes: 4,
-        }
-    }
-}
-
-/// Everything a learned (pruned) sweep produces.
-#[derive(Debug, Clone)]
-pub struct LearnedSweepOutcome {
-    /// Exact points for every requested threshold whose class was
-    /// evaluated, in request order — each bit-identical to the point
-    /// [`SweepEngine::try_sweep`] produces for the same threshold.
-    /// Thresholds of skipped classes have no point.
-    pub points: Vec<MetricsPoint>,
-    /// All mode-equivalence classes of the sweep (evaluated or not), in
-    /// order of first appearance; `intra_side_nodes` is filled for every
-    /// class (it is a pre-DP feature).
-    pub classes: Vec<ModeClass>,
-    /// Per-class predictions, parallel to `classes`.
-    pub predicted: Vec<PredictedMetrics>,
-    /// Per-class flag, parallel to `classes`: `true` iff the class was
-    /// evaluated exactly (in-band or calibration).
-    pub evaluated: Vec<bool>,
-    /// Classes the predictor pruned (`classes.len() - evaluated`).
-    pub classes_skipped: usize,
-    /// The guaranteed-vs-predicted frontier distance: the largest
-    /// relative latency improvement any *skipped* class's prediction
-    /// claims over the exactly-evaluated Pareto frontier (`0.0` when no
-    /// skipped prediction dominates it). This quantifies the pruning
-    /// risk without evaluating the skipped classes: the exact frontier
-    /// is *guaranteed* over evaluated classes and can only be beaten by
-    /// a skipped class if its prediction was at least this wrong-side-of
-    /// optimistic.
-    pub guaranteed_vs_predicted: f64,
-}
-
 /// Batched DSE sweep engine: route once, deduplicate mode-equivalence
 /// classes, score refined trees. See the [module docs](self) for the
 /// architecture.
@@ -434,16 +226,12 @@ impl<'a> SweepEngine<'a> {
         let scored = self.score_classes(&topo, &classes, cancel.as_ref());
         let mut metrics: Vec<TreeMetrics> = Vec::with_capacity(classes.len());
         let mut robust: Vec<Option<RobustMetrics>> = Vec::with_capacity(classes.len());
-        // Sweep-outcome training records are emitted here, in class
-        // order after the join, so the export is thread-count invariant.
         let tel = telemetry::active();
-        for (ci, (class, r)) in classes.iter_mut().zip(scored).enumerate() {
+        for (class, r) in classes.iter_mut().zip(scored) {
             let (m, rb, intra) = r?;
             class.intra_side_nodes = intra;
             if let Some(tel) = &tel {
                 tel.counter("dse.classes").incr();
-                let features = ClassFeatures::of(&topo, &levels, ci, class, intra);
-                tel.record_sweep(sweep_record(design, &features, &m));
             }
             metrics.push(m);
             robust.push(rb);
@@ -469,97 +257,6 @@ impl<'a> SweepEngine<'a> {
             points,
             classes,
             robust_points,
-        })
-    }
-
-    /// Sweeps `thresholds` like [`try_sweep`](Self::try_sweep), but lets a
-    /// trained `predictor` prune the class list first: only classes whose
-    /// prediction lands in the Pareto band of `cfg` (plus the few-shot
-    /// calibration subset) are evaluated exactly; the rest are skipped.
-    /// See the [module docs](self#learned-dse) for the contract.
-    pub fn sweep_fanout_learned(
-        &self,
-        design: &Design,
-        thresholds: impl IntoIterator<Item = u32>,
-        predictor: &dyn MetricPredictor,
-        cfg: &PruneConfig,
-    ) -> Result<LearnedSweepOutcome, CtsError> {
-        let thresholds: Vec<u32> = thresholds.into_iter().collect();
-        if thresholds.is_empty() {
-            return Ok(LearnedSweepOutcome {
-                points: Vec::new(),
-                classes: Vec::new(),
-                predicted: Vec::new(),
-                evaluated: Vec::new(),
-                classes_skipped: 0,
-                guaranteed_vs_predicted: 0.0,
-            });
-        }
-        let topo = self.base.route(design)?;
-        let _ = topo.csr();
-        let levels = topo.distinct_fanouts();
-        let (mut classes, class_of) = partition_classes(&levels, &thresholds);
-
-        // Pre-DP pass: mode vectors, intra-side counts and features for
-        // every class — exactly what the predictor is allowed to see.
-        let mut features: Vec<ClassFeatures> = Vec::with_capacity(classes.len());
-        for (ci, class) in classes.iter_mut().enumerate() {
-            let rep = ModeRule::FanoutThreshold(class.thresholds[0]);
-            let modes = mode_vector(&topo, rep);
-            let intra = modes.iter().filter(|&&m| m == Mode::IntraSide).count();
-            class.intra_side_nodes = intra;
-            features.push(ClassFeatures::of(&topo, &levels, ci, class, intra));
-        }
-        let predicted: Vec<PredictedMetrics> =
-            features.iter().map(|f| predictor.predict(f)).collect();
-        let evaluated = select_band(&predicted, cfg);
-
-        // Exact evaluation of the chosen subset only. Suffix sharing
-        // applies within the subset, so the pruned sweep keeps the same
-        // per-class cost profile as the full one.
-        let chosen: Vec<ModeClass> = classes
-            .iter()
-            .zip(&evaluated)
-            .filter(|&(_, &e)| e)
-            .map(|(c, _)| c.clone())
-            .collect();
-        let cancel = self.base.run_budget().map(RunBudget::token);
-        let scored = self.score_classes(&topo, &chosen, cancel.as_ref());
-
-        let tel = telemetry::active();
-        let mut metrics_of: Vec<Option<TreeMetrics>> = (0..classes.len()).map(|_| None).collect();
-        let mut scored = scored.into_iter();
-        for (ci, class) in classes.iter().enumerate() {
-            if !evaluated[ci] {
-                continue;
-            }
-            let (m, _robust, intra) = scored.next().expect("one result per chosen class")?;
-            debug_assert_eq!(intra, class.intra_side_nodes);
-            if let Some(tel) = &tel {
-                tel.counter("dse.classes").incr();
-                tel.record_sweep(sweep_record(design, &features[ci], &m));
-            }
-            metrics_of[ci] = Some(m);
-        }
-        let classes_skipped = evaluated.iter().filter(|&&e| !e).count();
-        if let Some(tel) = &tel {
-            tel.counter("dse.classes_skipped")
-                .add(classes_skipped as u64);
-        }
-
-        let points: Vec<MetricsPoint> = thresholds
-            .iter()
-            .zip(&class_of)
-            .filter_map(|(&t, &ci)| metrics_of[ci].as_ref().map(|m| MetricsPoint::new(t, m)))
-            .collect();
-        let guaranteed_vs_predicted = frontier_gap(&points, &predicted, &evaluated);
-        Ok(LearnedSweepOutcome {
-            points,
-            classes,
-            predicted,
-            evaluated,
-            classes_skipped,
-            guaranteed_vs_predicted,
         })
     }
 
@@ -677,143 +374,14 @@ fn partition_classes(levels: &[u32], thresholds: &[u32]) -> (Vec<ModeClass>, Vec
     (classes, class_of)
 }
 
-/// Band selection for [`SweepEngine::sweep_fanout_learned`]: `true` per
-/// class iff it must be evaluated exactly. Pure function of the
-/// predictions and the policy, so pruning decisions are reproducible from
-/// an exported model alone.
-fn select_band(predicted: &[PredictedMetrics], cfg: &PruneConfig) -> Vec<bool> {
-    let n = predicted.len();
-    if n <= cfg.min_classes {
-        return vec![true; n];
-    }
-    // Predicted-frontier walk, mirroring `pareto_frontier`'s strict
-    // rule on the integer resource grid (true resource counts are
-    // integers — buffers + NTSVs — so predicted resources are rounded
-    // before comparison): classes are scanned in ascending (rounded
-    // resources, latency, index) order, and a class is in-band iff its
-    // predicted latency improves the best in-band latency so far by
-    // MORE than `cfg.band` (relative). The margin is what makes the
-    // walk robust to a trained predictor: metric-twin classes —
-    // distinct mode vectors whose DP outcomes coincide, over half the
-    // classes on the C1–C5 fanout sweeps — tie within prediction noise,
-    // far below the margin, so each frontier step is evaluated once;
-    // real frontier steps improve latency by an order of magnitude more
-    // than the margin and always stay in-band. `excess` is each class's
-    // relative latency delta against the in-band floor it was compared
-    // to (negative = improvement): the calibration rank below.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        predicted[a]
-            .resources()
-            .round()
-            .total_cmp(&predicted[b].resources().round())
-            .then(predicted[a].latency_ps.total_cmp(&predicted[b].latency_ps))
-            .then(a.cmp(&b))
-    });
-    let mut excess = vec![0.0f64; n];
-    let mut keep = vec![false; n];
-    let mut best = f64::INFINITY;
-    for &i in &order {
-        let lat = predicted[i].latency_ps;
-        excess[i] = if best.is_infinite() {
-            -1.0
-        } else if best.abs() < 1e-12 {
-            lat - best
-        } else {
-            (lat - best) / best.abs()
-        };
-        if excess[i] < -cfg.band {
-            keep[i] = true;
-            best = lat;
-        }
-    }
-    if cfg.calibration_stride > 0 {
-        // Few-shot calibration: walk the off-band classes from nearest to
-        // farthest (ascending excess, index-stable) and keep every
-        // stride-th one.
-        let mut off: Vec<usize> = (0..n).filter(|&i| !keep[i]).collect();
-        off.sort_by(|&a, &b| excess[a].total_cmp(&excess[b]).then(a.cmp(&b)));
-        for (k, &i) in off.iter().enumerate() {
-            if k % cfg.calibration_stride == 0 {
-                keep[i] = true;
-            }
-        }
-    }
-    keep
-}
-
 /// The `(resources, latency)` pairs of the Pareto frontier of `points`,
-/// sorted by ascending resources — the canonical frontier signature the
-/// learned-DSE parity gates compare (`baseline --pr10`, the CI smoke
-/// job).
+/// sorted by ascending resources — the frontier `dscts --sweep` prints,
+/// and a signature two sweeps can be compared by.
 pub fn frontier_pairs(points: &[MetricsPoint]) -> Vec<(u32, f64)> {
     pareto_frontier(points, |p| (p.resources() as f64, p.latency_ps))
         .into_iter()
         .map(|i| (points[i].resources(), points[i].latency_ps))
         .collect()
-}
-
-/// The guaranteed-vs-predicted frontier distance of a pruned sweep: the
-/// largest relative latency improvement any *skipped* class's prediction
-/// claims over the exactly-evaluated frontier (see
-/// [`LearnedSweepOutcome::guaranteed_vs_predicted`]).
-fn frontier_gap(
-    points: &[MetricsPoint],
-    predicted: &[PredictedMetrics],
-    evaluated: &[bool],
-) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    let steps = frontier_pairs(points);
-    let mut gap = 0.0f64;
-    for (p, &eval) in predicted.iter().zip(evaluated) {
-        if eval {
-            continue;
-        }
-        // Rounded like `select_band`, so both sides compare predicted
-        // resources on the integer grid the exact counts live on.
-        let res = p.resources().round();
-        // The exact frontier latency available at ≤ the skipped class's
-        // predicted resource level. A skipped class predicted cheaper
-        // than every evaluated point is measured against the leftmost
-        // frontier step — the only guarantee the evaluated set offers
-        // there. (f64::min ignores the NaN seed, so the fold yields the
-        // minimum of the matching steps or NaN when none match.)
-        let floor = steps
-            .iter()
-            .filter(|&&(r, _)| f64::from(r) <= res)
-            .fold(f64::NAN, |lo, &(_, lat)| lo.min(lat));
-        let floor = if floor.is_nan() { steps[0].1 } else { floor };
-        if p.latency_ps < floor && floor.abs() > 1e-12 {
-            gap = gap.max((floor - p.latency_ps) / floor.abs());
-        }
-    }
-    gap
-}
-
-/// One sweep-outcome training record: the pre-DP class features plus the
-/// metrics the class produced (the raw material learned DSE trains on).
-fn sweep_record(design: &Design, f: &ClassFeatures, m: &TreeMetrics) -> telemetry::SweepRecord {
-    telemetry::SweepRecord {
-        schema_version: telemetry::SWEEP_SCHEMA_VERSION,
-        design: design.name.clone(),
-        sinks: f.sinks,
-        distinct_fanouts: f.distinct_fanouts,
-        mode_class: f.mode_class,
-        threshold_lo: f.threshold_lo,
-        threshold_hi: f.threshold_hi,
-        intra_nodes: f.intra_nodes,
-        stars: f.stars,
-        sink_spread_nm: f.sink_spread_nm,
-        fanout_hist: f.fanout_hist,
-        latency_ps: m.latency_ps,
-        skew_ps: m.skew_ps,
-        buffers: u64::from(m.buffers),
-        ntsvs: u64::from(m.ntsvs),
-        trunk_wirelength_nm: m.trunk_wirelength_nm.max(0) as u64,
-        switched_cap_ff: m.switched_cap_ff,
-    }
 }
 
 /// Sweeps the fanout threshold over `thresholds`.
@@ -1082,152 +650,6 @@ mod tests {
             .collect();
         let worst = pareto_frontier(&pairs, |&(res, lat)| (res as f64, lat));
         assert!(!nominal.is_empty() && !worst.is_empty());
-    }
-
-    fn pm(lat: f64, res: f64) -> PredictedMetrics {
-        PredictedMetrics {
-            latency_ps: lat,
-            skew_ps: 0.0,
-            buffers: res,
-            ntsvs: 0.0,
-        }
-    }
-
-    #[test]
-    fn select_band_keeps_frontier_and_calibrates() {
-        // Walk order (by resources, then latency): 0, 2, 3, 4, 1.
-        let preds = vec![
-            pm(100.0, 10.0),  // first in-band floor
-            pm(80.0, 20.0),   // improves 89.995 by 11% → in band
-            pm(99.995, 12.0), // "improves" 100 by 0.005% → twin, out
-            pm(89.995, 15.0), // improves 100 by 10% → in band
-            pm(140.0, 18.0),  // 56% worse than 89.995 → out
-        ];
-        let cfg = PruneConfig {
-            band: 0.05,
-            calibration_stride: 0,
-            min_classes: 2,
-        };
-        assert_eq!(
-            select_band(&preds, &cfg),
-            vec![true, true, false, true, false]
-        );
-        // Small grids are never pruned.
-        assert_eq!(
-            select_band(&preds[..3], &PruneConfig::default()),
-            vec![true; 3]
-        );
-        // Stride 1 calibrates everything back in.
-        let all = select_band(
-            &preds,
-            &PruneConfig {
-                calibration_stride: 1,
-                ..cfg
-            },
-        );
-        assert!(all.iter().all(|&k| k));
-        // Stride 2 keeps every other off-band class, riskiest first:
-        // off-band order by ascending excess is [2 (-0.005%), 4 (+56%)],
-        // so rank 0 (class 2) comes back.
-        let every_other = select_band(
-            &preds,
-            &PruneConfig {
-                calibration_stride: 2,
-                ..cfg
-            },
-        );
-        assert_eq!(every_other, vec![true, true, true, true, false]);
-    }
-
-    #[test]
-    fn frontier_gap_measures_skipped_optimism() {
-        let points = vec![pt(1, 100.0, 10), pt(2, 80.0, 20)];
-        let predicted = vec![
-            pm(100.0, 10.0),
-            pm(80.0, 20.0),
-            pm(90.0, 10.0), // skipped, claims 10% better than floor 100
-            pm(95.0, 5.0),  // skipped, cheaper than every step → vs leftmost (100): 5%
-        ];
-        let evaluated = vec![true, true, false, false];
-        let gap = frontier_gap(&points, &predicted, &evaluated);
-        assert!((gap - 0.10).abs() < 1e-12, "gap = {gap}");
-        // Nothing skipped → the evaluated frontier is the whole story.
-        assert_eq!(frontier_gap(&points, &predicted[..2], &[true, true]), 0.0);
-        // A skipped prediction that concedes (no improvement) costs 0.
-        let conceding = vec![pm(100.0, 10.0), pm(80.0, 20.0), pm(150.0, 30.0)];
-        assert_eq!(frontier_gap(&points, &conceding, &[true, true, false]), 0.0);
-    }
-
-    /// Predicts by class index — lets tests drive the pruner with exact
-    /// or deliberately wrong predictions.
-    struct TablePredictor {
-        by_class: Vec<PredictedMetrics>,
-    }
-
-    impl MetricPredictor for TablePredictor {
-        fn predict(&self, f: &ClassFeatures) -> PredictedMetrics {
-            self.by_class[f.mode_class as usize]
-        }
-    }
-
-    #[test]
-    fn learned_sweep_with_oracle_keeps_exact_frontier() {
-        let design = BenchmarkSpec::c4_riscv32i().generate();
-        let base = DsCts::new(Technology::asap7());
-        let grid: Vec<u32> = (20..=1000).step_by(60).collect();
-        let exact = SweepEngine::new(&base)
-            .try_sweep(&design, grid.iter().copied())
-            .expect("sweepable");
-        // Oracle predictions: the exact metrics of each class.
-        let by_class: Vec<PredictedMetrics> = exact
-            .classes
-            .iter()
-            .map(|c| {
-                let p = exact
-                    .points
-                    .iter()
-                    .find(|p| p.threshold == c.thresholds[0])
-                    .expect("every class has a point");
-                pm(p.latency_ps, f64::from(p.resources()))
-            })
-            .collect();
-        let oracle = TablePredictor { by_class };
-        let learned = SweepEngine::new(&base)
-            .sweep_fanout_learned(
-                &design,
-                grid.iter().copied(),
-                &oracle,
-                &PruneConfig {
-                    calibration_stride: 0,
-                    ..PruneConfig::default()
-                },
-            )
-            .expect("sweepable");
-        // Evaluated points are bit-identical to the exact sweep's.
-        for lp in &learned.points {
-            let ep = exact
-                .points
-                .iter()
-                .find(|p| p.threshold == lp.threshold)
-                .expect("same thresholds");
-            assert_eq!(lp, ep);
-        }
-        // With exact predictions the pruned frontier IS the frontier,
-        // and no skipped class claims to beat it.
-        assert_eq!(
-            frontier_pairs(&learned.points),
-            frontier_pairs(&exact.points)
-        );
-        assert_eq!(learned.guaranteed_vs_predicted, 0.0);
-        assert_eq!(learned.classes.len(), exact.classes.len());
-        assert_eq!(
-            learned.classes_skipped,
-            learned.evaluated.iter().filter(|&&e| !e).count()
-        );
-        // Pre-DP intra counts are filled for skipped classes too.
-        for (lc, ec) in learned.classes.iter().zip(&exact.classes) {
-            assert_eq!(lc.intra_side_nodes, ec.intra_side_nodes);
-        }
     }
 
     #[test]

@@ -149,35 +149,15 @@
 //!   `pipeline.panics_caught`, `pipeline.recovery.<rung>` (one per
 //!   [`Relaxation::label`]), `dp.height_groups`, `dp.nodes`,
 //!   `dp.suffix_reused` (DP nodes whose candidate sets were copied from
-//!   a lent [`DpSuffixCache`]), `dse.classes`, `dse.classes_skipped`
-//!   (classes a learned sweep pruned), `opt.trials_attempted`,
-//!   `opt.trials_accepted`, `mcmm.corner_evals`, and
-//!   `fault.unfired_arms` (chaos arms a dropped fault plan never
-//!   consumed).
+//!   a lent [`DpSuffixCache`]), `dse.classes` (mode classes a sweep
+//!   scored), `opt.trials_attempted`, `opt.trials_accepted`,
+//!   `mcmm.corner_evals`, and `fault.unfired_arms` (chaos arms a dropped
+//!   fault plan never consumed).
 //! - **Gauges**: `process.peak_rss_bytes` (high-water mark).
-//! - **Sweep-outcome records**: one per evaluated
-//!   [`dse::ModeClass`] — the pre-DP [`dse::ClassFeatures`] plus
-//!   resulting metrics — the training rows learned DSE consumes.
-//!
-//! # Learned DSE
-//!
-//! [`dse::SweepEngine::sweep_fanout_learned`] turns those sweep records
-//! into speed: a [`dse::MetricPredictor`] (the `dscts-learn` crate ships
-//! ridge and GBDT regressors plus a JSON model format) predicts every
-//! mode class's metrics from its cheap pre-DP [`dse::ClassFeatures`],
-//! and only the predicted Pareto band — plus a few-shot calibration
-//! subset — is evaluated exactly. Predictions only rank; every reported
-//! point is exact and bit-identical to the full sweep's, so a perfect
-//! band loses *zero* Pareto-frontier points while skipping the
-//! dominated classes entirely (the `baseline --pr10` gate asserts
-//! exactly this on the Table II benchmarks). The result also reports
-//! [`dse::LearnedSweepOutcome::guaranteed_vs_predicted`] — how much
-//! better than the evaluated frontier any *skipped* class claimed to be
-//! — so a pruned sweep quantifies its own risk.
 //!
 //! Export via [`telemetry::Telemetry::snapshot`] →
 //! [`telemetry::TelemetrySnapshot::to_jsonl`]: self-describing JSON
-//! lines (`{"record":"counter"|"gauge"|"histogram"|"sweep",...}`)
+//! lines (`{"record":"counter"|"gauge"|"histogram",...}`)
 //! written by a hand-rolled serializer and checked in-process by the
 //! crate's own JSON parser.
 

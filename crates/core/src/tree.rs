@@ -139,22 +139,6 @@ impl ClockTopo {
         self.trunk_wirelength() + self.star_wirelength()
     }
 
-    /// Half-perimeter of the sink bounding box (nm) — a cheap spatial
-    /// spread feature for learned DSE. Zero when there are no sinks.
-    pub fn sink_spread(&self) -> i64 {
-        let Some(first) = self.sink_pos.first() else {
-            return 0;
-        };
-        let (mut xlo, mut xhi, mut ylo, mut yhi) = (first.x, first.x, first.y, first.y);
-        for p in &self.sink_pos[1..] {
-            xlo = xlo.min(p.x);
-            xhi = xhi.max(p.x);
-            ylo = ylo.min(p.y);
-            yhi = yhi.max(p.y);
-        }
-        (xhi - xlo) + (yhi - ylo)
-    }
-
     /// Number of sinks below each trunk node (the DP's *fanout*).
     pub fn fanout(&self) -> Vec<u32> {
         let mut f = vec![0u32; self.nodes.len()];

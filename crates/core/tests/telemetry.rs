@@ -4,8 +4,8 @@
 //! leave every outcome bit-identical to a never-instrumented run — the
 //! same invariant the budget/recovery layers honor for unconfigured
 //! features. The tests also assert the collector actually observed the
-//! instrumented run (non-trivial counters, span histograms, sweep
-//! training rows) and was frozen at uninstall.
+//! instrumented run (non-trivial counters, span histograms) and was
+//! frozen at uninstall.
 
 use dscts_core::dse::SweepEngine;
 use dscts_core::skew::SkewConfig;
@@ -109,24 +109,10 @@ proptest! {
         };
         prop_assert_eq!(observed.points, baseline.points);
 
-        // One sweep-outcome training row per mode-equivalence class.
-        let snap = collector.snapshot();
-        prop_assert_eq!(snap.sweeps.len(), baseline.classes.len());
+        // One `dse.classes` count per mode-equivalence class.
         prop_assert_eq!(
-            snap.counter("dse.classes"),
+            collector.snapshot().counter("dse.classes"),
             Some(baseline.classes.len() as u64)
         );
-        for (row, class) in snap.sweeps.iter().zip(&baseline.classes) {
-            prop_assert_eq!(row.design.as_str(), design.name.as_str());
-            prop_assert_eq!(row.sinks, design.sinks.len() as u64);
-            prop_assert_eq!(
-                row.threshold_lo,
-                class.thresholds.iter().copied().min().unwrap_or(0)
-            );
-            prop_assert_eq!(
-                row.threshold_hi,
-                class.thresholds.iter().copied().max().unwrap_or(0)
-            );
-        }
     }
 }

@@ -5,8 +5,9 @@
 //! steps need: `DESIGN`, `UNITS`, `DIEAREA`, `ROW` (core box), `COMPONENTS`
 //! (flip-flops, and optionally inserted clock cells), and the clock `PINS`
 //! entry. Workspace-specific metadata that stock DEF cannot carry (cell
-//! count, utilization, macro outlines) travels in `# dscts ...` comment
-//! lines, which standard tools ignore and [`parse_def`] understands.
+//! count, utilization, macro outlines, the exact core box) travels in
+//! `# dscts ...` comment lines, which standard tools ignore and
+//! [`parse_def`] understands.
 //!
 //! One database unit is one nanometre (`UNITS DISTANCE MICRONS 1000`).
 
@@ -56,6 +57,10 @@ pub fn write_def_with_extras(design: &Design, extras: &[ExtraComponent]) -> Stri
     s.push_str("UNITS DISTANCE MICRONS 1000 ;\n");
     s.push_str(&format!("# dscts numCells {}\n", design.num_cells));
     s.push_str(&format!("# dscts utilization {}\n", design.utilization));
+    s.push_str(&format!(
+        "# dscts core {} {} {} {}\n",
+        design.core.xlo, design.core.ylo, design.core.xhi, design.core.yhi
+    ));
     for m in &design.macros {
         s.push_str(&format!(
             "# dscts macro {} {} {} {} {}\n",
@@ -108,14 +113,20 @@ pub fn write_def_with_extras(design: &Design, extras: &[ExtraComponent]) -> Stri
 /// Parses the DEF subset produced by [`write_def`] (and by OpenROAD for the
 /// constructs this subset covers).
 ///
+/// The core box is the `# dscts core` comment when present, else the
+/// union of the `ROW` statements (each one 270 nm tall), else the die.
+///
 /// # Errors
 ///
-/// Returns [`DefError`] on malformed statements or when mandatory sections
-/// (`DESIGN`, `DIEAREA`) are missing.
+/// Returns [`DefError`] on malformed statements — including `ROW`s with a
+/// non-positive count or step or an extent that overflows, and inverted
+/// `# dscts` rectangles — or when mandatory sections (`DESIGN`,
+/// `DIEAREA`) are missing.
 pub fn parse_def(text: &str) -> Result<Design, DefError> {
     let mut name = None;
     let mut die = None;
     let mut core: Option<Rect> = None;
+    let mut row_core: Option<Rect> = None;
     let mut clock_root = None;
     let mut sinks = Vec::new();
     let mut macros = Vec::new();
@@ -123,11 +134,6 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
     let mut utilization = 0.0f64;
     let mut in_components = false;
     let mut in_pins = false;
-
-    let err = |line: usize, msg: &str| DefError {
-        line,
-        message: msg.to_owned(),
-    };
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -150,18 +156,14 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| err(lineno, "bad utilization"))?;
                 }
+                Some(&"core") => {
+                    core = Some(comment_rect(toks.get(3..7), lineno, "core")?);
+                }
                 Some(&"macro") => {
-                    if toks.len() < 8 {
-                        return Err(err(lineno, "bad macro comment"));
-                    }
-                    let nums: Vec<i64> = toks[4..8]
-                        .iter()
-                        .map(|t| t.parse())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| err(lineno, "bad macro coordinates"))?;
+                    let rect = comment_rect(toks.get(4..8), lineno, "macro")?;
                     macros.push(Macro {
                         name: toks[3].to_owned(),
-                        rect: Rect::new(nums[0], nums[1], nums[2], nums[3]),
+                        rect,
                     });
                 }
                 _ => {}
@@ -199,9 +201,22 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
                 let x: i64 = toks[3].parse().map_err(|_| err(lineno, "bad ROW x"))?;
                 let y: i64 = toks[4].parse().map_err(|_| err(lineno, "bad ROW y"))?;
                 let n: i64 = toks[7].parse().map_err(|_| err(lineno, "bad ROW count"))?;
-                let step: i64 = toks.get(10).and_then(|t| t.parse().ok()).unwrap_or(270);
-                let row = Rect::new(x, y, x + n * step, y + 270);
-                core = Some(match core {
+                let step: i64 = match toks.get(10) {
+                    Some(&"STEP") => toks
+                        .get(11)
+                        .and_then(|t| t.parse().ok())
+                        .ok_or_else(|| err(lineno, "bad ROW step"))?,
+                    _ => 270,
+                };
+                if n <= 0 || step <= 0 {
+                    return Err(err(lineno, "ROW count and step must be positive"));
+                }
+                let xhi = n.checked_mul(step).and_then(|w| x.checked_add(w));
+                let (Some(xhi), Some(yhi)) = (xhi, y.checked_add(270)) else {
+                    return Err(err(lineno, "ROW extent overflows"));
+                };
+                let row = Rect::new(x, y, xhi, yhi);
+                row_core = Some(match row_core {
                     None => row,
                     Some(c) => c.union(&row),
                 });
@@ -241,7 +256,7 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
 
     let die = die.ok_or_else(|| err(0, "missing DIEAREA"))?;
     let name = name.ok_or_else(|| err(0, "missing DESIGN"))?;
-    let core = core.unwrap_or(die);
+    let core = core.or(row_core).unwrap_or(die);
     let clock_root = clock_root.unwrap_or_else(|| Point::new(core.center().x, core.ylo));
     Ok(Design {
         name,
@@ -253,6 +268,29 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
         num_cells,
         utilization,
     })
+}
+
+fn err(line: usize, msg: &str) -> DefError {
+    DefError {
+        line,
+        message: msg.to_owned(),
+    }
+}
+
+/// The `xlo ylo xhi yhi` rectangle of a `# dscts` comment; missing,
+/// non-integer or inverted bounds are an error.
+fn comment_rect(toks: Option<&[&str]>, line: usize, what: &str) -> Result<Rect, DefError> {
+    let bad = || err(line, &format!("bad {what} comment"));
+    let nums: Vec<i64> = toks
+        .ok_or_else(bad)?
+        .iter()
+        .map(|t| t.parse())
+        .collect::<Result<_, _>>()
+        .map_err(|_| bad())?;
+    if nums[0] > nums[2] || nums[1] > nums[3] {
+        return Err(err(line, &format!("inverted {what} rectangle")));
+    }
+    Ok(Rect::new(nums[0], nums[1], nums[2], nums[3]))
 }
 
 fn parse_placed(toks: &[&str]) -> Option<(i64, i64)> {
@@ -270,23 +308,24 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything_we_model() {
-        let d = BenchmarkSpec::c4_riscv32i().generate();
-        let text = write_def(&d);
-        let back = parse_def(&text).unwrap();
-        assert_eq!(back.name, d.name);
-        assert_eq!(back.die, d.die);
-        assert_eq!(back.clock_root, d.clock_root);
-        assert_eq!(back.sinks.len(), d.sinks.len());
-        assert_eq!(back.num_cells, d.num_cells);
-        assert_eq!(back.utilization, d.utilization);
-        assert_eq!(back.macros, d.macros);
-        for (a, b) in back.sinks.iter().zip(&d.sinks) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.pos, b.pos);
+        for spec in BenchmarkSpec::all() {
+            let d = spec.generate();
+            let text = write_def(&d);
+            let back = parse_def(&text).unwrap();
+            assert_eq!(back.name, d.name);
+            assert_eq!(back.die, d.die);
+            assert_eq!(back.core, d.core, "{}", d.name);
+            assert_eq!(back.clock_root, d.clock_root);
+            assert_eq!(back.sinks.len(), d.sinks.len());
+            assert_eq!(back.num_cells, d.num_cells);
+            assert_eq!(back.utilization, d.utilization);
+            assert_eq!(back.macros, d.macros);
+            for (a, b) in back.sinks.iter().zip(&d.sinks) {
+                assert_eq!(a.name, b.name);
+                assert_eq!(a.pos, b.pos);
+            }
+            assert_eq!(back.validate(), Ok(()), "{}", d.name);
         }
-        // Core box recovered from rows is within one row of the original.
-        assert!((back.core.ylo - d.core.ylo).abs() <= 270);
-        assert!((back.core.yhi - d.core.yhi).abs() <= 270);
     }
 
     #[test]
@@ -329,5 +368,41 @@ mod tests {
         let d = parse_def(text).unwrap();
         assert_eq!(d.name, "y");
         assert_eq!(d.sinks.len(), 0);
+    }
+
+    #[test]
+    fn rows_alone_give_the_core_when_the_comment_is_absent() {
+        let text = "DESIGN r ;\nDIEAREA ( 0 0 ) ( 4000 4000 ) ;\n\
+                    ROW ROW_0 coreSite 100 200 N DO 10 BY 1 STEP 300 0 ;\n\
+                    ROW ROW_1 coreSite 100 470 N DO 10 BY 1 STEP 300 0 ;\n";
+        assert_eq!(
+            parse_def(text).unwrap().core,
+            Rect::new(100, 200, 3100, 740)
+        );
+    }
+
+    #[test]
+    fn hostile_rows_and_rects_are_errors() {
+        // i64::MAX, i64::MIN and 2^62 as the numbers an overflow needs.
+        for bad in [
+            "ROW R s 0 0 N DO -1 BY 1 STEP 270 0 ;",
+            "ROW R s 0 0 N DO 0 BY 1 STEP 270 0 ;",
+            "ROW R s 0 0 N DO 9223372036854775807 BY 1 STEP 270 0 ;",
+            "ROW R s 0 0 N DO 4611686018427387904 BY 1 STEP 270 0 ;",
+            "ROW R s 0 0 N DO 10 BY 1 STEP -270 0 ;",
+            "ROW R s 0 0 N DO 10 BY 1 STEP ; 0 ;",
+            "ROW R s 9223372036854775807 0 N DO 10 BY 1 STEP 270 0 ;",
+            "ROW R s 0 9223372036854775807 N DO 10 BY 1 STEP 270 0 ;",
+            "ROW R s -9223372036854775808 0 N DO abc BY 1 STEP 270 0 ;",
+            "# dscts macro m 500 0 100 900",
+            "# dscts macro m 0 900 100 500",
+            "# dscts macro m 0 0 100",
+            "# dscts core 9000 0 0 9000",
+            "# dscts core 0 0 ( 9000",
+        ] {
+            let text = format!("DESIGN h ;\nDIEAREA ( 0 0 ) ( 9000 9000 ) ;\n{bad}\n");
+            let e = parse_def(&text).expect_err(bad);
+            assert_eq!(e.line, 3, "{bad}: {e}");
+        }
     }
 }

@@ -567,44 +567,11 @@ fn main() {
                     "name", "count", "sum_s", "p50_s", "p95_s", "p99_s", "le", "counts",
                 ],
             ),
-            "sweep" => (
-                "sweep",
-                &[
-                    "schema_version",
-                    "design",
-                    "sinks",
-                    "distinct_fanouts",
-                    "mode_class",
-                    "threshold_lo",
-                    "threshold_hi",
-                    "intra_nodes",
-                    "stars",
-                    "sink_spread_nm",
-                    "fanout_hist",
-                    "latency_ps",
-                    "skew_ps",
-                    "buffers",
-                    "ntsvs",
-                    "trunk_wirelength_nm",
-                    "switched_cap_ff",
-                ],
-            ),
             other => die(&format!("unknown telemetry record kind {other:?}: {line}")),
         };
         for field in fields {
             if v.get(field).is_none() {
                 die(&format!("telemetry {kind} record lacks {field:?}: {line}"));
-            }
-        }
-        // Forward-compat contract for the dataset ingester: every sweep
-        // record this build exports carries the current schema version.
-        if kind == "sweep" {
-            let version = v.get("schema_version").and_then(telemetry::Json::as_u64);
-            if version != Some(u64::from(telemetry::SWEEP_SCHEMA_VERSION)) {
-                die(&format!(
-                    "telemetry sweep record schema_version {version:?} != {}: {line}",
-                    telemetry::SWEEP_SCHEMA_VERSION
-                ));
             }
         }
         if kind == "histogram" {
@@ -624,15 +591,14 @@ fn main() {
     }
     let n_of = |kind: &str| record_counts.get(kind).copied().unwrap_or(0);
     check(
-        ["meta", "counter", "gauge", "histogram", "sweep"]
+        ["meta", "counter", "gauge", "histogram"]
             .iter()
             .all(|k| n_of(k) > 0),
         &format!(
-            "every JSONL line parses in-process ({} counters / {} gauges / {} histograms / {} sweep records)",
+            "every JSONL line parses in-process ({} counters / {} gauges / {} histograms)",
             n_of("counter"),
             n_of("gauge"),
             n_of("histogram"),
-            n_of("sweep"),
         ),
     );
 
@@ -729,10 +695,6 @@ fn main() {
     check(
         snap.gauge("service.queue_depth").is_some(),
         "queue-depth gauge exported",
-    );
-    check(
-        snap.sweeps.iter().any(|s| s.sinks > 0),
-        "sweep-point jobs logged sweep-outcome training records",
     );
     if let Some(path) = &args.telemetry {
         match std::fs::write(path, jsonl.as_bytes()) {

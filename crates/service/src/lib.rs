@@ -131,8 +131,7 @@
 //!   [`JobOutcome::stages`] mirrors
 //!   [`Outcome::stages`](dscts_core::Outcome::stages) — insertion,
 //!   optimize (one `opt:<name>` row per executed pass), evaluate,
-//!   signoff — and [`JobKind::SweepPoint`] jobs additionally log the
-//!   same sweep-outcome training records the batched DSE engine logs.
+//!   signoff. [`JobKind::SweepPoint`] jobs log no records beyond these.
 //!
 //! Export with `Telemetry::snapshot()` → `TelemetrySnapshot::to_jsonl()`;
 //! the loadtest bin validates every emitted line in-process (schema plus

@@ -656,19 +656,9 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
         });
         *stage_start = now;
     };
-    // Intra-side node count for the sweep-outcome training record,
-    // computed only when a collector is live (bit-identity aside, the
-    // disabled path should not pay for a scan either).
-    let mut sweep_intra: u64 = 0;
     let (mut tree, _dp) = match &job.kind {
         JobKind::SweepPoint { threshold } => {
             let modes = mode_vector(&job.design.topo, ModeRule::FanoutThreshold(*threshold));
-            if telemetry::enabled() {
-                sweep_intra = modes
-                    .iter()
-                    .filter(|&&m| m == dscts_core::Mode::IntraSide)
-                    .count() as u64;
-            }
             pipe.insert_with_modes_cancel(job.design.topo.clone(), &modes, Some(token))?
         }
         _ => pipe.insert_cancel(job.design.topo.clone(), Some(token))?,
@@ -703,33 +693,6 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
         }
         None => None,
     };
-    // Sweep-point jobs are the service's per-class DSE bodies; log the
-    // same training record `SweepEngine` logs per mode class, keyed by
-    // the class the threshold falls into.
-    if let JobKind::SweepPoint { threshold } = &job.kind {
-        if let Some(tel) = telemetry::active() {
-            let levels = job.design.topo.distinct_fanouts();
-            tel.record_sweep(telemetry::SweepRecord {
-                schema_version: telemetry::SWEEP_SCHEMA_VERSION,
-                design: job.design.name.clone(),
-                sinks: job.design.sinks as u64,
-                distinct_fanouts: levels.len() as u64,
-                mode_class: levels.partition_point(|&f| f < *threshold) as u64,
-                threshold_lo: *threshold,
-                threshold_hi: *threshold,
-                intra_nodes: sweep_intra,
-                stars: job.design.topo.stars.len() as u64,
-                sink_spread_nm: job.design.topo.sink_spread().max(0) as u64,
-                fanout_hist: dscts_core::dse::fanout_histogram(&levels),
-                latency_ps: metrics.latency_ps,
-                skew_ps: metrics.skew_ps,
-                buffers: u64::from(metrics.buffers),
-                ntsvs: u64::from(metrics.ntsvs),
-                trunk_wirelength_nm: metrics.trunk_wirelength_nm.max(0) as u64,
-                switched_cap_ff: metrics.switched_cap_ff,
-            });
-        }
-    }
     Ok(JobOutcome {
         metrics,
         robust,

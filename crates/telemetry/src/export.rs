@@ -10,7 +10,6 @@
 //! {"record":"gauge","name":"service.queue_depth","value":0}
 //! {"record":"histogram","name":"job.wall_s","count":128,"sum_s":3.1,
 //!  "p50_s":0.02,"p95_s":0.09,"p99_s":0.31,"le":[...],"counts":[...]}
-//! {"record":"sweep","design":"c4_riscv32i","sinks":760,...}
 //! ```
 //!
 //! The writer emits nothing that the sibling parser ([`crate::parse_json`])
@@ -26,8 +25,6 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(String, i64)>,
     /// Histograms, name-sorted.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Sweep-outcome training records, in collection order.
-    pub sweeps: Vec<SweepRecord>,
 }
 
 /// A frozen histogram: totals, interpolated quantiles, and the raw
@@ -51,66 +48,6 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(f64, u64)>,
 }
 
-/// Schema version stamped into every exported sweep record.
-///
-/// Version history:
-/// - `1` (implicit — records carried no version field): the original
-///   PR 9 feature/metric tuple.
-/// - `2`: adds `schema_version` itself plus the pre-DP design features
-///   `stars`, `sink_spread_nm` and `fanout_hist` that learned DSE
-///   trains on.
-///
-/// The dataset ingester (`dscts-learn`) accepts any version it knows how
-/// to featurize and skips newer records instead of guessing; the service
-/// loadtest validates the field on every exported line.
-pub const SWEEP_SCHEMA_VERSION: u32 = 2;
-
-/// One sweep-outcome training record: the design features and mode
-/// class a DSE evaluation ran with, and the metrics it produced. This
-/// is the raw material for learned design-space exploration (predict
-/// metrics from features; skip dominated classes).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepRecord {
-    /// Record schema version (see [`SWEEP_SCHEMA_VERSION`]).
-    pub schema_version: u32,
-    /// Design name.
-    pub design: String,
-    /// Number of clock sinks.
-    pub sinks: u64,
-    /// Distinct internal fanout values (the mode-class alphabet size).
-    pub distinct_fanouts: u64,
-    /// Index of the mode-equivalence class within this sweep.
-    pub mode_class: u64,
-    /// Smallest fanout threshold mapped to this class.
-    pub threshold_lo: u32,
-    /// Largest fanout threshold mapped to this class.
-    pub threshold_hi: u32,
-    /// Nodes placed in intra-side mode by this class's threshold.
-    pub intra_nodes: u64,
-    /// Leaf clusters (stars) of the routed topology.
-    pub stars: u64,
-    /// Half-perimeter of the sink bounding box, nm — the cheap spatial
-    /// spread feature.
-    pub sink_spread_nm: u64,
-    /// Log-bucketed histogram of the distinct fanout values: counts in
-    /// `[1,8)`, `[8,32)`, `[32,128)`, `[128,∞)`.
-    pub fanout_hist: [u64; 4],
-    /// Resulting worst sink latency, ps.
-    pub latency_ps: f64,
-    /// Resulting global skew, ps.
-    pub skew_ps: f64,
-    /// Buffers inserted.
-    pub buffers: u64,
-    /// Nano-TSVs inserted.
-    pub ntsvs: u64,
-    /// Trunk wirelength, nm. Insertion and optimization never move
-    /// trunk edges, so this doubles as the pre-DP routed trunk length —
-    /// a design feature learned DSE can recompute before any DP runs.
-    pub trunk_wirelength_nm: u64,
-    /// Switched capacitance, fF.
-    pub switched_cap_ff: f64,
-}
-
 impl TelemetrySnapshot {
     /// Look up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -131,8 +68,8 @@ impl TelemetrySnapshot {
     }
 
     /// Serialize to JSON-lines: one `meta` header line, then one line
-    /// per counter, gauge, histogram and sweep record, in that order
-    /// (names sorted within each kind, sweeps in collection order).
+    /// per counter, gauge and histogram, in that order (names sorted
+    /// within each kind).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"record\":\"meta\",\"schema\":\"dscts-telemetry\",\"version\":1}\n");
@@ -180,41 +117,6 @@ impl TelemetrySnapshot {
                 out.push_str(&c.to_string());
             }
             out.push_str("]}\n");
-        }
-        for s in &self.sweeps {
-            out.push_str("{\"record\":\"sweep\",\"schema_version\":");
-            out.push_str(&s.schema_version.to_string());
-            out.push_str(",\"design\":");
-            push_json_str(&mut out, &s.design);
-            out.push_str(&format!(
-                ",\"sinks\":{},\"distinct_fanouts\":{},\"mode_class\":{},\
-                 \"threshold_lo\":{},\"threshold_hi\":{},\"intra_nodes\":{},\
-                 \"stars\":{},\"sink_spread_nm\":{}",
-                s.sinks,
-                s.distinct_fanouts,
-                s.mode_class,
-                s.threshold_lo,
-                s.threshold_hi,
-                s.intra_nodes,
-                s.stars,
-                s.sink_spread_nm
-            ));
-            out.push_str(",\"fanout_hist\":[");
-            for (i, c) in s.fanout_hist.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push(']');
-            push_f64_field(&mut out, "latency_ps", s.latency_ps);
-            push_f64_field(&mut out, "skew_ps", s.skew_ps);
-            out.push_str(&format!(
-                ",\"buffers\":{},\"ntsvs\":{},\"trunk_wirelength_nm\":{}",
-                s.buffers, s.ntsvs, s.trunk_wirelength_nm
-            ));
-            push_f64_field(&mut out, "switched_cap_ff", s.switched_cap_ff);
-            out.push_str("}\n");
         }
         out
     }
@@ -281,30 +183,11 @@ mod tests {
                 p99_s: 0.2,
                 buckets: vec![(1e-3, 0), (1.0, 2), (f64::MAX, 0)],
             }],
-            sweeps: vec![SweepRecord {
-                schema_version: SWEEP_SCHEMA_VERSION,
-                design: "c1_jpeg".to_owned(),
-                sinks: 2000,
-                distinct_fanouts: 5,
-                mode_class: 1,
-                threshold_lo: 8,
-                threshold_hi: 16,
-                intra_nodes: 37,
-                stars: 63,
-                sink_spread_nm: 480_000,
-                fanout_hist: [2, 1, 1, 1],
-                latency_ps: 123.5,
-                skew_ps: 2.25,
-                buffers: 41,
-                ntsvs: 12,
-                trunk_wirelength_nm: 99_000,
-                switched_cap_ff: 18.75,
-            }],
         };
         let jsonl = snap.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        // meta + 2 counters + 1 gauge + 1 histogram + 1 sweep
-        assert_eq!(lines.len(), 6);
+        // meta + 2 counters + 1 gauge + 1 histogram
+        assert_eq!(lines.len(), 5);
         for line in &lines {
             let v = parse(line).expect("every line parses");
             assert!(v.get("record").is_some(), "self-describing record");
@@ -318,29 +201,6 @@ mod tests {
         assert_eq!(
             hist.get("counts").and_then(Json::as_array).map(Vec::len),
             Some(1)
-        );
-        let sweep = parse(lines[5]).expect("parses");
-        assert_eq!(sweep.get("design").and_then(Json::as_str), Some("c1_jpeg"));
-        assert_eq!(
-            sweep.get("schema_version").and_then(Json::as_u64),
-            Some(u64::from(SWEEP_SCHEMA_VERSION))
-        );
-        assert_eq!(sweep.get("stars").and_then(Json::as_u64), Some(63));
-        assert_eq!(
-            sweep.get("sink_spread_nm").and_then(Json::as_u64),
-            Some(480_000)
-        );
-        let hist: Vec<u64> = sweep
-            .get("fanout_hist")
-            .and_then(Json::as_array)
-            .expect("fanout_hist is an array")
-            .iter()
-            .map(|v| v.as_u64().expect("hist counts are integers"))
-            .collect();
-        assert_eq!(hist, vec![2, 1, 1, 1]);
-        assert_eq!(
-            sweep.get("switched_cap_ff").and_then(Json::as_f64),
-            Some(18.75)
         );
         // Accessors agree with the export.
         assert_eq!(snap.counter("plain"), Some(0));

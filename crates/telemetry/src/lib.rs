@@ -10,18 +10,16 @@
 //!   the duration into a latency histogram (`span.<site>`) when it
 //!   drops. Spans nest naturally (each is an independent RAII value)
 //!   and are thread-safe.
-//! - **Metrics registry** — [`MetricsRegistry`] holds named
-//!   [`Counter`]s, [`Gauge`]s and fixed-bucket log-spaced latency
-//!   [`Histogram`]s. Handles are cheap `Arc`-backed clones that can be
-//!   resolved once and hammered from hot loops without touching the
-//!   registry lock again.
+//! - **Metrics** — a [`Telemetry`] collector holds named [`Counter`]s,
+//!   [`Gauge`]s and fixed-bucket log-spaced latency [`Histogram`]s.
+//!   Handles are cheap `Arc`-backed clones that can be resolved once
+//!   and hammered from hot loops without touching the collector's
+//!   locks again.
 //! - **Structured export** — [`Telemetry::snapshot`] freezes everything
 //!   into a [`TelemetrySnapshot`], serialized to JSON-lines by a
 //!   hand-rolled writer ([`TelemetrySnapshot::to_jsonl`]) and readable
 //!   back by the hand-rolled parser in [`parse_json`] (the build is
-//!   offline, so both ends are dependency-free). Sweep-outcome
-//!   [`SweepRecord`]s — design features plus the metrics a mode class
-//!   produced — ride along as training data for future learned DSE.
+//!   offline, so both ends are dependency-free).
 //!
 //! # Installation model
 //!
@@ -74,23 +72,26 @@ mod export;
 mod json;
 mod metrics;
 
-pub use export::{HistogramSnapshot, SweepRecord, TelemetrySnapshot, SWEEP_SCHEMA_VERSION};
+pub use export::{HistogramSnapshot, TelemetrySnapshot};
 pub use json::{parse as parse_json, Json};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram};
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// An in-process telemetry collector: a metrics registry plus the
-/// sweep-outcome event log.
+/// An in-process telemetry collector: named counters, gauges and
+/// histograms with get-or-create semantics. Names live in `BTreeMap`s,
+/// so snapshots and exports enumerate them in sorted order.
 ///
 /// Collectors are inert until [`install`]ed; multiple can exist (e.g.
 /// one per test) but only the installed one receives events.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    metrics: MetricsRegistry,
-    sweeps: Mutex<Vec<SweepRecord>>,
+    counters: Mutex<BTreeMap<String, Counter>>,
+    gauges: Mutex<BTreeMap<String, Gauge>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Telemetry {
@@ -99,61 +100,63 @@ impl Telemetry {
         Self::default()
     }
 
-    /// The underlying metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Get-or-create the named counter (cheap clonable handle).
     pub fn counter(&self, name: &str) -> Counter {
-        self.metrics.counter(name)
+        get_or_create(&self.counters, name)
     }
 
     /// Get-or-create the named gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.metrics.gauge(name)
+        get_or_create(&self.gauges, name)
     }
 
     /// Get-or-create the named latency histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.metrics.histogram(name)
+        get_or_create(&self.histograms, name)
     }
 
     /// Record one duration observation into the named histogram.
     pub fn record_duration(&self, name: &str, seconds: f64) {
-        self.metrics.histogram(name).record(seconds);
-    }
-
-    /// Append one sweep-outcome training record.
-    pub fn record_sweep(&self, record: SweepRecord) {
-        self.sweeps
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(record);
-    }
-
-    /// Number of sweep-outcome records collected so far.
-    pub fn sweep_count(&self) -> usize {
-        self.sweeps
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.histogram(name).record(seconds);
     }
 
     /// Freeze the current state into an exportable snapshot.
     ///
     /// Concurrent writers may still be recording; the snapshot is a
     /// consistent-enough point-in-time view (each metric is read
-    /// atomically, the sweep log under its lock).
+    /// atomically).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.sweeps = self
-            .sweeps
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        snap
+        TelemetrySnapshot {
+            counters: lock(&self.counters)
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            gauges: lock(&self.gauges)
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms: lock(&self.histograms)
+                .iter()
+                .map(|(k, v)| v.snapshot(k))
+                .collect(),
+        }
     }
+}
+
+/// Every update leaves a name map valid, so a poisoned lock is safe to
+/// recover.
+fn lock<T>(map: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn get_or_create<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = lock(map);
+    if let Some(v) = map.get(name) {
+        return v.clone();
+    }
+    let v = T::default();
+    map.insert(name.to_owned(), v.clone());
+    v
 }
 
 /// The installed collector slot. Generation numbers make guard drops
@@ -342,34 +345,5 @@ mod tests {
         assert!(active().is_none());
         count("x", 100); // free no-op
         assert_eq!(b.snapshot().counter("x"), Some(1));
-
-        // Sweep records flow through the snapshot.
-        let c = Arc::new(Telemetry::new());
-        let guard_c = install(c.clone());
-        if let Some(t) = active() {
-            t.record_sweep(SweepRecord {
-                schema_version: SWEEP_SCHEMA_VERSION,
-                design: "unit".to_owned(),
-                sinks: 10,
-                distinct_fanouts: 3,
-                mode_class: 0,
-                threshold_lo: 1,
-                threshold_hi: 4,
-                intra_nodes: 2,
-                stars: 4,
-                sink_spread_nm: 2_000,
-                fanout_hist: [3, 0, 0, 0],
-                latency_ps: 100.0,
-                skew_ps: 1.5,
-                buffers: 7,
-                ntsvs: 3,
-                trunk_wirelength_nm: 1234,
-                switched_cap_ff: 9.5,
-            });
-        }
-        assert_eq!(c.sweep_count(), 1);
-        let snap = c.snapshot();
-        assert_eq!(snap.sweeps.len(), 1);
-        drop(guard_c);
     }
 }

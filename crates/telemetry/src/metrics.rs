@@ -2,14 +2,12 @@
 //! log-spaced latency histograms.
 //!
 //! All handles are cheap `Arc`-backed clones over atomics, so hot loops
-//! resolve a handle once (one registry-lock acquisition) and then
-//! record lock-free. Registry keys live in `BTreeMap`s so snapshots and
-//! exports enumerate in a deterministic order.
+//! resolve a handle once (one lock acquisition on the collector) and
+//! then record lock-free.
 
-use crate::export::{HistogramSnapshot, TelemetrySnapshot};
-use std::collections::BTreeMap;
+use crate::export::HistogramSnapshot;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Default)]
@@ -17,7 +15,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A fresh counter at zero (unregistered; normally obtained from
-    /// [`MetricsRegistry::counter`]).
+    /// [`Telemetry::counter`](crate::Telemetry::counter)).
     pub fn new() -> Self {
         Self::default()
     }
@@ -117,7 +115,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// A fresh, empty histogram (unregistered; normally obtained from
-    /// [`MetricsRegistry::histogram`]).
+    /// [`Telemetry::histogram`](crate::Telemetry::histogram)).
     pub fn new() -> Self {
         Self::default()
     }
@@ -196,97 +194,14 @@ impl Histogram {
     }
 }
 
-/// Named counters, gauges and histograms with get-or-create semantics
-/// and deterministic (sorted-name) snapshot order.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-}
-
-impl MetricsRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get-or-create the named counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = map.get(name) {
-            return c.clone();
-        }
-        let c = Counter::new();
-        map.insert(name.to_owned(), c.clone());
-        c
-    }
-
-    /// Get-or-create the named gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(g) = map.get(name) {
-            return g.clone();
-        }
-        let g = Gauge::new();
-        map.insert(name.to_owned(), g.clone());
-        g
-    }
-
-    /// Get-or-create the named histogram.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(h) = map.get(name) {
-            return h.clone();
-        }
-        let h = Histogram::new();
-        map.insert(name.to_owned(), h.clone());
-        h
-    }
-
-    /// Freeze every metric into a snapshot (sweep log left empty; the
-    /// owning [`Telemetry`](crate::Telemetry) fills it in).
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| v.snapshot(k))
-            .collect();
-        TelemetrySnapshot {
-            counters,
-            gauges,
-            histograms,
-            sweeps: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     #[test]
     fn counter_and_gauge_basics() {
-        let reg = MetricsRegistry::new();
+        let reg = Telemetry::new();
         let c = reg.counter("a");
         c.incr();
         c.add(4);
@@ -336,7 +251,7 @@ mod tests {
 
     #[test]
     fn snapshot_orders_names_deterministically() {
-        let reg = MetricsRegistry::new();
+        let reg = Telemetry::new();
         reg.counter("zebra").incr();
         reg.counter("alpha").incr();
         reg.histogram("m").record(0.5);

@@ -9,8 +9,6 @@
 //!   dscts --design <c1|c2|c3|c4|c5>          run a built-in benchmark
 //!   dscts --def <placed.def>                 run on a placed DEF file
 //!   dscts --design c3 --sweep 10             exact DSE threshold sweep
-//!   dscts --train log.jsonl --model m.json   train a metric predictor
-//!   dscts --design c3 --predict --model m.json   predictor-pruned sweep
 //!
 //! OPTIONS:
 //!   --flow <ours|front|openroad|flip2|flip7|flip6>   flow to run   [ours]
@@ -22,12 +20,9 @@
 //!   --recover          retry infeasible runs down the relaxation ladder
 //!   --telemetry <file> write a JSON-lines telemetry snapshot of the run
 //!   --sweep <step>     sweep fanout thresholds 20..=1000 by <step>
-//!   --train <jsonl>    train on a telemetry log (requires --model)
-//!   --predict          prune the sweep with a trained --model
-//!   --model <file>     model file to write (--train) or read (--predict)
-//!   --gbdt             train the GBDT ensemble instead of ridge
-//!   --seed <N>         training seed (default 7)
 //! ```
+//!
+//! An unknown flag, or a value flag without its value, is an error.
 
 use dscts::baseline::{flip_backside, FlipMethod, HTreeCts};
 use dscts::core::opt::PassManager;
@@ -57,6 +52,7 @@ fn run() -> Result<(), String> {
         print!("{}", USAGE);
         return Ok(());
     }
+    check_args(&args)?;
     let get = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -74,12 +70,6 @@ fn run() -> Result<(), String> {
     let _telemetry_guard = collector
         .as_ref()
         .map(|c| dscts::telemetry::install(std::sync::Arc::clone(c)));
-
-    // Model training runs standalone — no design, just a JSONL telemetry
-    // log from a previous `--sweep --telemetry` run (or the service).
-    if let Some(data_path) = get("--train") {
-        return train_model(&data_path, get("--model"), has("--gbdt"), get("--seed"));
-    }
 
     let design = load_design(get("--design"), get("--def"))?;
     let tech = Technology::asap7();
@@ -113,53 +103,23 @@ fn run() -> Result<(), String> {
         pipeline = pipeline.recovery(RecoveryPolicy::default());
     }
 
-    // DSE sweeps: `--sweep` runs the exact batched engine (recording
-    // per-class training rows when --telemetry is set); `--predict`
-    // prunes the same grid with a trained model instead.
-    if has("--predict") || get("--sweep").is_some() {
-        let step: usize = match get("--sweep") {
-            Some(s) => s.parse().map_err(|_| format!("bad --sweep value `{s}`"))?,
-            None => 10,
-        };
+    // DSE sweep: the exact batched engine, one DP run per mode class.
+    if let Some(s) = get("--sweep") {
+        let step: usize = s.parse().map_err(|_| format!("bad --sweep value `{s}`"))?;
         if step == 0 {
             return Err("--sweep step must be positive".to_owned());
         }
         let thresholds: Vec<u32> = (20..=1000).step_by(step).collect();
         let base = DsCts::new(tech.clone()).eval_model(model);
-        let engine = dscts::core::dse::SweepEngine::new(&base);
-        let frontier = if has("--predict") {
-            let model_path = get("--model").ok_or("--predict requires --model <file>")?;
-            let text = std::fs::read_to_string(&model_path)
-                .map_err(|e| format!("cannot read `{model_path}`: {e}"))?;
-            let predictor = dscts::learn::LearnedModel::from_json(&text)?;
-            let cfg = dscts::core::dse::PruneConfig::default();
-            let learned = engine
-                .sweep_fanout_learned(&design, thresholds.iter().copied(), &predictor, &cfg)
-                .map_err(|e| e.to_string())?;
-            println!(
-                "learned sweep ({} model): {} thresholds, {} mode classes, {} evaluated, {} skipped",
-                predictor.kind(),
-                thresholds.len(),
-                learned.classes.len(),
-                learned.classes.len() - learned.classes_skipped,
-                learned.classes_skipped,
-            );
-            println!(
-                "guaranteed-vs-predicted frontier distance: {:.6}",
-                learned.guaranteed_vs_predicted
-            );
-            dscts::core::dse::frontier_pairs(&learned.points)
-        } else {
-            let sweep = engine
-                .try_sweep(&design, thresholds.iter().copied())
-                .map_err(|e| e.to_string())?;
-            println!(
-                "exact sweep: {} thresholds collapsed into {} mode-class DP runs",
-                thresholds.len(),
-                sweep.classes.len(),
-            );
-            dscts::core::dse::frontier_pairs(&sweep.points)
-        };
+        let sweep = dscts::core::dse::SweepEngine::new(&base)
+            .try_sweep(&design, thresholds.iter().copied())
+            .map_err(|e| e.to_string())?;
+        println!(
+            "exact sweep: {} thresholds collapsed into {} mode-class DP runs",
+            thresholds.len(),
+            sweep.classes.len(),
+        );
+        let frontier = dscts::core::dse::frontier_pairs(&sweep.points);
         println!("Pareto frontier ({} points):", frontier.len());
         for (res, lat) in frontier {
             println!("  {res:>6} resources  {lat:>10.3} ps latency");
@@ -167,7 +127,7 @@ fn run() -> Result<(), String> {
         if let (Some(path), Some(collector)) = (&telemetry_out, &collector) {
             std::fs::write(path, collector.snapshot().to_jsonl())
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            println!("telemetry snapshot written to {path} (feed it to --train)");
+            println!("telemetry snapshot written to {path}");
         }
         return Ok(());
     }
@@ -279,39 +239,35 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
-/// Trains a metric predictor on a JSONL telemetry log and writes the
-/// model file (`--train`). Ridge by default; `--gbdt` for the boosted
-/// ensemble.
-fn train_model(
-    data_path: &str,
-    model_out: Option<String>,
-    gbdt: bool,
-    seed: Option<String>,
-) -> Result<(), String> {
-    use dscts::learn::{Dataset, GbdtConfig, GbdtPredictor, LearnedModel, RidgePredictor};
-    let out = model_out.ok_or("--train requires --model <file>")?;
-    let seed: u64 = match seed {
-        Some(s) => s.parse().map_err(|_| format!("bad --seed value `{s}`"))?,
-        None => 7,
-    };
-    let text = std::fs::read_to_string(data_path)
-        .map_err(|e| format!("cannot read `{data_path}`: {e}"))?;
-    let data = Dataset::from_jsonl(&text)?;
-    let model = if gbdt {
-        let cfg = GbdtConfig {
-            seed,
-            ..GbdtConfig::default()
-        };
-        LearnedModel::Gbdt(GbdtPredictor::train(&data, &cfg)?)
-    } else {
-        LearnedModel::Ridge(Box::new(RidgePredictor::train(&data, 1.0, seed)?))
-    };
-    std::fs::write(&out, model.to_json()).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!(
-        "trained {} model on {} sweep records; written to {out}",
-        model.kind(),
-        data.len()
-    );
+/// Flags that take a value, and flags that stand alone (`--help` is
+/// handled before these are checked).
+const VALUE_FLAGS: [&str; 8] = [
+    "--design",
+    "--def",
+    "--flow",
+    "--fanout",
+    "--out",
+    "--deadline-ms",
+    "--telemetry",
+    "--sweep",
+];
+const SWITCHES: [&str; 3] = ["--nldm", "--size", "--recover"];
+
+/// Rejects any argument that is not a flag from the usage text, and any
+/// value flag whose value is missing (last argument, or followed by
+/// another flag).
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            match rest.next() {
+                Some(v) if !v.starts_with("--") => {}
+                _ => return Err(format!("`{arg}` needs a value")),
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
     Ok(())
 }
 
@@ -344,12 +300,7 @@ dscts - systematic multi-objective double-side clock tree synthesis
 USAGE:
   dscts --design <c1|c2|c3|c4|c5> [options]   run a built-in benchmark
   dscts --def <placed.def> [options]          run on a placed DEF file
-  dscts --design c3 --sweep 10 --telemetry log.jsonl   exact DSE sweep,
-                   recording per-class training rows
-  dscts --train log.jsonl --model m.json [--gbdt] [--seed N]
-                   train a metric predictor on a telemetry log
-  dscts --design c3 --predict --model m.json  predictor-pruned sweep
-                   (prints classes skipped + frontier distance)
+  dscts --design c3 --sweep 10                exact DSE threshold sweep
 
 OPTIONS:
   --flow <ours|front|openroad|flip2|flip7|flip6>   flow to run (default ours)
@@ -362,16 +313,10 @@ OPTIONS:
   --recover        on infeasibility, retry down the relaxation ladder
                    (extended patterns, more candidates, single-side)
   --telemetry <file>  run under a telemetry collector and write its
-                      JSON-lines snapshot (span histograms, counters;
-                      with --sweep, per-class training rows)
+                      JSON-lines snapshot (span histograms, counters)
   --sweep <step>   sweep fanout thresholds 20..=1000 by <step> with the
                    batched DSE engine and print the Pareto frontier
-  --train <jsonl>  train a metric predictor on a telemetry log and write
-                   it to --model (ridge unless --gbdt; exits afterwards)
-  --predict        prune the --sweep grid with the trained --model: only
-                   predicted-frontier classes are evaluated exactly
-  --model <file>   model file to write (--train) or read (--predict)
-  --gbdt           train the hand-rolled GBDT ensemble instead of ridge
-  --seed <N>       training seed for reproducible model files (default 7)
   -h, --help       show this help
+
+Unknown flags, and value flags given without a value, are errors.
 ";

@@ -18,9 +18,8 @@
 //! | [`dme`] | `dscts-dme` | zero-skew deferred-merge embedding |
 //! | [`vanginneken`] | `dscts-buffer` | classic single-side buffer insertion |
 //! | [`core`] | `dscts-core` | the staged CTS engine: stages, patterns, DP, the composable `opt` pass layer, the `mcmm` multi-corner subsystem, DSE, baselines, errors |
-//! | [`learn`] | `dscts-learn` | learned DSE: feature extraction, pure-Rust ridge / GBDT regressors, model files |
 //! | [`service`] | `dscts-service` | multi-tenant job service: route-once design cache, bounded worker pool, admission control, quarantine, graceful drain |
-//! | [`telemetry`] | `dscts-telemetry` | zero-dependency observability: spans, metrics registry, JSON-lines export |
+//! | [`telemetry`] | `dscts-telemetry` | zero-dependency observability: spans, counters, gauges, histograms, JSON-lines export |
 //!
 //! The synthesis flow itself is a **staged engine**: [`DsCts`] executes
 //! `route → insertion → optimize → evaluate`, where each phase is a
@@ -107,7 +106,6 @@ pub use dscts_cluster as cluster;
 pub use dscts_core as core;
 pub use dscts_dme as dme;
 pub use dscts_geom as geom;
-pub use dscts_learn as learn;
 pub use dscts_netlist as netlist;
 pub use dscts_service as service;
 pub use dscts_tech as tech;

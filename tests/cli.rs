@@ -1,0 +1,41 @@
+//! The `dscts` binary's argument handling: misuse exits 1 with an
+//! `error:` line instead of being ignored or panicking.
+
+use std::process::{Command, Output};
+
+fn dscts(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dscts"))
+        .args(args)
+        .output()
+        .expect("the dscts binary runs")
+}
+
+#[test]
+fn unknown_flags_and_missing_values_are_errors() {
+    for args in [
+        &["--design", "c4", "--predict"][..],
+        &["--train", "x"],
+        &["--design", "c4", "--fanuot", "100"],
+        &["--design", "c4", "--fanout"],
+        &["--design", "c4", "--telemetry", "--nldm"],
+        &["c4"],
+    ] {
+        let out = dscts(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn known_flags_still_run() {
+    let out = dscts(&["--design", "c4"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("stages:"));
+}
