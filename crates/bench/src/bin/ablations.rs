@@ -1,4 +1,4 @@
-//! Design-choice ablations beyond the paper's figures (DESIGN.md E-A1):
+//! Design-choice ablations beyond the paper's figures:
 //!
 //! 1. **Pruning discipline** — the paper's latency-optimal rule versus the
 //!    4-D multi-objective rule, at several candidate caps;

@@ -1,7 +1,7 @@
-//! Shared harness utilities for the experiment regenerators.
+//! Paper experiment regenerators and the release quality gates.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the experiment index):
+//! Each binary in `src/bin/` regenerates one table or figure of the paper,
+//! or one study beyond it; this table is the experiment index:
 //!
 //! | binary      | artifact  | what it reproduces                          |
 //! |-------------|-----------|---------------------------------------------|
@@ -11,45 +11,26 @@
 //! | `fig11`     | Fig. 11   | skew-refinement ablation                     |
 //! | `fig12`     | Fig. 12   | DSE Pareto comparison on C3                  |
 //! | `ablations` | —         | design-choice ablations (pruning, patterns…) |
+//! | `scaling`   | —         | quality and runtime versus sink count        |
+//! | `opt_micro` | —         | wall clock of each optimization pass         |
 //!
 //! Binaries print human-readable tables and write CSV series under
 //! `results/`.
 //!
-//! # Scaling methodology
-//!
-//! The scaling tier (`baseline --scaling`, snapshot `BENCH_pr6.json`)
-//! measures the full default pipeline on the reproducible
-//! `BenchmarkSpec::scaled(n_sinks, seed)` fixtures at 100k, 250k and 1M
-//! sinks. For every stage it records two numbers:
-//!
-//! * **wall clock** — the per-stage timings from
-//!   [`dscts_core::Outcome::stages`], gated in-process so no stage grows
-//!   worse than O(n log n) between the smallest and largest fixture;
-//! * **peak RSS** — the process high-water resident-set mark from
-//!   [`rss::peak_rss_bytes`], sampled after each stage. The probe reads
-//!   `VmHWM` from `/proc/self/status`, so the column is **Linux-only**:
-//!   on other platforms it degrades to `null` in the snapshot and the
-//!   tables print `n/a`. Because `VmHWM` is process-wide and monotone,
-//!   per-stage values identify which stage first pushed the process to a
-//!   given footprint, not each stage's isolated allocation.
-//!
-//! CI runs the quick subset (100k sinks) and diffs runtimes against the
-//! committed snapshot via `baseline --check BENCH_pr6.json`.
+//! Performance is measured by the repository benchmark (`benchmark/`, one
+//! schema for end-to-end and per-layer numbers). The quality gates that
+//! must hold on every change — committed topology digests and flow
+//! quality, annealed-versus-greedy sizing, robust-versus-nominal MCMM,
+//! the DP frontier cap and the n log n stage-scaling check — live in
+//! `tests/gates.rs`.
 
 use dscts_core::skew::SkewConfig;
-use dscts_core::{run_dp, DpConfig, HierarchicalRouter, MoesWeights, SynthesizedTree};
+use dscts_core::{try_run_dp, DpConfig, HierarchicalRouter, MoesWeights, SynthesizedTree};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_tech::Technology;
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Peak-RSS measurement for the scaling tier — re-exported from the core
-/// crate so bench binaries and external harnesses reach it as
-/// `dscts_bench::rss::peak_rss_bytes()`. See the crate-level "Scaling
-/// methodology" notes for what the number means and the Linux-only
-/// caveat.
-pub use dscts_core::rss;
 
 /// Generates all five Table II designs (order C1..C5). Generation is
 /// per-design deterministic and independent, so it fans out across
@@ -65,9 +46,8 @@ pub const DESIGN_IDS: [&str; 5] = ["C1", "C2", "C3", "C4", "C5"];
 /// A post-CTS optimization workload: the given design routed and
 /// DP-assigned with latency-greedy MOES weights, which leaves skew on the
 /// table so the sizing and refinement passes do real work. Shared by the
-/// `opt_micro` bin, the `opt_passes`/`opt_schedule` criterion groups and
-/// the `baseline --pr4` greedy-vs-annealed snapshot so they all measure
-/// the *same* workloads.
+/// `opt_micro` bin, the `no_alloc_hot_loop` test and the sizing and MCMM
+/// gates in `tests/gates.rs`, so they all measure the *same* workloads.
 pub fn sizing_workload(spec: &BenchmarkSpec) -> (SynthesizedTree, Technology) {
     let tech = Technology::asap7();
     let design = spec.generate();
@@ -80,9 +60,12 @@ pub fn sizing_workload(spec: &BenchmarkSpec) -> (SynthesizedTree, Technology) {
         },
         ..DpConfig::default()
     };
-    let mut topo = HierarchicalRouter::new().route(&design, &tech);
+    let mut topo = HierarchicalRouter::new()
+        .try_route(&design, &tech)
+        .expect("benchmark designs route");
     topo.subdivide(40_000);
-    let res = run_dp(&topo, &tech, &cfg);
+    let (res, _) = try_run_dp(&topo, &tech, &cfg, None, None, None)
+        .expect("latency-greedy DP is feasible on benchmark designs");
     (SynthesizedTree::new(topo, res.assignment), tech)
 }
 
@@ -92,10 +75,8 @@ pub fn c2_sizing_workload() -> (SynthesizedTree, Technology) {
 }
 
 /// The Fig. 12 fanout-threshold grid (20..=1000) at the given step. The
-/// paper's sweep uses step 10 (99 configurations); `fig12 --quick` and the
-/// criterion benches coarsen it. Shared by `fig12`, the `baseline --pr3`
-/// snapshot and the `dse_sweep` criterion group so they all measure the
-/// same workload.
+/// paper's sweep uses step 10 (99 configurations); `fig12 --quick`
+/// coarsens it.
 pub fn fig12_thresholds(step: usize) -> Vec<u32> {
     (20..=1000).step_by(step).collect()
 }

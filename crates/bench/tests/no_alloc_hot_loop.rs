@@ -89,7 +89,7 @@ fn steady_state_sizing_moves_do_not_allocate() {
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
 
-    // One corner: the `opt_passes` / sizing micro-bench path.
+    // One corner: the sizing path `opt_micro` times.
     let mut t = tree.clone();
     let mut eval = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
     let grew = allocations_per_window(&mut eval);
@@ -99,9 +99,9 @@ fn steady_state_sizing_moves_do_not_allocate() {
     );
     drop(eval);
 
-    // Three corners on the serial fan-out: the `mcmm_eval` criterion
-    // loop. (The parallel path spawns scoped threads, which allocate by
-    // design; it is gated to huge trees.)
+    // Three corners on the serial fan-out: the robust optimize loop of
+    // the MCMM gate in `gates.rs`. (The parallel path spawns scoped
+    // threads, which allocate by design; it is gated to huge trees.)
     let corners = CornerSet::asap7_pvt(&tech);
     let mut t = tree.clone();
     let mut eval = IncrementalEval::with_corners(

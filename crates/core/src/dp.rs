@@ -73,7 +73,7 @@ impl ModeRule {
 /// never on the candidate sets, so the vector can be computed up front —
 /// the DSE engine uses this to prove two `FanoutThreshold` values
 /// equivalent (identical vectors) and run the DP once per equivalence
-/// class via [`try_run_dp_with_modes`].
+/// class via [`try_run_dp`].
 pub fn mode_vector(topo: &ClockTopo, rule: ModeRule) -> Vec<Mode> {
     let fanout = topo.fanout();
     let total = fanout[0];
@@ -202,7 +202,7 @@ pub struct RootCand {
     pub cap_ff: f64,
 }
 
-/// Output of [`run_dp`].
+/// Output of [`try_run_dp`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpResult {
     /// Pattern for every trunk node's incoming edge (`None` for node 0).
@@ -213,8 +213,8 @@ pub struct DpResult {
     pub chosen: usize,
     /// Total candidate records stored across all DP nodes — the peak
     /// footprint of the candidate arena. This is what
-    /// [`DpConfig::frontier`] bounds; the scaling bench reports it to show
-    /// the cap's effect.
+    /// [`DpConfig::frontier`] bounds; the frontier gate in the bench
+    /// crate's `gates` test reports it to show the cap's effect.
     pub stored_candidates: usize,
 }
 
@@ -228,22 +228,6 @@ struct Work {
     bufs: u32,
     ntsvs: u32,
     child: [u32; 2],
-}
-
-/// Runs the concurrent buffer-and-nTSV DP over a routed clock tree.
-///
-/// Thin panicking wrapper over [`try_run_dp`], kept for callers that treat
-/// infeasibility as a bug (tests, benches, ablations).
-///
-/// # Panics
-///
-/// Panics with the [`CtsError`] display text if the trunk is malformed or
-/// the max-capacitance constraint makes every candidate infeasible.
-pub fn run_dp(topo: &ClockTopo, tech: &Technology, cfg: &DpConfig) -> DpResult {
-    match try_run_dp(topo, tech, cfg) {
-        Ok(res) => res,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Nodes within this many edges of the clock root always keep the full
@@ -294,19 +278,6 @@ struct DpCtx<'a> {
 pub struct DpSuffixCache {
     modes: Vec<Mode>,
     arena: CandArena,
-}
-
-impl DpSuffixCache {
-    /// Total candidate records captured (the arena footprint this cache
-    /// keeps alive).
-    pub fn stored_candidates(&self) -> usize {
-        self.arena.works.len()
-    }
-
-    /// Trunk-node count of the topology the cache was built over.
-    pub fn nodes(&self) -> usize {
-        self.arena.off.len()
-    }
 }
 
 /// Flat SoA arena holding every node's surviving candidate set — the
@@ -485,106 +456,51 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
     Ok(cands)
 }
 
-/// Runs the concurrent buffer-and-nTSV DP, reporting infeasibility as
-/// [`CtsError`] instead of panicking.
+/// Runs the concurrent buffer-and-nTSV DP over a routed clock tree — the
+/// one DP entry point.
+///
+/// * `modes` — the per-node [`Mode`] vector; `None` means
+///   [`mode_vector`]`(topo, cfg.mode_rule)`, and `Some` ignores
+///   `cfg.mode_rule`. The batched DSE engine passes one vector per
+///   mode-equivalence class of its threshold sweep.
+/// * `cancel` — a cooperative [`CancelToken`] checked between height
+///   groups of the candidate propagation (the pipeline's mid-insertion
+///   budget checkpoint).
+/// * `reuse` — an earlier run's [`DpSuffixCache`]: candidate sets of
+///   every node whose whole subtree carries the same modes as the cached
+///   run are copied instead of recomputed. See [`DpSuffixCache`] for the
+///   caller contract.
+///
+/// Returns the result plus the run's own [`DpSuffixCache`] (a move of the
+/// arena the run built anyway, and of the mode vector). Infeasibility is
+/// a [`CtsError`].
 ///
 /// Candidate propagation is parallel across independent subtrees: nodes
 /// are grouped by tree height (leaves first), and every node within one
 /// height group is processed concurrently — a node depends only on its
-/// children, which all live in lower groups. The per-node computation is
-/// untouched and each node's candidate set is written back in node order,
-/// so the result is bit-identical at any thread count.
+/// children, which all live in lower groups. Each node's candidate set is
+/// written back in node order, so the result is bit-identical at any
+/// thread count, with or without `cancel` (until it trips) and with or
+/// without `reuse` (a clean subtree's sets are pure functions of
+/// unchanged inputs, so the copy *is* the recomputation; enforced by
+/// `dp_suffix_proptests`).
+///
+/// # Panics
+///
+/// Panics if `modes.len() != topo.nodes.len()` (a caller bug, not a
+/// data-dependent failure).
 pub fn try_run_dp(
     topo: &ClockTopo,
     tech: &Technology,
     cfg: &DpConfig,
-) -> Result<DpResult, CtsError> {
-    try_run_dp_with_modes(topo, tech, cfg, &mode_vector(topo, cfg.mode_rule))
-}
-
-/// [`try_run_dp`] with a precomputed per-node [`Mode`] vector, ignoring
-/// `cfg.mode_rule`.
-///
-/// This is the DP entry the batched DSE engine drives: the engine computes
-/// one [`mode_vector`] per mode-equivalence class of the threshold sweep
-/// and shares a single routed topology (with its cached CSR) across calls.
-/// Bit-identical to [`try_run_dp`] when `modes == mode_vector(topo,
-/// cfg.mode_rule)`.
-///
-/// # Panics
-///
-/// Panics if `modes.len() != topo.nodes.len()` (a caller bug, not a
-/// data-dependent failure).
-pub fn try_run_dp_with_modes(
-    topo: &ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
-) -> Result<DpResult, CtsError> {
-    try_run_dp_with_modes_cancel(topo, tech, cfg, modes, None)
-}
-
-/// [`try_run_dp_with_modes`] with a cooperative [`CancelToken`] checked
-/// between height groups of the candidate propagation — the pipeline's
-/// mid-insertion budget checkpoint. `None` (what every pre-existing entry
-/// point passes) is bit-identical to the uncancellable path.
-///
-/// # Panics
-///
-/// Panics if `modes.len() != topo.nodes.len()` (a caller bug, not a
-/// data-dependent failure).
-pub fn try_run_dp_with_modes_cancel(
-    topo: &ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
-    cancel: Option<&CancelToken>,
-) -> Result<DpResult, CtsError> {
-    run_dp_core(topo, tech, cfg, modes, cancel, None).map(|(res, _)| res)
-}
-
-/// [`try_run_dp_with_modes_cancel`] with mode-class suffix sharing:
-/// returns the run's own [`DpSuffixCache`] (a free move of the arena the
-/// run built anyway) and, when `reuse` is given, copies cached candidate
-/// sets for every node whose whole subtree carries the same modes as the
-/// cached run instead of recomputing them.
-///
-/// Bit-identical to the uncached path at any thread count: a clean
-/// subtree's sets are pure functions of unchanged inputs, so the copy
-/// *is* the recomputation (enforced by `dp_suffix_proptests`). See
-/// [`DpSuffixCache`] for the caller contract — only the mode vector may
-/// differ between the cached and the reusing run.
-///
-/// # Panics
-///
-/// Panics if `modes.len() != topo.nodes.len()` (a caller bug, not a
-/// data-dependent failure).
-pub fn try_run_dp_suffix_cached(
-    topo: &ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
+    modes: Option<&[Mode]>,
     cancel: Option<&CancelToken>,
     reuse: Option<&DpSuffixCache>,
 ) -> Result<(DpResult, DpSuffixCache), CtsError> {
-    let (res, arena) = run_dp_core(topo, tech, cfg, modes, cancel, reuse)?;
-    Ok((
-        res,
-        DpSuffixCache {
-            modes: modes.to_vec(),
-            arena,
-        },
-    ))
-}
-
-fn run_dp_core(
-    topo: &ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
-    cancel: Option<&CancelToken>,
-    reuse: Option<&DpSuffixCache>,
-) -> Result<(DpResult, CandArena), CtsError> {
+    let modes = match modes {
+        Some(modes) => modes.to_vec(),
+        None => mode_vector(topo, cfg.mode_rule),
+    };
     assert_eq!(modes.len(), topo.nodes.len(), "mode vector arity");
     // Whole-DP span plus per-height-group progress counters; handles
     // are resolved once here so the loop body never touches the
@@ -683,7 +599,7 @@ fn run_dp_core(
         cfg,
         patterns,
         csr,
-        modes,
+        modes: &modes,
         depths: &depths,
     };
     let mut arena = CandArena::with_nodes(n);
@@ -782,7 +698,7 @@ fn run_dp_core(
         chosen,
         stored_candidates: arena.works.len(),
     };
-    Ok((result, arena))
+    Ok((result, DpSuffixCache { modes, arena }))
 }
 
 /// Per-side dominance pruning with diversity-preserving truncation.
@@ -891,15 +807,20 @@ mod tests {
     fn small_topo() -> (ClockTopo, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(20_000);
         (topo, tech)
+    }
+
+    /// The DP under `cfg`'s own mode rule, without cancellation or reuse.
+    fn solve(topo: &ClockTopo, tech: &Technology, cfg: &DpConfig) -> DpResult {
+        try_run_dp(topo, tech, cfg, None, None, None).unwrap().0
     }
 
     #[test]
     fn dp_produces_full_assignment() {
         let (topo, tech) = small_topo();
-        let res = run_dp(&topo, &tech, &DpConfig::default());
+        let res = solve(&topo, &tech, &DpConfig::default());
         assert!(res.assignment[0].is_none());
         for (i, a) in res.assignment.iter().enumerate().skip(1) {
             assert!(a.is_some(), "edge {i} unassigned");
@@ -911,7 +832,7 @@ mod tests {
     #[test]
     fn assignment_satisfies_connectivity() {
         let (topo, tech) = small_topo();
-        let res = run_dp(&topo, &tech, &DpConfig::default());
+        let res = solve(&topo, &tech, &DpConfig::default());
         let csr = topo.csr();
         for v in 0..topo.nodes.len() {
             for &c in csr.children(v as u32) {
@@ -943,7 +864,7 @@ mod tests {
             single_side: true,
             ..DpConfig::default()
         };
-        let res = run_dp(&topo, &tech, &cfg);
+        let res = solve(&topo, &tech, &cfg);
         for a in res.assignment.iter().flatten() {
             assert!(matches!(a, Pattern::Buffer | Pattern::WiringF));
         }
@@ -961,8 +882,8 @@ mod tests {
                 .map(|c| c.latency_ps)
                 .fold(f64::INFINITY, f64::min)
         };
-        let ds = run_dp(&topo, &tech, &DpConfig::default());
-        let ss = run_dp(
+        let ds = solve(&topo, &tech, &DpConfig::default());
+        let ss = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -984,15 +905,15 @@ mod tests {
             mode_rule: ModeRule::AllIntraSide,
             ..DpConfig::default()
         };
-        let res = run_dp(&topo, &tech, &cfg);
+        let res = solve(&topo, &tech, &cfg);
         assert!(res.root_candidates.iter().all(|c| c.ntsvs == 0));
     }
 
     #[test]
     fn fanout_threshold_interpolates() {
         let (topo, tech) = small_topo();
-        let full = run_dp(&topo, &tech, &DpConfig::default());
-        let tight = run_dp(
+        let full = solve(&topo, &tech, &DpConfig::default());
+        let tight = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1007,7 +928,7 @@ mod tests {
         // Full mode finds nTSV-bearing candidates.
         assert!(full.root_candidates.iter().any(|c| c.ntsvs > 0));
         // AllIntraSide remains strictly front/back-side-free.
-        let none = run_dp(
+        let none = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1030,16 +951,27 @@ mod tests {
                 mode_rule: rule,
                 ..DpConfig::default()
             };
-            let via_rule = try_run_dp(&topo, &tech, &cfg).unwrap();
+            let via_rule = solve(&topo, &tech, &cfg);
             let modes = mode_vector(&topo, rule);
-            let via_modes = try_run_dp_with_modes(&topo, &tech, &cfg, &modes).unwrap();
+            let via_modes = try_run_dp(&topo, &tech, &cfg, Some(&modes), None, None)
+                .unwrap()
+                .0;
             assert_eq!(via_rule.assignment, via_modes.assignment);
             assert_eq!(via_rule.root_candidates, via_modes.root_candidates);
             assert_eq!(via_rule.chosen, via_modes.chosen);
         }
         // The explicit vector overrides whatever rule the config carries.
         let all_intra = mode_vector(&topo, ModeRule::AllIntraSide);
-        let forced = try_run_dp_with_modes(&topo, &tech, &DpConfig::default(), &all_intra).unwrap();
+        let forced = try_run_dp(
+            &topo,
+            &tech,
+            &DpConfig::default(),
+            Some(&all_intra),
+            None,
+            None,
+        )
+        .unwrap()
+        .0;
         assert!(forced.root_candidates.iter().all(|c| c.ntsvs == 0));
     }
 
@@ -1063,7 +995,7 @@ mod tests {
     #[test]
     fn moes_weights_steer_selection() {
         let (topo, tech) = small_topo();
-        let latency_first = run_dp(
+        let latency_first = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1076,7 +1008,7 @@ mod tests {
                 ..DpConfig::default()
             },
         );
-        let resource_first = run_dp(
+        let resource_first = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1101,8 +1033,8 @@ mod tests {
     #[test]
     fn latency_only_prune_preserves_min_latency() {
         let (topo, tech) = small_topo();
-        let mo = run_dp(&topo, &tech, &DpConfig::default());
-        let lo = run_dp(
+        let mo = solve(&topo, &tech, &DpConfig::default());
+        let lo = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1130,8 +1062,8 @@ mod tests {
     #[test]
     fn frontier_none_is_bit_identical_and_cap_shrinks_memory() {
         let (topo, tech) = small_topo();
-        let base = run_dp(&topo, &tech, &DpConfig::default());
-        let explicit_none = run_dp(
+        let base = solve(&topo, &tech, &DpConfig::default());
+        let explicit_none = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1144,7 +1076,7 @@ mod tests {
         assert_eq!(base.chosen, explicit_none.chosen);
         assert_eq!(base.stored_candidates, explicit_none.stored_candidates);
         // A cap wider than max_cands changes nothing either.
-        let loose = run_dp(
+        let loose = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1157,7 +1089,7 @@ mod tests {
         // On a shallow topology (max depth within
         // FRONTIER_FULL_DIVERSITY_DEPTH) even a tight cap never engages:
         // the run stays bit-identical, not merely equivalent.
-        let tight = run_dp(
+        let tight = solve(
             &topo,
             &tech,
             &DpConfig {
@@ -1172,10 +1104,10 @@ mod tests {
         // stored-candidate footprint but still produces a complete,
         // feasible assignment.
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let mut deep_topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut deep_topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         deep_topo.subdivide(2_000);
-        let deep_base = run_dp(&deep_topo, &tech, &DpConfig::default());
-        let deep_tight = run_dp(
+        let deep_base = solve(&deep_topo, &tech, &DpConfig::default());
+        let deep_tight = solve(
             &deep_topo,
             &tech,
             &DpConfig {
@@ -1199,7 +1131,7 @@ mod tests {
         // Fig. 10's premise: the double-side root set spans a wider
         // resource range than the single-side one.
         let (topo, tech) = small_topo();
-        let ds = run_dp(&topo, &tech, &DpConfig::default());
+        let ds = solve(&topo, &tech, &DpConfig::default());
         let spread = |cands: &[RootCand]| {
             let lo = cands.iter().map(|c| c.buffers + c.ntsvs).min().unwrap();
             let hi = cands.iter().map(|c| c.buffers + c.ntsvs).max().unwrap();

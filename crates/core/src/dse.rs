@@ -5,7 +5,8 @@
 //! above are forced *intra-side* (no nTSV). Sweeping the threshold explores
 //! latency/skew vs resource trade-offs far beyond what post-CTS flipping
 //! can reach — the paper's Fig. 12 comparison, regenerated by the `fig12`
-//! bench binary.
+//! bench binary and timed by the repository benchmark's `fig12-sweep`
+//! workload.
 //!
 //! # The batched engine
 //!
@@ -25,8 +26,8 @@
 //!   between two consecutive distinct fanouts induce *identical* mode
 //!   vectors; the engine collapses the sweep into these
 //!   **mode-equivalence classes** ([`ModeClass`]), runs the DP once per
-//!   class ([`crate::try_run_dp_with_modes`]) and maps the result back to
-//!   every member threshold.
+//!   class ([`DsCts::insert_with`] with the class's mode vector) and maps
+//!   the result back to every member threshold.
 //!
 //! Scoring happens on **optimized** trees, not raw DP output: each
 //! class's tree goes through the pipeline's configured optimization
@@ -37,9 +38,10 @@
 //! exactly as in a full [`DsCts::run`].
 //! Parallelism is per-class rather than per-threshold; results come back
 //! in requested-threshold order at any thread count, and every point is
-//! bit-identical to what the naive per-threshold pipeline
-//! ([`sweep_fanout_naive`]) produces — enforced by the `dse_proptests`
-//! suite over random designs and both [`crate::EvalModel`]s.
+//! bit-identical to what the naive per-threshold pipeline (one full
+//! [`DsCts::run`] per threshold) produces — enforced by the
+//! `dse_proptests` suite over random designs and both
+//! [`crate::EvalModel`]s.
 //!
 //! Class scoring additionally shares **DP candidate suffixes** between
 //! classes: the fullest-mode class (fewest intra-side nodes) is scored
@@ -291,7 +293,7 @@ impl<'a> SweepEngine<'a> {
             let intra = modes.iter().filter(|&&m| m == Mode::IntraSide).count();
             let (mut tree, _dp, cache) =
                 self.base
-                    .insert_with_modes_suffix_cached(topo.clone(), &modes, cancel, reuse)?;
+                    .insert_with(topo.clone(), Some(&modes), cancel, reuse)?;
             // Corner-aware pipelines optimize the robust objective here
             // (optimize_tree fans out over the corner set), exactly as a
             // full corner-aware `run` would. The sweep token reaches the
@@ -381,64 +383,6 @@ pub fn frontier_pairs(points: &[MetricsPoint]) -> Vec<(u32, f64)> {
     pareto_frontier(points, |p| (p.resources() as f64, p.latency_ps))
         .into_iter()
         .map(|i| (points[i].resources(), points[i].latency_ps))
-        .collect()
-}
-
-/// Sweeps the fanout threshold over `thresholds`.
-///
-/// Thin wrapper over [`SweepEngine`]: the design is routed once, the
-/// DP runs once per mode-equivalence class, and every point is scored on
-/// the refined tree — bit-identical to (and typically an order of
-/// magnitude faster than) [`sweep_fanout_naive`]. Results come back in
-/// threshold order regardless of scheduling.
-///
-/// # Panics
-///
-/// Panics with the [`CtsError`] display text if the design is unroutable
-/// or any configuration's DP is infeasible (matching [`DsCts::run`]).
-///
-/// ```no_run
-/// use dscts_core::{dse, DsCts};
-/// use dscts_netlist::BenchmarkSpec;
-/// use dscts_tech::Technology;
-///
-/// let design = BenchmarkSpec::c4_riscv32i().generate();
-/// let base = DsCts::new(Technology::asap7());
-/// let pts = dse::sweep_fanout(&base, &design, (20..=1000).step_by(10));
-/// let frontier = dse::pareto_frontier(&pts, |p| (p.resources() as f64, p.latency_ps));
-/// assert!(!frontier.is_empty());
-/// ```
-pub fn sweep_fanout(
-    base: &DsCts,
-    design: &Design,
-    thresholds: impl IntoIterator<Item = u32>,
-) -> Vec<MetricsPoint> {
-    match SweepEngine::new(base).try_sweep(design, thresholds) {
-        Ok(sweep) => sweep.points,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The reference sweep: one full pipeline run per threshold, no sharing.
-///
-/// Kept as the ground truth the batched engine is property-tested against
-/// (`dse_proptests`) and as the "naive" column of the `BENCH_pr3.json`
-/// snapshot; real callers want [`sweep_fanout`].
-pub fn sweep_fanout_naive(
-    base: &DsCts,
-    design: &Design,
-    thresholds: impl IntoIterator<Item = u32>,
-) -> Vec<MetricsPoint> {
-    let thresholds: Vec<u32> = thresholds.into_iter().collect();
-    thresholds
-        .par_iter()
-        .map(|&t| {
-            let outcome = base
-                .clone()
-                .mode_rule(ModeRule::FanoutThreshold(t))
-                .run(design);
-            MetricsPoint::new(t, &outcome.metrics)
-        })
         .collect()
 }
 
@@ -574,38 +518,6 @@ mod tests {
         let narrow = vec![pt(1, 100.0, 10), pt(2, 99.0, 11), pt(3, 98.0, 100)];
         let k = |p: &MetricsPoint| (p.resources() as f64, p.latency_ps);
         assert!(frontier_spread(&wide, k) > frontier_spread(&narrow, k) * 0.9);
-    }
-
-    #[test]
-    fn batched_sweep_matches_naive_and_dedups() {
-        let design = BenchmarkSpec::c4_riscv32i().generate();
-        let base = DsCts::new(Technology::asap7());
-        let grid: Vec<u32> = (20..=1000).step_by(140).collect();
-        let naive = sweep_fanout_naive(&base, &design, grid.iter().copied());
-        let sweep = SweepEngine::new(&base)
-            .try_sweep(&design, grid.iter().copied())
-            .expect("sweepable");
-        assert_eq!(sweep.points, naive);
-        // Classes partition the requested thresholds, in order.
-        let members: Vec<u32> = sweep
-            .classes
-            .iter()
-            .flat_map(|c| c.thresholds.iter().copied())
-            .collect();
-        let mut sorted = members.clone();
-        sorted.sort_unstable();
-        let mut grid_sorted = grid.clone();
-        grid_sorted.sort_unstable();
-        assert_eq!(sorted, grid_sorted);
-        assert!(sweep.classes.len() <= grid.len());
-        // C4 has ~40 leaf clusters: thresholds far above the largest
-        // non-top-net fanout all collapse into one full-mode class, so
-        // the dedup is real on this grid.
-        assert!(
-            sweep.classes.len() < grid.len(),
-            "expected at least one merged class over {} thresholds",
-            grid.len()
-        );
     }
 
     #[test]

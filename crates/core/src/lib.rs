@@ -7,9 +7,9 @@
 //!
 //! 1. [`HierarchicalRouter`] — dual-level clustering + hierarchical DME
 //!    (§III-B);
-//! 2. [`run_dp`] — concurrent buffer & nTSV insertion over the edge-pattern
-//!    design space P1–P6, selected by the multi-objective enhancement score
-//!    (§III-C);
+//! 2. [`try_run_dp`] — concurrent buffer & nTSV insertion over the
+//!    edge-pattern design space P1–P6, selected by the multi-objective
+//!    enhancement score (§III-C);
 //! 3. [`opt`] — the composable post-CTS optimization layer (§III-D and
 //!    beyond): an [`OptPass`] trait and [`PassManager`] over a shared
 //!    [`OptCtx`], with the paper's end-point refinement
@@ -188,9 +188,8 @@ mod tree;
 pub use dscts_telemetry as telemetry;
 
 pub use dp::{
-    mode_vector, run_dp, try_run_dp, try_run_dp_suffix_cached, try_run_dp_with_modes,
-    try_run_dp_with_modes_cancel, DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights,
-    PruneMode, RootCand,
+    mode_vector, try_run_dp, DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights, PruneMode,
+    RootCand,
 };
 pub use error::CtsError;
 pub use incremental::IncrementalEval;

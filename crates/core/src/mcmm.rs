@@ -27,9 +27,8 @@
 //! is bit-identical to [`crate::IncrementalEval::new`] under arbitrary
 //! interleaved mutations and undos — enforced by `mcmm_proptests` for
 //! both [`EvalModel`]s. A K-corner mutation costs K dirty paths
-//! (O(K·(depth + subtree))), which the `mcmm_eval` criterion group shows
-//! is far cheaper than the K full `evaluate()` calls a non-incremental
-//! MCMM loop would pay.
+//! (O(K·(depth + subtree))) instead of the K full `evaluate()` calls a
+//! non-incremental MCMM loop would pay.
 
 use crate::error::CtsError;
 use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
@@ -170,7 +169,7 @@ impl CornerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::dp::{try_run_dp, DpConfig, MoesWeights};
     use crate::incremental::IncrementalEval;
     use crate::route::HierarchicalRouter;
     use dscts_netlist::BenchmarkSpec;
@@ -179,7 +178,7 @@ mod tests {
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(40_000);
         let cfg = DpConfig {
             moes: MoesWeights {
@@ -190,7 +189,7 @@ mod tests {
             },
             ..DpConfig::default()
         };
-        let res = run_dp(&topo, &tech, &cfg);
+        let res = try_run_dp(&topo, &tech, &cfg, None, None, None).unwrap().0;
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 

@@ -773,7 +773,7 @@ impl OptPass for PatternSearchPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{run_dp, DpConfig};
+    use crate::dp::{try_run_dp, DpConfig};
     use crate::mcmm::{CornerReport, RobustObjective};
     use crate::route::HierarchicalRouter;
     use crate::sizing::{SizingConfig, SizingPass};
@@ -784,7 +784,7 @@ mod tests {
     fn tree() -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(40_000);
         let cfg = DpConfig {
             moes: MoesWeights {
@@ -795,7 +795,7 @@ mod tests {
             },
             ..DpConfig::default()
         };
-        let res = run_dp(&topo, &tech, &cfg);
+        let res = try_run_dp(&topo, &tech, &cfg, None, None, None).unwrap().0;
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 

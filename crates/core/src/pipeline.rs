@@ -35,7 +35,7 @@
 //!
 //! Besides [`DsCts::run`]/[`DsCts::try_run`] (which execute the whole
 //! stage sequence), every stage can be **driven individually** —
-//! [`DsCts::route`], [`DsCts::insert`] / [`DsCts::insert_with_modes`],
+//! [`DsCts::route`], [`DsCts::insert`] / [`DsCts::insert_with`],
 //! [`DsCts::optimize_tree`], [`DsCts::evaluate_tree`] — so batch drivers
 //! can amortize shared work across configurations. The batched DSE engine
 //! ([`crate::dse::SweepEngine`]) routes a design once and then fans the
@@ -46,7 +46,9 @@
 //! counterpart runs, so any composition of them is bit-identical to the
 //! monolithic `run`.
 
-use crate::dp::{DpConfig, DpResult, ModeRule, MoesWeights, PruneMode, RootCand};
+use crate::dp::{
+    try_run_dp, DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights, PruneMode, RootCand,
+};
 use crate::error::CtsError;
 use crate::incremental::IncrementalEval;
 use crate::mcmm::{CornerReport, RobustObjective};
@@ -286,54 +288,25 @@ impl Stage for InsertionStage {
         }
         // invariant: the engine only runs insertion after route.
         let topo = ctx.topo.take().expect("route stage deposits the topology");
-        let (tree, dp) = insert_on(topo, ctx.tech, &self.dp, None, ctx.cancel.as_ref())?;
+        // The suffix cache is dropped here, before the tree is built, so
+        // the candidate arena does not raise the run's peak memory.
+        let (dp, _) = try_run_dp(&topo, ctx.tech, &self.dp, None, ctx.cancel.as_ref(), None)?;
+        ctx.tree = Some(synthesize(topo, &dp)?);
         ctx.dp = Some(dp);
-        ctx.tree = Some(tree);
         Ok(())
     }
 }
 
-/// The insertion-stage computation: DP, tree construction, legality gate.
-/// Shared by [`InsertionStage`] and the staged [`DsCts::insert`] /
-/// [`DsCts::insert_with_modes`] drivers so every path runs the identical
-/// arithmetic. `modes` overrides `cfg.mode_rule` when given.
-fn insert_on(
-    topo: ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: Option<&[Mode]>,
-    cancel: Option<&CancelToken>,
-) -> Result<(SynthesizedTree, DpResult), CtsError> {
-    let dp = match modes {
-        Some(modes) => crate::dp::try_run_dp_with_modes_cancel(&topo, tech, cfg, modes, cancel)?,
-        None => {
-            let modes = crate::dp::mode_vector(&topo, cfg.mode_rule);
-            crate::dp::try_run_dp_with_modes_cancel(&topo, tech, cfg, &modes, cancel)?
-        }
-    };
+/// The insertion stage after the DP: tree construction and the legality
+/// gate. Shared by [`InsertionStage`] and [`DsCts::insert_with`] so every
+/// path runs the identical arithmetic.
+fn synthesize(topo: ClockTopo, dp: &DpResult) -> Result<SynthesizedTree, CtsError> {
     fault::fault_check(fault::SITE_SYNTH)?;
     let tree = SynthesizedTree::new(topo, dp.assignment.clone());
     // Always-on legality gate: the seed only checked sides under
     // debug_assert, silently skipping it in release builds.
     tree.validate_sides().map_err(CtsError::IllegalSides)?;
-    Ok((tree, dp))
-}
-
-/// [`insert_on`] through the suffix-cached DP entry: same stages, plus
-/// the run's own candidate-arena capture for cross-class reuse.
-fn insert_on_suffix(
-    topo: ClockTopo,
-    tech: &Technology,
-    cfg: &DpConfig,
-    modes: &[Mode],
-    cancel: Option<&CancelToken>,
-    reuse: Option<&crate::dp::DpSuffixCache>,
-) -> Result<(SynthesizedTree, DpResult, crate::dp::DpSuffixCache), CtsError> {
-    let (dp, cache) = crate::dp::try_run_dp_suffix_cached(&topo, tech, cfg, modes, cancel, reuse)?;
-    fault::fault_check(fault::SITE_SYNTH)?;
-    let tree = SynthesizedTree::new(topo, dp.assignment.clone());
-    tree.validate_sides().map_err(CtsError::IllegalSides)?;
-    Ok((tree, dp, cache))
+    Ok(tree)
 }
 
 /// Post-CTS optimization (§III-D and beyond): executes a configured
@@ -704,61 +677,42 @@ impl DsCts {
     /// under this pipeline's configuration, tree construction and the
     /// side-legality gate.
     pub fn insert(&self, topo: ClockTopo) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, None, None)
+        self.insert_with(topo, None, None, None)
+            .map(|(tree, dp, _)| (tree, dp))
     }
 
     /// [`DsCts::insert`] with a precomputed per-node [`Mode`] vector,
-    /// ignoring the configured [`ModeRule`]. The batched DSE engine calls
-    /// this once per mode-equivalence class.
+    /// ignoring the configured [`ModeRule`].
     pub fn insert_with_modes(
         &self,
         topo: ClockTopo,
         modes: &[Mode],
     ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, Some(modes), None)
+        self.insert_with(topo, Some(modes), None, None)
+            .map(|(tree, dp, _)| (tree, dp))
     }
 
-    /// [`DsCts::insert`] observing an external [`CancelToken`]: the DP's
-    /// per-height propagation loop checkpoints the token and reports
-    /// [`CtsError::Cancelled`] once it trips. With `None` (or an untripped
-    /// token) the result is bit-identical to [`DsCts::insert`]. Batch and
-    /// service drivers use this so externally-owned deadlines reach the
-    /// insertion hot loop, not just stage boundaries.
-    pub fn insert_cancel(
+    /// The general insertion driver: [`DsCts::insert`] with an optional
+    /// per-node [`Mode`] vector (overriding the configured [`ModeRule`]),
+    /// an external [`CancelToken`] the DP checkpoints between height
+    /// groups (reporting [`CtsError::Cancelled`] once it trips), and an
+    /// earlier run's [`DpSuffixCache`] to copy mode-identical subtrees
+    /// from. Also returns this run's own cache. With `None` everywhere the
+    /// result is bit-identical to [`DsCts::insert`]; see [`try_run_dp`].
+    ///
+    /// The batched DSE engine scores the fullest-mode class first and
+    /// lends its cache to every other class of the same routed design;
+    /// service jobs pass their token so deadlines reach the insertion hot
+    /// loop, not just stage boundaries.
+    pub fn insert_with(
         &self,
         topo: ClockTopo,
+        modes: Option<&[Mode]>,
         cancel: Option<&CancelToken>,
-    ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, None, cancel)
-    }
-
-    /// [`DsCts::insert_with_modes`] observing an external [`CancelToken`]
-    /// (see [`DsCts::insert_cancel`] for the checkpoint semantics).
-    pub fn insert_with_modes_cancel(
-        &self,
-        topo: ClockTopo,
-        modes: &[Mode],
-        cancel: Option<&CancelToken>,
-    ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        insert_on(topo, &self.tech, &self.dp, Some(modes), cancel)
-    }
-
-    /// [`DsCts::insert_with_modes_cancel`] through the suffix-cached DP
-    /// entry ([`crate::try_run_dp_suffix_cached`]): always returns the
-    /// run's own [`DpSuffixCache`](crate::dp::DpSuffixCache) (a free arena move), and when `reuse`
-    /// carries an earlier class's cache, candidate sets of subtrees whose
-    /// modes match are copied instead of recomputed — bit-identical
-    /// either way. The batched DSE engine scores the fullest-mode class
-    /// first and lends its cache to every other class of the same routed
-    /// design.
-    pub fn insert_with_modes_suffix_cached(
-        &self,
-        topo: ClockTopo,
-        modes: &[Mode],
-        cancel: Option<&CancelToken>,
-        reuse: Option<&crate::dp::DpSuffixCache>,
-    ) -> Result<(SynthesizedTree, DpResult, crate::dp::DpSuffixCache), CtsError> {
-        insert_on_suffix(topo, &self.tech, &self.dp, modes, cancel, reuse)
+        reuse: Option<&DpSuffixCache>,
+    ) -> Result<(SynthesizedTree, DpResult, DpSuffixCache), CtsError> {
+        let (dp, cache) = try_run_dp(&topo, &self.tech, &self.dp, modes, cancel, reuse)?;
+        Ok((synthesize(topo, &dp)?, dp, cache))
     }
 
     /// Runs only the optimize stage on a synthesized tree, in place:

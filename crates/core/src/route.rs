@@ -38,7 +38,9 @@ pub enum RoutingStyle {
 /// use dscts_tech::Technology;
 ///
 /// let design = BenchmarkSpec::c4_riscv32i().generate();
-/// let topo = HierarchicalRouter::new().route(&design, &Technology::asap7());
+/// let topo = HierarchicalRouter::new()
+///     .try_route(&design, &Technology::asap7())
+///     .unwrap();
 /// assert_eq!(topo.validate(), Ok(()));
 /// // 1056 sinks at Lc=30 -> ≈ 36 leaf clusters (plus a few splits of
 /// // outlier clusters for load/radius feasibility).
@@ -93,21 +95,6 @@ impl HierarchicalRouter {
     pub fn style(mut self, style: RoutingStyle) -> Self {
         self.style = style;
         self
-    }
-
-    /// Routes the clock tree for `design`.
-    ///
-    /// Thin panicking wrapper over [`HierarchicalRouter::try_route`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`CtsError`] display text if the design has no
-    /// sinks or the routed topology fails validation.
-    pub fn route(&self, design: &Design, tech: &Technology) -> ClockTopo {
-        match self.try_route(design, tech) {
-            Ok(topo) => topo,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Routes the clock tree for `design`, reporting unroutable inputs as
@@ -379,10 +366,14 @@ mod tests {
         Technology::asap7()
     }
 
+    fn route(router: HierarchicalRouter, d: &Design) -> ClockTopo {
+        router.try_route(d, &tech()).expect("routable")
+    }
+
     #[test]
     fn routes_c4_with_expected_cluster_count() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let topo = HierarchicalRouter::new().route(&d, &tech());
+        let topo = route(HierarchicalRouter::new(), &d);
         assert_eq!(topo.validate(), Ok(()));
         // ceil(1056/30) = 36 low clusters; capacitance- and radius-driven
         // splitting of outlier clusters adds a few more.
@@ -399,17 +390,18 @@ mod tests {
     #[test]
     fn routing_is_deterministic() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let a = HierarchicalRouter::new().route(&d, &tech());
-        let b = HierarchicalRouter::new().route(&d, &tech());
+        let a = route(HierarchicalRouter::new(), &d);
+        let b = route(HierarchicalRouter::new(), &d);
         assert_eq!(a, b);
     }
 
     #[test]
     fn flat_matching_also_valid() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let topo = HierarchicalRouter::new()
-            .style(RoutingStyle::FlatMatching)
-            .route(&d, &tech());
+        let topo = route(
+            HierarchicalRouter::new().style(RoutingStyle::FlatMatching),
+            &d,
+        );
         assert_eq!(topo.validate(), Ok(()));
     }
 
@@ -420,10 +412,11 @@ mod tests {
         // exceed flat matching by more than a small factor, and typically
         // beats it.
         let d = BenchmarkSpec::c1_jpeg().generate();
-        let hier = HierarchicalRouter::new().route(&d, &tech());
-        let flat = HierarchicalRouter::new()
-            .style(RoutingStyle::FlatMatching)
-            .route(&d, &tech());
+        let hier = route(HierarchicalRouter::new(), &d);
+        let flat = route(
+            HierarchicalRouter::new().style(RoutingStyle::FlatMatching),
+            &d,
+        );
         let h = hier.total_wirelength();
         let f = flat.total_wirelength();
         assert!((h as f64) < 1.3 * f as f64, "hierarchical {h} vs flat {f}");
@@ -432,7 +425,7 @@ mod tests {
     #[test]
     fn trunk_is_binary_and_rooted_at_clock_root() {
         let d = BenchmarkSpec::c5_aes().generate();
-        let topo = HierarchicalRouter::new().route(&d, &tech());
+        let topo = route(HierarchicalRouter::new(), &d);
         assert_eq!(topo.nodes[0].pos, d.clock_root);
         for v in 0..topo.nodes.len() {
             assert!(topo.csr().children(v as u32).len() <= 2);
@@ -444,14 +437,14 @@ mod tests {
         // Smaller Lc means more leaf clusters; with Lc=15 the load budget
         // never binds, so the count tracks ceil(1056/15) = 71.
         let d = BenchmarkSpec::c4_riscv32i().generate();
-        let topo = HierarchicalRouter::new().lc(15).route(&d, &tech());
+        let topo = route(HierarchicalRouter::new().lc(15), &d);
         assert!(
             (71..=88).contains(&topo.stars.len()),
             "{} stars",
             topo.stars.len()
         );
         // Larger Lc is clamped by the capacitance budget, never infeasible.
-        let big = HierarchicalRouter::new().lc(60).route(&d, &tech());
+        let big = route(HierarchicalRouter::new().lc(60), &d);
         assert_eq!(big.validate(), Ok(()));
         assert!(big.stars.len() < topo.stars.len());
     }

@@ -214,7 +214,7 @@ impl OptPass for EndpointRefinePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{run_dp, DpConfig, MoesWeights};
+    use crate::dp::{try_run_dp, DpConfig, MoesWeights};
     use crate::opt::{OptSchedule, PassManager, PassReport};
     use crate::route::HierarchicalRouter;
     use crate::synth::{EvalModel, SynthesizedTree};
@@ -261,7 +261,7 @@ mod tests {
     fn refinement_reduces_skew_without_hurting_latency() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(20_000);
         // Latency-greedy MOES tends to leave skew on the table.
         let cfg = DpConfig {
@@ -273,7 +273,7 @@ mod tests {
             },
             ..DpConfig::default()
         };
-        let res = run_dp(&topo, &tech, &cfg);
+        let res = try_run_dp(&topo, &tech, &cfg, None, None, None).unwrap().0;
         let mut tree = SynthesizedTree::new(topo, res.assignment);
         let report = refine(
             &mut tree,
@@ -298,9 +298,11 @@ mod tests {
     fn refinement_respects_trigger() {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(20_000);
-        let res = run_dp(&topo, &tech, &DpConfig::default());
+        let res = try_run_dp(&topo, &tech, &DpConfig::default(), None, None, None)
+            .unwrap()
+            .0;
         let mut tree = SynthesizedTree::new(topo, res.assignment);
         let report = refine(
             &mut tree,

@@ -428,20 +428,20 @@ pub(crate) fn resources(tree: &SynthesizedTree, tech: &Technology) -> Resources 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::{run_dp, DpConfig};
+    use crate::dp::{try_run_dp, DpConfig};
     use crate::route::HierarchicalRouter;
     use dscts_netlist::BenchmarkSpec;
 
     fn synth(single_side: bool) -> (SynthesizedTree, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(20_000);
         let cfg = DpConfig {
             single_side,
             ..DpConfig::default()
         };
-        let res = run_dp(&topo, &tech, &cfg);
+        let res = try_run_dp(&topo, &tech, &cfg, None, None, None).unwrap().0;
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 
@@ -463,9 +463,11 @@ mod tests {
         // independent tree evaluation under the same (Elmore) model.
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
-        let mut topo = HierarchicalRouter::new().route(&d, &tech);
+        let mut topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
         topo.subdivide(20_000);
-        let res = run_dp(&topo, &tech, &DpConfig::default());
+        let res = try_run_dp(&topo, &tech, &DpConfig::default(), None, None, None)
+            .unwrap()
+            .0;
         let picked = res.root_candidates[res.chosen];
         let tree = SynthesizedTree::new(topo, res.assignment);
         let m = tree.evaluate(&tech, EvalModel::Elmore);

@@ -197,12 +197,12 @@ impl ClockTopo {
             let total = self.nodes[i].edge_len;
             let geom = ppos.manhattan(cpos);
             let k = (total + max_len - 1) / max_len; // number of segments
-                                                     // Geometric waypoints along the L-path, one per cut.
             let mut prev = parent;
+            // Waypoint `s` sits at `min(geom, total·s/k)` along the L-path:
+            // `total >= geom` and `min(geom, ·)` is monotone and 1-Lipschitz,
+            // so every segment's length covers its span, snaked or not.
             for s in 1..k {
-                let frac_num = s;
-                let gd = geom * frac_num / k;
-                let pos = ppos.walk_toward(cpos, gd);
+                let pos = ppos.walk_toward(cpos, geom.min(total * s / k));
                 let id = self.nodes.len() as u32;
                 self.nodes.push(TrunkNode {
                     pos,
@@ -415,6 +415,19 @@ mod tests {
         t.subdivide(8_000);
         assert_eq!(t.validate(), Ok(()));
         assert_eq!(t.trunk_wirelength(), 65_000);
+        // A little snaking cut into many segments: rounding must never
+        // leave a segment shorter than its span.
+        for slack in 1..50 {
+            for cuts in 2..40 {
+                let mut t = two_cluster_topo();
+                let len = 10_000 + slack;
+                t.nodes[1].edge_len = len;
+                let trunk = t.trunk_wirelength();
+                t.subdivide((len + cuts - 1) / cuts);
+                assert_eq!(t.validate(), Ok(()), "slack {slack}, {cuts} cuts");
+                assert_eq!(t.trunk_wirelength(), trunk, "slack {slack}, {cuts} cuts");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests: DP suffix-cache reuse is bit-identical to uncached DP.
 //!
-//! The claim behind [`dscts_core::try_run_dp_suffix_cached`] is that a
+//! The claim behind [`dscts_core::try_run_dp`]'s `reuse` argument is that a
 //! node's candidate set is a pure function of its subtree (geometry,
 //! tech, config, and the modes of every node under it), so copying a
 //! cached set for a mode-identical subtree *is* the recomputation. These
@@ -10,9 +10,7 @@
 //! PartialEq` — across thread counts, because the batched DSE engine
 //! lends one class's cache to a parallel fan-out over all others.
 
-use dscts_core::{
-    mode_vector, try_run_dp_suffix_cached, try_run_dp_with_modes, DpConfig, DsCts, ModeRule,
-};
+use dscts_core::{mode_vector, try_run_dp, ClockTopo, DpConfig, DpResult, DsCts, Mode, ModeRule};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_tech::Technology;
 use proptest::prelude::*;
@@ -24,6 +22,13 @@ fn small_design(sinks: usize, seed: u64) -> Design {
     spec.num_cells = sinks * 12;
     spec.seed = seed;
     spec.generate()
+}
+
+/// The DP under `modes` without a lent cache.
+fn plain(topo: &ClockTopo, tech: &Technology, cfg: &DpConfig, modes: &[Mode]) -> DpResult {
+    try_run_dp(topo, tech, cfg, Some(modes), None, None)
+        .expect("feasible")
+        .0
 }
 
 /// Serializes `RAYON_NUM_THREADS` manipulation (the pipeline crate's
@@ -51,20 +56,15 @@ proptest! {
 
         // The cache-producing run itself matches the plain entry point.
         let (base_res, cache) =
-            try_run_dp_suffix_cached(&topo, &tech, &cfg, &modes_base, None, None)
-                .expect("feasible");
-        let plain_base =
-            try_run_dp_with_modes(&topo, &tech, &cfg, &modes_base).expect("feasible");
+            try_run_dp(&topo, &tech, &cfg, Some(&modes_base), None, None).expect("feasible");
+        let plain_base = plain(&topo, &tech, &cfg, &modes_base);
         prop_assert_eq!(&base_res, &plain_base);
 
-        let plain_other =
-            try_run_dp_with_modes(&topo, &tech, &cfg, &modes_other).expect("feasible");
+        let plain_other = plain(&topo, &tech, &cfg, &modes_other);
         let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for threads in ["1", "2", "4"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
-            let cached = try_run_dp_suffix_cached(
-                &topo, &tech, &cfg, &modes_other, None, Some(&cache),
-            );
+            let cached = try_run_dp(&topo, &tech, &cfg, Some(&modes_other), None, Some(&cache));
             std::env::remove_var("RAYON_NUM_THREADS");
             let (cached_res, _) = cached.expect("feasible");
             prop_assert_eq!(
@@ -92,10 +92,9 @@ proptest! {
         let cfg = DpConfig::default();
         let modes = mode_vector(&topo, ModeRule::FanoutThreshold(t));
         let (first, cache) =
-            try_run_dp_suffix_cached(&topo, &tech, &cfg, &modes, None, None).expect("feasible");
+            try_run_dp(&topo, &tech, &cfg, Some(&modes), None, None).expect("feasible");
         let (second, _) =
-            try_run_dp_suffix_cached(&topo, &tech, &cfg, &modes, None, Some(&cache))
-                .expect("feasible");
+            try_run_dp(&topo, &tech, &cfg, Some(&modes), None, Some(&cache)).expect("feasible");
         prop_assert_eq!(first, second);
     }
 }

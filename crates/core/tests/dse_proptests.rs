@@ -7,11 +7,35 @@
 //! computes by re-running the whole pipeline per threshold, while its
 //! mode-equivalence classes must partition the requested grid.
 
-use dscts_core::dse::{sweep_fanout_naive, SweepEngine};
-use dscts_core::{DsCts, EvalModel};
+use dscts_core::dse::{MetricsPoint, SweepEngine};
+use dscts_core::{DsCts, EvalModel, ModeRule};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_tech::Technology;
 use proptest::prelude::*;
+use rayon::prelude::*;
+
+/// The reference sweep the batched engine is checked against: one full
+/// pipeline run per threshold, no sharing.
+fn sweep_fanout_naive(base: &DsCts, design: &Design, thresholds: &[u32]) -> Vec<MetricsPoint> {
+    thresholds
+        .par_iter()
+        .map(|&t| {
+            let m = base
+                .clone()
+                .mode_rule(ModeRule::FanoutThreshold(t))
+                .run(design)
+                .metrics;
+            MetricsPoint {
+                threshold: t,
+                latency_ps: m.latency_ps,
+                skew_ps: m.skew_ps,
+                buffers: m.buffers,
+                ntsvs: m.ntsvs,
+                wirelength_nm: m.wirelength_nm,
+            }
+        })
+        .collect()
+}
 
 /// A small random design: C4 geometry scaled down, varied by seed.
 fn small_design(sinks: usize, seed: u64) -> Design {
@@ -23,7 +47,7 @@ fn small_design(sinks: usize, seed: u64) -> Design {
 }
 
 fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) {
-    let naive = sweep_fanout_naive(base, design, grid.iter().copied());
+    let naive = sweep_fanout_naive(base, design, grid);
     let sweep = SweepEngine::new(base)
         .try_sweep(design, grid.iter().copied())
         .expect("random designs stay feasible");
@@ -45,6 +69,38 @@ fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) {
     // class count is bounded by the distinct thresholds.
     grid_sorted.dedup();
     assert!(sweep.classes.len() <= grid_sorted.len());
+}
+
+#[test]
+fn batched_sweep_matches_naive_and_dedups() {
+    let design = BenchmarkSpec::c4_riscv32i().generate();
+    let base = DsCts::new(Technology::asap7());
+    let grid: Vec<u32> = (20..=1000).step_by(140).collect();
+    let naive = sweep_fanout_naive(&base, &design, &grid);
+    let sweep = SweepEngine::new(&base)
+        .try_sweep(&design, grid.iter().copied())
+        .expect("sweepable");
+    assert_eq!(sweep.points, naive);
+    // Classes partition the requested thresholds, in order.
+    let members: Vec<u32> = sweep
+        .classes
+        .iter()
+        .flat_map(|c| c.thresholds.iter().copied())
+        .collect();
+    let mut sorted = members.clone();
+    sorted.sort_unstable();
+    let mut grid_sorted = grid.clone();
+    grid_sorted.sort_unstable();
+    assert_eq!(sorted, grid_sorted);
+    assert!(sweep.classes.len() <= grid.len());
+    // C4 has ~40 leaf clusters: thresholds far above the largest
+    // non-top-net fanout all collapse into one full-mode class, so
+    // the dedup is real on this grid.
+    assert!(
+        sweep.classes.len() < grid.len(),
+        "expected at least one merged class over {} thresholds",
+        grid.len()
+    );
 }
 
 proptest! {

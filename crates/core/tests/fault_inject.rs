@@ -15,8 +15,8 @@ use dscts_core::resilience::fault::{
     FaultKind, FaultPlan, SITE_DP, SITE_EVAL, SITE_INCREMENTAL, SITE_ROUTE, SITE_SYNTH,
 };
 use dscts_core::{
-    run_dp, CtsError, DpConfig, DsCts, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights,
-    Pattern, RobustObjective, SynthesizedTree, TreeMetrics,
+    try_run_dp, CtsError, DpConfig, DsCts, EvalModel, HierarchicalRouter, IncrementalEval,
+    MoesWeights, Pattern, RobustObjective, SynthesizedTree, TreeMetrics,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
@@ -40,7 +40,9 @@ fn design() -> dscts_netlist::Design {
 fn tree() -> (SynthesizedTree, Technology) {
     let d = design();
     let tech = Technology::asap7();
-    let mut topo = HierarchicalRouter::new().route(&d, &tech);
+    let mut topo = HierarchicalRouter::new()
+        .try_route(&d, &tech)
+        .expect("routable");
     topo.subdivide(40_000);
     let cfg = DpConfig {
         moes: MoesWeights {
@@ -51,7 +53,9 @@ fn tree() -> (SynthesizedTree, Technology) {
         },
         ..DpConfig::default()
     };
-    let res = run_dp(&topo, &tech, &cfg);
+    let res = try_run_dp(&topo, &tech, &cfg, None, None, None)
+        .expect("feasible")
+        .0;
     (SynthesizedTree::new(topo, res.assignment), tech)
 }
 

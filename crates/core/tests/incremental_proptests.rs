@@ -10,7 +10,7 @@
 
 use dscts_core::opt::{OptSchedule, PassManager};
 use dscts_core::{
-    run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
+    try_run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
     SizingPass, SynthesizedTree,
 };
 use dscts_netlist::BenchmarkSpec;
@@ -27,7 +27,8 @@ fn small_tree(sinks: usize, seed: u64) -> (SynthesizedTree, Technology) {
     let tech = Technology::asap7();
     let mut topo = HierarchicalRouter::new()
         .seed(seed ^ 0x5eed)
-        .route(&design, &tech);
+        .try_route(&design, &tech)
+        .expect("routable");
     topo.subdivide(40_000);
     // Latency-greedy MOES: more buffered edges for sizing moves to touch.
     let cfg = DpConfig {
@@ -39,7 +40,9 @@ fn small_tree(sinks: usize, seed: u64) -> (SynthesizedTree, Technology) {
         },
         ..DpConfig::default()
     };
-    let res = run_dp(&topo, &tech, &cfg);
+    let res = try_run_dp(&topo, &tech, &cfg, None, None, None)
+        .expect("feasible")
+        .0;
     (SynthesizedTree::new(topo, res.assignment), tech)
 }
 

@@ -18,7 +18,8 @@ use dscts_core::opt::{
 use dscts_core::sizing::{SizingConfig, SizingPass};
 use dscts_core::skew::{EndpointRefinePass, SkewConfig};
 use dscts_core::{
-    run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, SynthesizedTree,
+    try_run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights,
+    SynthesizedTree,
 };
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_tech::Technology;
@@ -45,9 +46,13 @@ fn workload(design: &Design, tech: &Technology) -> SynthesizedTree {
         },
         ..DpConfig::default()
     };
-    let mut topo = HierarchicalRouter::new().route(design, tech);
+    let mut topo = HierarchicalRouter::new()
+        .try_route(design, tech)
+        .expect("routable");
     topo.subdivide(40_000);
-    let res = run_dp(&topo, tech, &cfg);
+    let res = try_run_dp(&topo, tech, &cfg, None, None, None)
+        .expect("feasible")
+        .0;
     SynthesizedTree::new(topo, res.assignment)
 }
 

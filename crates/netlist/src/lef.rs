@@ -82,10 +82,11 @@ pub fn parse_lef(text: &str) -> Result<BTreeMap<String, LefMacro>, LefError> {
                 current = toks.get(1).map(|s| s.to_string());
             }
             Some(&"SIZE") if current.is_some() => {
-                // SIZE w BY h ;
+                // SIZE w BY h ; finite, non-negative and representable in
+                // nm, or the statement is malformed.
                 let parse_um = |t: Option<&&str>| -> Option<i64> {
-                    t.and_then(|v| v.parse::<f64>().ok())
-                        .map(|um| (um * 1000.0).round() as i64)
+                    let nm = (t?.parse::<f64>().ok()? * 1000.0).round();
+                    (0.0..i64::MAX as f64).contains(&nm).then_some(nm as i64)
                 };
                 let w = parse_um(toks.get(1));
                 let h = parse_um(toks.get(3));
@@ -144,6 +145,14 @@ mod tests {
         let e = parse_lef("MACRO X\n SIZE nope BY 1 ;\nEND X\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.to_string().contains("line 2"));
+        // Non-finite, negative and overflowing sizes are malformed too.
+        for bad in ["NaN", "inf", "-inf", "-1", "1e300"] {
+            for size in [format!("{bad} BY 1"), format!("1 BY {bad}")] {
+                let text = format!("MACRO X\n SIZE {size} ;\nEND X\n");
+                let e = parse_lef(&text).unwrap_err();
+                assert_eq!(e.line, 2, "SIZE {size}");
+            }
+        }
     }
 
     #[test]

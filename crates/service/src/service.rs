@@ -656,13 +656,15 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
         });
         *stage_start = now;
     };
-    let (mut tree, _dp) = match &job.kind {
-        JobKind::SweepPoint { threshold } => {
-            let modes = mode_vector(&job.design.topo, ModeRule::FanoutThreshold(*threshold));
-            pipe.insert_with_modes_cancel(job.design.topo.clone(), &modes, Some(token))?
-        }
-        _ => pipe.insert_cancel(job.design.topo.clone(), Some(token))?,
+    let modes = match &job.kind {
+        JobKind::SweepPoint { threshold } => Some(mode_vector(
+            &job.design.topo,
+            ModeRule::FanoutThreshold(*threshold),
+        )),
+        _ => None,
     };
+    let (mut tree, _, _) =
+        pipe.insert_with(job.design.topo.clone(), modes.as_deref(), Some(token), None)?;
     push_stage(&mut stages, &mut stage_start, "insertion");
     let report = pipe.optimize_tree_cancel(&mut tree, Some(token))?;
     let degraded = report.as_ref().is_some_and(|r| r.truncated);

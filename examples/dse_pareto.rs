@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example dse_pareto`.
 
-use dscts::core::dse;
+use dscts::core::dse::{self, SweepEngine};
 use dscts::{BenchmarkSpec, DsCts, Technology};
 
 fn main() {
@@ -15,7 +15,10 @@ fn main() {
     // 20..=1000 step 10 sweep.
     let thresholds = (20..=1000).step_by(70);
     let base = DsCts::new(tech);
-    let points = dse::sweep_fanout(&base, &design, thresholds);
+    let points = SweepEngine::new(&base)
+        .try_sweep(&design, thresholds)
+        .expect("C4 is sweepable")
+        .points;
 
     println!("threshold  latency(ps)  skew(ps)  buffers  nTSVs");
     for p in &points {
