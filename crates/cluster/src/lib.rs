@@ -15,6 +15,29 @@
 //!   wirelength metrics;
 //! * [`DualHierarchy`] — the two-level structure consumed by the router.
 //!
+//! # Exact bounded Lloyd iterations
+//!
+//! A Lloyd pass assigns each point to its nearest centroid (L1, lowest
+//! index wins ties), yet after the first few passes almost no point
+//! changes cluster. [`KMeans::run`] therefore keeps Hamerly's bounds per
+//! point (Hamerly 2010, "Making k-means even faster"): `upper`, at least
+//! the distance to the assigned centroid `a`, and `lower`, at most the
+//! distance to any other centroid. When the centroids move, `upper` grows
+//! by how far `a` moved and `lower` shrinks by the largest move of any
+//! other centroid. A point is skipped when `upper < lower`, or when
+//! `2·upper` is below the distance from `a` to its nearest other centroid.
+//! Both tests are strict and every distance is an integer, so a skipped
+//! point's nearest centroid is unique and is the one it already has. A
+//! point that might be tied is rescanned, and the rescan keeps the
+//! lowest-index tie-break. Every pass therefore produces the plain loop's
+//! assignment, and every [`Clustering`] is bit-identical to it.
+//!
+//! From 16 centroids on, a rescan walks a uniform grid over the centroids
+//! rather than scanning all of them, and the grid's ring bound supplies
+//! the new `lower` at no extra cost. The grid is what makes the bounds pay
+//! at the 1M-sink high-level run (k = 334): with naive rescans there, the
+//! bounded loop is slower than the plain loop with the grid.
+//!
 //! # Example
 //!
 //! ```
@@ -48,15 +71,24 @@ use rayon::prelude::*;
 /// 100k+-sink designs take the subsampled path.
 const SEED_SAMPLE_LIMIT: usize = 65_536;
 
-/// Below this centroid count the naive O(n·k) assignment scan is faster
-/// than building the centroid grid; the two paths compute the same exact
-/// argmin either way.
+/// Below this centroid count a rescan scans every centroid instead of
+/// walking the centroid grid; the two paths compute the same exact argmin
+/// either way.
 const GRID_MIN_K: usize = 16;
+
+/// From this point count on, an assignment pass splits the points into one
+/// contiguous chunk per thread. Only the high-level runs of 100k+ sinks
+/// reach it: the low-level runs hold at most `Hc` points each and already
+/// run in parallel with each other inside [`DualHierarchy::build`].
+const PAR_ASSIGN_MIN: usize = 65_536;
 
 /// Seeded k-means++ clustering with optional per-cluster size caps.
 ///
 /// The algorithm is deterministic for a given `(points, k, seed, cap)`
 /// configuration, which keeps every downstream experiment reproducible.
+/// The Lloyd iterations skip every point whose assignment Hamerly's bounds
+/// prove unchanged (see the [crate docs](crate)); the result is the plain
+/// loop's, bit for bit, at any thread count.
 #[derive(Debug, Clone)]
 pub struct KMeans {
     k: usize,
@@ -124,12 +156,21 @@ impl KMeans {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut centroids = kmeanspp_seed(points, k, &mut rng);
         let mut assignment = vec![0u32; points.len()];
+        let mut bounds = vec![Bound::UNKNOWN; points.len()];
+        let mut drift = vec![0; k];
         for _ in 0..self.max_iter {
-            let changed = assign(points, &centroids, &mut assignment);
+            let pass = AssignPass::new(&centroids, drift, points.len());
+            let changed = pass.assign(points, &mut assignment, &mut bounds);
+            let before = centroids.clone();
             recentre(points, &assignment, &mut centroids);
             if !changed {
                 break;
             }
+            drift = before
+                .iter()
+                .zip(&centroids)
+                .map(|(a, b)| a.manhattan(*b))
+                .collect();
         }
         let mut clustering = Clustering {
             centroids,
@@ -258,45 +299,162 @@ fn kmeanspp_seed_dense(points: &[Point], k: usize, rng: &mut SmallRng) -> Vec<Po
     centroids
 }
 
-/// Assigns every point to its nearest centroid (L1, lowest index wins
-/// ties). Dispatches between the naive scan and the grid-accelerated
-/// search; both compute the identical argmin, so results are bit-identical
-/// regardless of which path runs.
-fn assign(points: &[Point], centroids: &[Point], assignment: &mut [u32]) -> bool {
-    if centroids.len() >= GRID_MIN_K && points.len() >= 64 {
-        let grid = CentroidGrid::build(centroids);
-        let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
-            let best = grid.nearest(*p, centroids);
-            if assignment[i] != best {
-                assignment[i] = best;
-                changed = true;
+/// Hamerly bounds for one point, in the same integer L1 units as the
+/// coordinates: `upper ≥ d(p, c_a)` for the assigned centroid `a`, and
+/// `lower ≤ d(p, c_j)` for every other centroid `j`.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    upper: i64,
+    lower: i64,
+}
+
+impl Bound {
+    /// Before the first pass nothing is known: every point is measured
+    /// against centroid 0 (its initial assignment) and, unless that alone
+    /// proves it nearest, rescanned.
+    const UNKNOWN: Bound = Bound {
+        upper: i64::MAX,
+        lower: 0,
+    };
+}
+
+/// One bounded assignment pass over fixed centroids: everything a point
+/// needs to decide whether its assigned centroid is still provably its
+/// unique nearest one, and the query that rescans it when not.
+struct AssignPass<'a> {
+    centroids: &'a [Point],
+    /// Present from [`GRID_MIN_K`] centroids on; rescans then walk it
+    /// instead of scanning every centroid.
+    grid: Option<CentroidGrid>,
+    /// `drift[j]`: how far centroid `j` moved in the last `recentre`.
+    drift: Vec<i64>,
+    /// The centroid that drifted most, its drift, and the largest drift
+    /// of any other centroid: the most any point's `lower` can shrink.
+    top_drift: (usize, i64, i64),
+    /// `⌈sep_j / 2⌉`, where `sep_j` is the distance from centroid `j` to
+    /// its nearest other centroid. A point with `d(p, c_j) < ⌈sep_j / 2⌉`,
+    /// that is `2·d(p, c_j) < sep_j`, is strictly closer to `c_j` than to
+    /// any other centroid, by the triangle inequality.
+    half_sep: Vec<i64>,
+}
+
+impl<'a> AssignPass<'a> {
+    /// Prepares a pass over `centroids`, which moved by `drift` since the
+    /// previous pass (all zeros before the first).
+    fn new(centroids: &'a [Point], drift: Vec<i64>, n_points: usize) -> Self {
+        let grid = (centroids.len() >= GRID_MIN_K && n_points >= 64)
+            .then(|| CentroidGrid::build(centroids));
+        let mut top_drift = (0, 0, 0);
+        for (j, &d) in drift.iter().enumerate() {
+            if d > top_drift.1 {
+                top_drift = (j, d, top_drift.1);
+            } else if d > top_drift.2 {
+                top_drift.2 = d;
             }
         }
+        let sep: Vec<i64> = match &grid {
+            // The exact second-nearest distance from a centroid's own
+            // position: the centroid itself is the nearest, at 0.
+            Some(g) => centroids
+                .iter()
+                .map(|&c| g.nearest(c, centroids, true).2)
+                .collect(),
+            None => {
+                let mut sep = vec![i64::MAX; centroids.len()];
+                for (i, &a) in centroids.iter().enumerate() {
+                    for (j, &b) in centroids.iter().enumerate().skip(i + 1) {
+                        let d = a.manhattan(b);
+                        sep[i] = sep[i].min(d);
+                        sep[j] = sep[j].min(d);
+                    }
+                }
+                sep
+            }
+        };
+        AssignPass {
+            centroids,
+            grid,
+            drift,
+            top_drift,
+            half_sep: sep.into_iter().map(|s| s / 2 + s % 2).collect(),
+        }
+    }
+
+    /// Reassigns every point to its nearest centroid (L1, lowest index
+    /// wins ties) and returns whether any assignment changed. From
+    /// [`PAR_ASSIGN_MIN`] points on, contiguous chunks run in parallel;
+    /// points are independent, so the result is the same at any thread
+    /// count.
+    fn assign(&self, points: &[Point], assignment: &mut [u32], bounds: &mut [Bound]) -> bool {
+        if points.len() < PAR_ASSIGN_MIN {
+            return self.assign_chunk(points, assignment, bounds);
+        }
+        let chunk = points.len().div_ceil(rayon::current_num_threads());
+        let mut parts: Vec<_> = points
+            .chunks(chunk)
+            .zip(assignment.chunks_mut(chunk))
+            .zip(bounds.chunks_mut(chunk))
+            .map(|((pts, asn), bnd)| (pts, asn, bnd, false))
+            .collect();
+        parts.par_iter_mut().for_each(|(pts, asn, bnd, changed)| {
+            *changed = self.assign_chunk(pts, asn, bnd);
+        });
+        parts.iter().any(|part| part.3)
+    }
+
+    fn assign_chunk(&self, points: &[Point], assignment: &mut [u32], bounds: &mut [Bound]) -> bool {
+        let (top, top_d, second_d) = self.top_drift;
+        let mut changed = false;
+        for ((p, asn), b) in points.iter().zip(assignment).zip(bounds) {
+            let a = *asn as usize;
+            let mut upper = b.upper + self.drift[a];
+            let mut lower = b.lower - if a == top { second_d } else { top_d };
+            // Both tests are strict, so a skipped point has a unique
+            // nearest centroid and ties always reach the rescan below.
+            let skip_below = lower.max(self.half_sep[a]);
+            if upper >= skip_below {
+                upper = p.manhattan(self.centroids[a]);
+                if upper >= skip_below {
+                    let (best, best_d, second) = self.nearest(*p);
+                    if best != *asn {
+                        *asn = best;
+                        changed = true;
+                    }
+                    upper = best_d;
+                    lower = second;
+                }
+            }
+            *b = Bound { upper, lower };
+        }
         changed
-    } else {
-        assign_naive(points, centroids, assignment)
+    }
+
+    /// `(nearest, its distance, a lower bound on the second-nearest
+    /// distance)`, the nearest chosen by `(distance, index)`.
+    fn nearest(&self, p: Point) -> (u32, i64, i64) {
+        match &self.grid {
+            Some(grid) => grid.nearest(p, self.centroids, false),
+            None => nearest_naive(p, self.centroids),
+        }
     }
 }
 
-fn assign_naive(points: &[Point], centroids: &[Point], assignment: &mut [u32]) -> bool {
-    let mut changed = false;
-    for (i, p) in points.iter().enumerate() {
-        let mut best = 0u32;
-        let mut best_d = i64::MAX;
-        for (c, ctr) in centroids.iter().enumerate() {
-            let d = p.manhattan(*ctr);
-            if d < best_d {
-                best_d = d;
-                best = c as u32;
-            }
-        }
-        if assignment[i] != best {
-            assignment[i] = best;
-            changed = true;
+/// The naive O(k) scan: the nearest centroid by `(distance, index)`, its
+/// distance, and the exact second-nearest distance (`i64::MAX` when
+/// `k = 1`).
+fn nearest_naive(p: Point, centroids: &[Point]) -> (u32, i64, i64) {
+    let (mut best, mut best_d, mut second) = (0u32, i64::MAX, i64::MAX);
+    for (c, ctr) in centroids.iter().enumerate() {
+        let d = p.manhattan(*ctr);
+        if d < best_d {
+            second = best_d;
+            best_d = d;
+            best = c as u32;
+        } else if d < second {
+            second = d;
         }
     }
-    changed
+    (best, best_d, second)
 }
 
 /// A uniform grid over the centroid bounding box for exact nearest-centroid
@@ -309,6 +467,11 @@ fn assign_naive(points: &[Point], centroids: &[Point], assignment: &mut [u32]) -
 /// keep searching because a tied centroid with a *lower index* would win
 /// under the naive scan's tie-break, and bit-identity with that scan is
 /// load-bearing for reproducibility.
+///
+/// The same ring bound is what makes the grid worth keeping under
+/// Hamerly's bounds: a rescan at k = 334 (the 1M-sink high-level run)
+/// touches a few cells instead of every centroid, and leaves the
+/// second-nearest lower bound for free.
 struct CentroidGrid {
     x0: i64,
     y0: i64,
@@ -368,17 +531,25 @@ impl CentroidGrid {
         }
     }
 
-    /// Exact nearest centroid to `p`: minimum by `(distance, index)`, the
-    /// same total order the naive scan realises.
-    fn nearest(&self, p: Point, centroids: &[Point]) -> u32 {
+    /// Exact nearest centroid to `p` — minimum by `(distance, index)`, the
+    /// same total order the naive scan realises — with its distance and a
+    /// lower bound on the second-nearest distance: the smaller of the
+    /// second-best distance scanned and `(r-1)·cell`, where `r` is the
+    /// first ring left unscanned. With `exact_second` the search runs on
+    /// until that ring bound passes the second-best distance too, which
+    /// makes the bound exact.
+    fn nearest(&self, p: Point, centroids: &[Point], exact_second: bool) -> (u32, i64, i64) {
         let cx = (((p.x - self.x0) / self.cell).max(0) as usize).min(self.gw - 1);
         let cy = (((p.y - self.y0) / self.cell).max(0) as usize).min(self.gh - 1);
         let mut best = u32::MAX;
         let mut best_d = i64::MAX;
+        let mut second = i64::MAX;
         let max_ring = cx.max(self.gw - 1 - cx).max(cy).max(self.gh - 1 - cy);
         for r in 0..=max_ring {
-            if best != u32::MAX && (r as i64 - 1) * self.cell > best_d {
-                break;
+            let unscanned = (r as i64 - 1) * self.cell;
+            let settled = if exact_second { second } else { best_d };
+            if best != u32::MAX && unscanned > settled {
+                return (best, best_d, second.min(unscanned));
             }
             let lo_x = cx.saturating_sub(r);
             let hi_x = (cx + r).min(self.gw - 1);
@@ -389,14 +560,19 @@ impl CentroidGrid {
                 for &c in &self.idx[self.off[slot] as usize..self.off[slot + 1] as usize] {
                     let d = p.manhattan(centroids[c as usize]);
                     if d < best_d || (d == best_d && c < best) {
+                        second = best_d;
                         best_d = d;
                         best = c;
+                    } else if d < second {
+                        second = d;
                     }
                 }
             };
             for gy in lo_y..=hi_y {
-                if r == 0 || gy == lo_y || gy == hi_y {
-                    // Top/bottom edges of the ring: full row span.
+                if r == 0 || gy + r == cy || gy == cy + r {
+                    // Top/bottom edges of the ring: full row span. A row
+                    // clamped at the grid border is interior, not an edge:
+                    // scanning it whole would revisit inner-ring cells.
                     for gx in lo_x..=hi_x {
                         scan_cell(gx, gy);
                     }
@@ -413,7 +589,7 @@ impl CentroidGrid {
                 }
             }
         }
-        best
+        (best, best_d, second)
     }
 }
 
@@ -674,20 +850,109 @@ mod tests {
         assert_eq!(c.assignment().len(), 50);
     }
 
+    /// xorshift64*: the deterministic stream behind the seeded cases.
+    struct XorShift(u64);
+
+    impl XorShift {
+        /// The next value, reduced into `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        }
+
+        fn coord(&mut self, span: i64) -> i64 {
+            self.below(span as u64) as i64
+        }
+    }
+
     /// Pseudo-random (deterministic) points that do not sit on a lattice,
     /// so distance ties and cell-boundary cases actually occur.
     fn scatter(n: usize, seed: u64) -> Vec<Point> {
-        let mut state = seed | 1;
-        let mut next = || {
-            // xorshift64*
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut rng = XorShift(seed | 1);
         (0..n)
-            .map(|_| Point::new((next() % 100_000) as i64, (next() % 100_000) as i64))
+            .map(|_| Point::new(rng.coord(100_000), rng.coord(100_000)))
             .collect()
+    }
+
+    /// The plain Lloyd loop every point scans every centroid in, on every
+    /// iteration: the oracle [`KMeans::run`] must reproduce exactly.
+    fn lloyd_oracle(km: &KMeans, points: &[Point]) -> Clustering {
+        let k = km.k.min(points.len());
+        let mut rng = SmallRng::seed_from_u64(km.seed);
+        let mut centroids = kmeanspp_seed(points, k, &mut rng);
+        let mut assignment = vec![0u32; points.len()];
+        for _ in 0..km.max_iter {
+            let changed = assign_naive(points, &centroids, &mut assignment);
+            recentre(points, &assignment, &mut centroids);
+            if !changed {
+                break;
+            }
+        }
+        let mut clustering = Clustering {
+            centroids,
+            assignment,
+        };
+        if let Some(cap) = km.cap {
+            rebalance(points, &mut clustering, cap);
+            recentre(points, &clustering.assignment, &mut clustering.centroids);
+        }
+        clustering
+    }
+
+    fn assign_naive(points: &[Point], centroids: &[Point], assignment: &mut [u32]) -> bool {
+        let mut changed = false;
+        for (i, p) in points.iter().enumerate() {
+            let mut best = 0u32;
+            let mut best_d = i64::MAX;
+            for (c, ctr) in centroids.iter().enumerate() {
+                let d = p.manhattan(*ctr);
+                if d < best_d {
+                    best_d = d;
+                    best = c as u32;
+                }
+            }
+            if assignment[i] != best {
+                assignment[i] = best;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Brute force: `(nearest by (distance, index), its distance, the
+    /// exact second-nearest distance)`.
+    fn brute_nearest(p: Point, centroids: &[Point]) -> (u32, i64, i64) {
+        let (best, best_d) = centroids
+            .iter()
+            .enumerate()
+            .map(|(c, ctr)| (c as u32, p.manhattan(*ctr)))
+            .min_by_key(|&(c, d)| (d, c))
+            .expect("at least one centroid");
+        let second = centroids
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| c as u32 != best)
+            .map(|(_, ctr)| p.manhattan(*ctr))
+            .min()
+            .unwrap_or(i64::MAX);
+        (best, best_d, second)
+    }
+
+    /// The rescan query (grid walk and naive scan) against brute force:
+    /// the same nearest centroid and distance, a lower bound that is at
+    /// most the true second-nearest distance, and an exact one when asked.
+    fn check_rescans(pts: &[Point], centroids: &[Point]) {
+        let grid = CentroidGrid::build(centroids);
+        for &p in pts {
+            let (best, best_d, second) = brute_nearest(p, centroids);
+            let (g, gd, glower) = grid.nearest(p, centroids, false);
+            assert_eq!((g, gd), (best, best_d), "grid vs brute force at {p:?}");
+            assert!(glower <= second, "grid lower {glower} > second {second}");
+            assert_eq!(grid.nearest(p, centroids, true), (best, best_d, second));
+            assert_eq!(nearest_naive(p, centroids), (best, best_d, second));
+        }
     }
 
     #[test]
@@ -695,27 +960,38 @@ mod tests {
         let pts = scatter(5_000, 42);
         for k in [16usize, 40, 128] {
             let centroids: Vec<Point> = pts.iter().copied().step_by(pts.len() / k).collect();
-            let mut grid_asn = vec![0u32; pts.len()];
-            let mut naive_asn = vec![0u32; pts.len()];
             assert!(
                 centroids.len() >= GRID_MIN_K,
                 "gate must take the grid path"
             );
-            assign(&pts, &centroids, &mut grid_asn);
-            assign_naive(&pts, &centroids, &mut naive_asn);
-            assert_eq!(grid_asn, naive_asn, "grid vs naive diverged at k={k}");
+            let pass = AssignPass::new(&centroids, vec![0; centroids.len()], pts.len());
+            assert!(pass.grid.is_some(), "rescans must walk the grid");
+            check_rescans(&pts, &centroids);
+            let mut bounded = vec![0u32; pts.len()];
+            let mut naive = vec![0u32; pts.len()];
+            pass.assign(&pts, &mut bounded, &mut vec![Bound::UNKNOWN; pts.len()]);
+            assign_naive(&pts, &centroids, &mut naive);
+            assert_eq!(bounded, naive, "bounded vs naive diverged at k={k}");
         }
     }
 
     #[test]
     fn grid_assign_breaks_ties_by_lowest_index() {
-        // Two coincident centroids plus a distant one: every point tied
-        // between 0 and 1 must pick 0, exactly like the naive scan.
+        // Coincident centroids: every point is tied between all of them
+        // and must pick 0, exactly like the naive scan, with a lower bound
+        // no greater than its (equal) distance to the others.
         let pts = scatter(500, 7);
         let centroids = vec![Point::new(50_000, 50_000); GRID_MIN_K];
-        let mut asn = vec![u32::MAX; pts.len()];
-        assign(&pts, &centroids, &mut asn);
+        check_rescans(&pts, &centroids);
+        // Start every point on the last centroid: all must move to 0, and
+        // a tie must leave `lower` no greater than `upper`, so the next
+        // pass rescans instead of skipping.
+        let pass = AssignPass::new(&centroids, vec![0; GRID_MIN_K], pts.len());
+        let mut asn = vec![GRID_MIN_K as u32 - 1; pts.len()];
+        let mut bounds = vec![Bound::UNKNOWN; pts.len()];
+        assert!(pass.assign(&pts, &mut asn, &mut bounds));
         assert!(asn.iter().all(|&c| c == 0));
+        assert!(bounds.iter().all(|b| b.lower <= b.upper));
     }
 
     #[test]
@@ -725,11 +1001,100 @@ mod tests {
         pts.push(Point::new(-5_000_000, -5_000_000));
         pts.push(Point::new(9_000_000, 123));
         let centroids: Vec<Point> = pts.iter().copied().take(20).collect();
-        let mut grid_asn = vec![0u32; pts.len()];
-        let mut naive_asn = vec![0u32; pts.len()];
-        assign(&pts, &centroids, &mut grid_asn);
-        assign_naive(&pts, &centroids, &mut naive_asn);
-        assert_eq!(grid_asn, naive_asn);
+        check_rescans(&pts, &centroids);
+        let pass = AssignPass::new(&centroids, vec![0; centroids.len()], pts.len());
+        let mut bounded = vec![0u32; pts.len()];
+        let mut naive = vec![0u32; pts.len()];
+        pass.assign(&pts, &mut bounded, &mut vec![Bound::UNKNOWN; pts.len()]);
+        assign_naive(&pts, &centroids, &mut naive);
+        assert_eq!(bounded, naive);
+    }
+
+    /// One seeded oracle case: up to 800 points in one of four shapes,
+    /// `k` from 1 to 400, with or without a feasible size cap.
+    fn oracle_case(rng: &mut XorShift) -> (Vec<Point>, KMeans) {
+        let n = 1 + rng.below(800) as usize;
+        let pts: Vec<Point> = match rng.below(4) {
+            // Scatter over a random span; small spans force ties.
+            0 => {
+                let span = 1 + rng.coord(100_000);
+                let shift = rng.coord(2) * span / 2;
+                (0..n)
+                    .map(|_| Point::new(rng.coord(span) - shift, rng.coord(span) - shift))
+                    .collect()
+            }
+            // A lattice: equidistant neighbours everywhere.
+            1 => grid(n, 1 + rng.coord(1_000)),
+            // 8×8 distinct positions, so most points are duplicates.
+            2 => (0..n)
+                .map(|_| Point::new(rng.coord(8) * 1_000, rng.coord(8) * 1_000))
+                .collect(),
+            // Dense banks over a sparse background.
+            _ => {
+                let banks: Vec<Point> = (0..1 + rng.below(12))
+                    .map(|_| Point::new(rng.coord(200_000), rng.coord(200_000)))
+                    .collect();
+                (0..n)
+                    .map(|_| {
+                        if rng.below(5) == 0 {
+                            Point::new(rng.coord(200_000), rng.coord(200_000))
+                        } else {
+                            let b = banks[rng.below(banks.len() as u64) as usize];
+                            Point::new(b.x + rng.coord(2_000), b.y + rng.coord(2_000))
+                        }
+                    })
+                    .collect()
+            }
+        };
+        let k = 1 + if rng.below(2) == 0 {
+            rng.below(400)
+        } else {
+            rng.below(n as u64 / 8 + 1)
+        } as usize;
+        let mut km = KMeans::new(k).with_seed(rng.below(1 << 32));
+        if rng.below(2) == 0 {
+            km = km.with_cap(n.div_ceil(k) + rng.below(4) as usize);
+        }
+        (pts, km)
+    }
+
+    #[test]
+    fn bounded_lloyd_equals_plain_loop_oracle() {
+        let mut rng = XorShift(0x5DEE_CE66_D1CE_5EED);
+        let (mut grid_cases, mut naive_cases) = (0, 0);
+        for case in 0..500 {
+            let (pts, km) = oracle_case(&mut rng);
+            assert_eq!(
+                km.run(&pts),
+                lloyd_oracle(&km, &pts),
+                "case {case}: {km:?} over {} points",
+                pts.len()
+            );
+            if km.k.min(pts.len()) >= GRID_MIN_K && pts.len() >= 64 {
+                grid_cases += 1;
+            } else {
+                naive_cases += 1;
+            }
+        }
+        assert!(
+            grid_cases >= 200 && naive_cases >= 50,
+            "{grid_cases} / {naive_cases}"
+        );
+    }
+
+    #[test]
+    fn chunked_assignment_equals_plain_loop_oracle() {
+        // Past PAR_ASSIGN_MIN points every pass runs in per-thread chunks.
+        let pts = scatter(PAR_ASSIGN_MIN + 4_321, 5);
+        for km in [
+            KMeans::new(3).with_seed(1).with_max_iter(6),
+            KMeans::new(40)
+                .with_seed(2)
+                .with_cap(2_000)
+                .with_max_iter(6),
+        ] {
+            assert_eq!(km.run(&pts), lloyd_oracle(&km, &pts), "{km:?}");
+        }
     }
 
     #[test]

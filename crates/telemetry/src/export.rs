@@ -143,15 +143,14 @@ fn push_json_str(out: &mut String, s: &str) {
 
 /// Append a finite JSON number (non-finite values become 0 — JSON has
 /// no NaN/Inf and the metrics layer never produces them anyway).
+/// `Display` prints the shortest decimal that parses back to the same
+/// `f64`, so every exported number round-trips exactly; the overflow
+/// bucket's `f64::MAX` bound comes out as a 309-digit integer.
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v}");
-        out.push_str(&s);
         // `Display` for whole floats prints no fraction ("2" for 2.0),
         // which is still a valid JSON number; keep as-is.
-    } else if v == f64::MAX {
-        // The overflow bucket's sentinel bound.
-        out.push_str("1e308");
+        out.push_str(&v.to_string());
     } else {
         out.push('0');
     }
@@ -207,5 +206,26 @@ mod tests {
         assert_eq!(snap.gauge("depth"), Some(-4));
         assert!(snap.histogram("job.wall_s").is_some());
         assert_eq!(snap.counter("missing"), None);
+    }
+
+    #[test]
+    fn occupied_overflow_bucket_roundtrips_to_f64_max() {
+        let snap = TelemetrySnapshot {
+            histograms: vec![HistogramSnapshot {
+                name: "job.wall_s".to_owned(),
+                count: 3,
+                sum_s: 1e12,
+                buckets: vec![(1.0, 1), (f64::MAX, 2)],
+                ..HistogramSnapshot::default()
+            }],
+            ..TelemetrySnapshot::default()
+        };
+        let jsonl = snap.to_jsonl();
+        let line = jsonl.lines().nth(1).expect("histogram line");
+        let le = parse(line).expect("parses");
+        let le = le.get("le").and_then(Json::as_array).expect("le array");
+        assert_eq!(le.len(), 2);
+        assert_eq!(le[0].as_f64(), Some(1.0));
+        assert_eq!(le[1].as_f64(), Some(f64::MAX));
     }
 }

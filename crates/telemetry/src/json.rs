@@ -2,10 +2,12 @@
 //! JSON-lines in-process (the build is offline; no serde).
 //!
 //! Full RFC 8259 value grammar: objects, arrays, strings with escapes
-//! (including `\uXXXX` surrogate pairs), numbers (parsed as `f64`),
-//! booleans and null. Object keys keep insertion order; duplicate keys
-//! are kept as-is and [`Json::get`] returns the first. Arrays and objects
-//! may nest at most `MAX_DEPTH` levels deep.
+//! (including `\uXXXX` surrogate pairs) and no raw control characters,
+//! numbers without leading zeros, booleans and null. Numbers are held as
+//! `f64`: one that overflows it is rejected, and integers above 2^53
+//! round to the nearest `f64`. Object keys keep insertion order;
+//! duplicate keys are kept as-is and [`Json::get`] returns the first.
+//! Arrays and objects may nest at most `MAX_DEPTH` levels deep.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,10 +43,12 @@ impl Json {
         }
     }
 
-    /// The value as `u64`, if it is a non-negative integral number.
+    /// The value as `u64`, if it is a non-negative integral number below
+    /// 2^64.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which does not fit.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -214,7 +218,7 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             // Fast path: copy the unescaped run in one slice.
-            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                 self.pos += 1;
             }
             if self.pos > start {
@@ -231,7 +235,8 @@ impl Parser<'_> {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                _ => return Err(self.err("unterminated string")),
+                Some(_) => return Err(self.err("unescaped control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -303,8 +308,13 @@ impl Parser<'_> {
             }
             p.pos > s
         };
+        let int_at = self.pos;
         if !digits_at(self) {
             return Err(self.err("expected digits"));
+        }
+        if self.bytes[int_at] == b'0' && self.pos > int_at + 1 {
+            self.pos = int_at + 1;
+            return Err(self.err("leading zero in number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -323,9 +333,13 @@ impl Parser<'_> {
         }
         // invariant: the scanned range is ASCII digits/sign/dot/exp.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("number out of range"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => {
+                self.pos = start;
+                Err(self.err("number out of range"))
+            }
+        }
     }
 }
 
@@ -367,6 +381,15 @@ mod tests {
             "\"\\ud800\"",
             "{} extra",
             "nan",
+            "01",
+            "-00",
+            "00.5",
+            "\"a\tb\"",
+            "\"\u{0}\"",
+            "\"\u{1f}\"",
+            "{\"a\nb\":1}",
+            "1e400",
+            "-1e400",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
@@ -398,5 +421,23 @@ mod tests {
         assert_eq!(parse("7.5").expect("parses").as_u64(), None);
         assert_eq!(parse("-1").expect("parses").as_u64(), None);
         assert_eq!(parse("\"7\"").expect("parses").as_u64(), None);
+        // 2^64 does not fit; the largest `f64` below it does.
+        assert_eq!(
+            parse("18446744073709551616").expect("parses").as_u64(),
+            None
+        );
+        assert_eq!(
+            parse("18446744073709549568").expect("parses").as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+    }
+
+    #[test]
+    fn accepts_zeros_and_escaped_controls() {
+        for (text, v) in [("0", 0.0), ("-0", 0.0), ("0.5", 0.5), ("-0.5e-3", -0.0005)] {
+            assert_eq!(parse(text).expect("parses").as_f64(), Some(v), "{text}");
+        }
+        let v = parse("\"\\t\\u001f\"").expect("escaped controls parse");
+        assert_eq!(v.as_str(), Some("\t\u{1f}"));
     }
 }
