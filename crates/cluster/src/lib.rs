@@ -352,25 +352,16 @@ impl<'a> AssignPass<'a> {
                 top_drift.2 = d;
             }
         }
-        let sep: Vec<i64> = match &grid {
-            // The exact second-nearest distance from a centroid's own
-            // position: the centroid itself is the nearest, at 0.
-            Some(g) => centroids
-                .iter()
-                .map(|&c| g.nearest(c, centroids, true).2)
-                .collect(),
-            None => {
-                let mut sep = vec![i64::MAX; centroids.len()];
-                for (i, &a) in centroids.iter().enumerate() {
-                    for (j, &b) in centroids.iter().enumerate().skip(i + 1) {
-                        let d = a.manhattan(b);
-                        sep[i] = sep[i].min(d);
-                        sep[j] = sep[j].min(d);
-                    }
-                }
-                sep
+        // Every pair once: at most 55k distances at k = 334, small beside
+        // the pass over the points.
+        let mut sep = vec![i64::MAX; centroids.len()];
+        for (i, &a) in centroids.iter().enumerate() {
+            for (j, &b) in centroids.iter().enumerate().skip(i + 1) {
+                let d = a.manhattan(b);
+                sep[i] = sep[i].min(d);
+                sep[j] = sep[j].min(d);
             }
-        };
+        }
         AssignPass {
             centroids,
             grid,
@@ -433,7 +424,7 @@ impl<'a> AssignPass<'a> {
     /// distance)`, the nearest chosen by `(distance, index)`.
     fn nearest(&self, p: Point) -> (u32, i64, i64) {
         match &self.grid {
-            Some(grid) => grid.nearest(p, self.centroids, false),
+            Some(grid) => grid.nearest(p, self.centroids),
             None => nearest_naive(p, self.centroids),
         }
     }
@@ -535,10 +526,8 @@ impl CentroidGrid {
     /// same total order the naive scan realises — with its distance and a
     /// lower bound on the second-nearest distance: the smaller of the
     /// second-best distance scanned and `(r-1)·cell`, where `r` is the
-    /// first ring left unscanned. With `exact_second` the search runs on
-    /// until that ring bound passes the second-best distance too, which
-    /// makes the bound exact.
-    fn nearest(&self, p: Point, centroids: &[Point], exact_second: bool) -> (u32, i64, i64) {
+    /// first ring left unscanned.
+    fn nearest(&self, p: Point, centroids: &[Point]) -> (u32, i64, i64) {
         let cx = (((p.x - self.x0) / self.cell).max(0) as usize).min(self.gw - 1);
         let cy = (((p.y - self.y0) / self.cell).max(0) as usize).min(self.gh - 1);
         let mut best = u32::MAX;
@@ -547,8 +536,7 @@ impl CentroidGrid {
         let max_ring = cx.max(self.gw - 1 - cx).max(cy).max(self.gh - 1 - cy);
         for r in 0..=max_ring {
             let unscanned = (r as i64 - 1) * self.cell;
-            let settled = if exact_second { second } else { best_d };
-            if best != u32::MAX && unscanned > settled {
+            if best != u32::MAX && unscanned > best_d {
                 return (best, best_d, second.min(unscanned));
             }
             let lo_x = cx.saturating_sub(r);
@@ -942,15 +930,14 @@ mod tests {
 
     /// The rescan query (grid walk and naive scan) against brute force:
     /// the same nearest centroid and distance, a lower bound that is at
-    /// most the true second-nearest distance, and an exact one when asked.
+    /// most the true second-nearest distance.
     fn check_rescans(pts: &[Point], centroids: &[Point]) {
         let grid = CentroidGrid::build(centroids);
         for &p in pts {
             let (best, best_d, second) = brute_nearest(p, centroids);
-            let (g, gd, glower) = grid.nearest(p, centroids, false);
+            let (g, gd, glower) = grid.nearest(p, centroids);
             assert_eq!((g, gd), (best, best_d), "grid vs brute force at {p:?}");
             assert!(glower <= second, "grid lower {glower} > second {second}");
-            assert_eq!(grid.nearest(p, centroids, true), (best, best_d, second));
             assert_eq!(nearest_naive(p, centroids), (best, best_d, second));
         }
     }
