@@ -702,99 +702,128 @@ pub fn try_run_dp(
 }
 
 /// Per-side dominance pruning with diversity-preserving truncation.
+///
+/// One stable sort keyed on `(side is Back, cap, max_d, bufs, ntsvs)`
+/// puts the front candidates first and the back ones after them. Within
+/// a side it gives the order a stable sort of that side alone would: the
+/// side is part of the key, so two candidates of one side compare on the
+/// same `(cap, max_d, bufs, ntsvs)` as before, and equal ones keep their
+/// input order. Each side's run is then compacted in place, front first,
+/// so the result is the front survivors followed by the back ones.
 fn prune(cands: &mut Vec<Work>, mode: PruneMode, max_cands: usize) {
     if cands.len() <= 1 {
         return;
     }
-    let mut out: Vec<Work> = Vec::with_capacity(cands.len().min(2 * max_cands));
-    for side in [Side::Front, Side::Back] {
-        let mut group: Vec<Work> = cands.iter().filter(|c| c.side == side).copied().collect();
-        if group.is_empty() {
-            continue;
-        }
-        group.sort_by(|a, b| {
-            a.cap
-                .total_cmp(&b.cap)
-                .then(a.max_d.total_cmp(&b.max_d))
-                .then(a.bufs.cmp(&b.bufs))
-                .then(a.ntsvs.cmp(&b.ntsvs))
-        });
-        let mut kept: Vec<Work> = Vec::new();
-        match mode {
-            PruneMode::LatencyOnly => {
-                let mut best = f64::INFINITY;
-                for c in group {
-                    if c.max_d < best - 1e-12 {
-                        best = c.max_d;
-                        kept.push(c);
-                    }
-                }
-            }
-            PruneMode::MultiObjective => {
-                for c in group {
-                    let dominated = kept.iter().any(|k| {
-                        k.cap <= c.cap + 1e-12
-                            && k.max_d <= c.max_d + 1e-12
-                            && k.bufs <= c.bufs
-                            && k.ntsvs <= c.ntsvs
-                    });
-                    if !dominated {
-                        kept.push(c);
-                    }
-                }
-            }
-        }
-        // Diversity-preserving truncation. The (cap, max_d) staircase is
-        // what propagates latency optimality (van Ginneken), so it is kept
-        // in full whenever it fits; the resource-diverse remainder is
-        // thinned by an even stride over the delay range.
-        if kept.len() > max_cands {
-            let mut staircase = Vec::new();
-            let mut rest = Vec::new();
+    cands.sort_by(|a, b| {
+        (a.side == Side::Back)
+            .cmp(&(b.side == Side::Back))
+            .then(a.cap.total_cmp(&b.cap))
+            .then(a.max_d.total_cmp(&b.max_d))
+            .then(a.bufs.cmp(&b.bufs))
+            .then(a.ntsvs.cmp(&b.ntsvs))
+    });
+    let n = cands.len();
+    let split = cands.partition_point(|c| c.side == Side::Front);
+    let front_end = prune_side(cands, 0, 0..split, mode, max_cands);
+    let end = prune_side(cands, front_end, split..n, mode, max_cands);
+    cands.truncate(end);
+}
+
+/// Prunes one side's sorted run `cands[run]`, writing the survivors to
+/// `cands[at..]` (`at <= run.start`, so each write lands on a slot already
+/// read) and returning where they end.
+fn prune_side(
+    cands: &mut [Work],
+    at: usize,
+    run: std::ops::Range<usize>,
+    mode: PruneMode,
+    max_cands: usize,
+) -> usize {
+    let mut end = at;
+    match mode {
+        PruneMode::LatencyOnly => {
             let mut best = f64::INFINITY;
-            for c in kept {
+            for r in run {
+                let c = cands[r];
                 if c.max_d < best - 1e-12 {
                     best = c.max_d;
-                    staircase.push(c);
-                } else {
-                    rest.push(c);
+                    cands[end] = c;
+                    end += 1;
                 }
-            }
-            let stride = |mut v: Vec<Work>, budget: usize| -> Vec<Work> {
-                if v.len() <= budget {
-                    return v;
-                }
-                if budget == 0 {
-                    return Vec::new();
-                }
-                v.sort_by(|a, b| a.max_d.total_cmp(&b.max_d));
-                let m = v.len();
-                let mut pick: Vec<Work> = Vec::with_capacity(budget);
-                let mut last = usize::MAX;
-                for i in 0..budget {
-                    let j = if budget == 1 {
-                        0
-                    } else {
-                        i * (m - 1) / (budget - 1)
-                    };
-                    if j != last {
-                        pick.push(v[j]);
-                        last = j;
-                    }
-                }
-                pick
-            };
-            if staircase.len() >= max_cands {
-                kept = stride(staircase, max_cands);
-            } else {
-                let budget = max_cands - staircase.len();
-                staircase.extend(stride(rest, budget));
-                kept = staircase;
             }
         }
-        out.extend(kept);
+        PruneMode::MultiObjective => {
+            for r in run {
+                let c = cands[r];
+                let dominated = cands[at..end].iter().any(|k| {
+                    k.cap <= c.cap + 1e-12
+                        && k.max_d <= c.max_d + 1e-12
+                        && k.bufs <= c.bufs
+                        && k.ntsvs <= c.ntsvs
+                });
+                if !dominated {
+                    cands[end] = c;
+                    end += 1;
+                }
+            }
+        }
     }
-    *cands = out;
+    if end - at > max_cands {
+        let kept = thin(&cands[at..end], max_cands);
+        cands[at..at + kept.len()].copy_from_slice(&kept);
+        end = at + kept.len();
+    }
+    end
+}
+
+/// Diversity-preserving truncation of one side's survivors to at most
+/// `max_cands`. The (cap, max_d) staircase is what propagates latency
+/// optimality (van Ginneken), so it is kept in full whenever it fits; the
+/// resource-diverse remainder is thinned by an even stride over the delay
+/// range.
+fn thin(kept: &[Work], max_cands: usize) -> Vec<Work> {
+    let mut staircase = Vec::new();
+    let mut rest = Vec::new();
+    let mut best = f64::INFINITY;
+    for &c in kept {
+        if c.max_d < best - 1e-12 {
+            best = c.max_d;
+            staircase.push(c);
+        } else {
+            rest.push(c);
+        }
+    }
+    let stride = |mut v: Vec<Work>, budget: usize| -> Vec<Work> {
+        if v.len() <= budget {
+            return v;
+        }
+        if budget == 0 {
+            return Vec::new();
+        }
+        v.sort_by(|a, b| a.max_d.total_cmp(&b.max_d));
+        let m = v.len();
+        let mut pick: Vec<Work> = Vec::with_capacity(budget);
+        let mut last = usize::MAX;
+        for i in 0..budget {
+            let j = if budget == 1 {
+                0
+            } else {
+                i * (m - 1) / (budget - 1)
+            };
+            if j != last {
+                pick.push(v[j]);
+                last = j;
+            }
+        }
+        pick
+    };
+    if staircase.len() >= max_cands {
+        stride(staircase, max_cands)
+    } else {
+        let budget = max_cands - staircase.len();
+        staircase.extend(stride(rest, budget));
+        staircase
+    }
 }
 
 #[cfg(test)]
@@ -803,6 +832,203 @@ mod tests {
     use crate::route::HierarchicalRouter;
     use dscts_netlist::BenchmarkSpec;
     use dscts_tech::Technology;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The prune oracle: every side is filtered into its own vector,
+    /// stably sorted, pruned and truncated, and the sides are concatenated.
+    fn prune_oracle(cands: &mut Vec<Work>, mode: PruneMode, max_cands: usize) {
+        if cands.len() <= 1 {
+            return;
+        }
+        let mut out: Vec<Work> = Vec::with_capacity(cands.len().min(2 * max_cands));
+        for side in [Side::Front, Side::Back] {
+            let mut group: Vec<Work> = cands.iter().filter(|c| c.side == side).copied().collect();
+            if group.is_empty() {
+                continue;
+            }
+            group.sort_by(|a, b| {
+                a.cap
+                    .total_cmp(&b.cap)
+                    .then(a.max_d.total_cmp(&b.max_d))
+                    .then(a.bufs.cmp(&b.bufs))
+                    .then(a.ntsvs.cmp(&b.ntsvs))
+            });
+            let mut kept: Vec<Work> = Vec::new();
+            match mode {
+                PruneMode::LatencyOnly => {
+                    let mut best = f64::INFINITY;
+                    for c in group {
+                        if c.max_d < best - 1e-12 {
+                            best = c.max_d;
+                            kept.push(c);
+                        }
+                    }
+                }
+                PruneMode::MultiObjective => {
+                    for c in group {
+                        let dominated = kept.iter().any(|k| {
+                            k.cap <= c.cap + 1e-12
+                                && k.max_d <= c.max_d + 1e-12
+                                && k.bufs <= c.bufs
+                                && k.ntsvs <= c.ntsvs
+                        });
+                        if !dominated {
+                            kept.push(c);
+                        }
+                    }
+                }
+            }
+            // Diversity-preserving truncation. The (cap, max_d) staircase is
+            // what propagates latency optimality (van Ginneken), so it is kept
+            // in full whenever it fits; the resource-diverse remainder is
+            // thinned by an even stride over the delay range.
+            if kept.len() > max_cands {
+                let mut staircase = Vec::new();
+                let mut rest = Vec::new();
+                let mut best = f64::INFINITY;
+                for c in kept {
+                    if c.max_d < best - 1e-12 {
+                        best = c.max_d;
+                        staircase.push(c);
+                    } else {
+                        rest.push(c);
+                    }
+                }
+                let stride = |mut v: Vec<Work>, budget: usize| -> Vec<Work> {
+                    if v.len() <= budget {
+                        return v;
+                    }
+                    if budget == 0 {
+                        return Vec::new();
+                    }
+                    v.sort_by(|a, b| a.max_d.total_cmp(&b.max_d));
+                    let m = v.len();
+                    let mut pick: Vec<Work> = Vec::with_capacity(budget);
+                    let mut last = usize::MAX;
+                    for i in 0..budget {
+                        let j = if budget == 1 {
+                            0
+                        } else {
+                            i * (m - 1) / (budget - 1)
+                        };
+                        if j != last {
+                            pick.push(v[j]);
+                            last = j;
+                        }
+                    }
+                    pick
+                };
+                if staircase.len() >= max_cands {
+                    kept = stride(staircase, max_cands);
+                } else {
+                    let budget = max_cands - staircase.len();
+                    staircase.extend(stride(rest, budget));
+                    kept = staircase;
+                }
+            }
+            out.extend(kept);
+        }
+        *cands = out;
+    }
+
+    /// Every field, floats by bit pattern.
+    type WorkKey = (Option<Pattern>, Side, [u64; 3], u32, u32, [u32; 2]);
+
+    fn work_keys(v: &[Work]) -> Vec<WorkKey> {
+        v.iter()
+            .map(|w| {
+                let f = [w.cap.to_bits(), w.max_d.to_bits(), w.min_d.to_bits()];
+                (w.pattern, w.side, f, w.bufs, w.ntsvs, w.child)
+            })
+            .collect()
+    }
+
+    /// A random candidate set. Coarse sets draw cap and delay from a few
+    /// values, so sort keys repeat exactly and stability decides the
+    /// order; fine ones add near-ties inside the 1e-12 tolerances; in
+    /// staircase sets delay falls as cap grows, so long (cap, max_d)
+    /// staircases survive and the truncation runs.
+    fn random_works(rng: &mut SmallRng) -> Vec<Work> {
+        let n = rng.random_range(0..=300usize);
+        let shape = rng.random_range(0..3);
+        // Many resource values make wide multi-objective frontiers.
+        let resources = if shape == 0 { 3 } else { 40 };
+        let patterns = PatternSet::Extended.patterns();
+        let fine = |rng: &mut SmallRng| -> f64 {
+            let v: f64 = rng.random_range(0.0..10.0);
+            match rng.random_range(0..4) {
+                0 => v.floor() + 1e-13,
+                1 => v.floor(),
+                _ => v,
+            }
+        };
+        (0..n)
+            .map(|_| {
+                let (cap, max_d) = match shape {
+                    0 => (
+                        f64::from(rng.random_range(0..6u32)) * 0.5,
+                        f64::from(rng.random_range(0..6u32)) * 0.5,
+                    ),
+                    1 => (fine(rng), fine(rng)),
+                    _ => {
+                        let cap = fine(rng);
+                        (cap, 10.0 - cap + rng.random_range(0.0..0.2f64))
+                    }
+                };
+                Work {
+                    pattern: match rng.random_range(0..=patterns.len()) {
+                        0 => None,
+                        i => Some(patterns[i - 1]),
+                    },
+                    side: if rng.random_range(0..2) == 0 {
+                        Side::Front
+                    } else {
+                        Side::Back
+                    },
+                    cap,
+                    max_d,
+                    min_d: max_d - rng.random_range(0.0..1.0f64),
+                    bufs: rng.random_range(0..resources),
+                    ntsvs: rng.random_range(0..resources),
+                    child: [rng.random_range(0..400), rng.random_range(0..400)],
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prune_equals_per_side_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x5052_554E_4521);
+        // Cases whose truncation ran, per mode.
+        let mut truncated = [0; 2];
+        for case in 0..600 {
+            let cands = random_works(&mut rng);
+            let mode = if case % 2 == 0 {
+                PruneMode::LatencyOnly
+            } else {
+                PruneMode::MultiObjective
+            };
+            let budget = rng.random_range(1..=if case % 4 < 2 { 16 } else { 128usize });
+            let (mut got, mut want) = (cands.clone(), cands.clone());
+            prune(&mut got, mode, budget);
+            prune_oracle(&mut want, mode, budget);
+            assert_eq!(
+                work_keys(&got),
+                work_keys(&want),
+                "case {case}: {mode:?}, budget {budget}, {} candidates",
+                cands.len()
+            );
+            // No side can keep more than all the candidates.
+            let mut untruncated = cands.clone();
+            prune_oracle(&mut untruncated, mode, cands.len());
+            truncated[case % 2] += usize::from(untruncated.len() > want.len());
+        }
+        assert!(
+            truncated[0] >= 50 && truncated[1] >= 50,
+            "{truncated:?} cases truncated"
+        );
+    }
 
     fn small_topo() -> (ClockTopo, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();

@@ -201,7 +201,7 @@ impl HierarchicalRouter {
             })
             .collect();
 
-        let mut builder = TopoBuilder::new(design, &sink_cap);
+        let mut builder = TopoBuilder::new(design.clock_root, sinks, sink_cap);
         match self.style {
             RoutingStyle::FlatMatching => {
                 let terms: Vec<Terminal> = star_info.iter().map(|(t, _)| *t).collect();
@@ -276,17 +276,21 @@ struct TopoBuilder {
 }
 
 impl TopoBuilder {
-    fn new(design: &Design, sink_cap: &[f64]) -> Self {
+    fn new(
+        clock_root: dscts_geom::Point,
+        sink_pos: Vec<dscts_geom::Point>,
+        sink_cap: Vec<f64>,
+    ) -> Self {
         TopoBuilder {
             nodes: vec![TrunkNode {
-                pos: design.clock_root,
+                pos: clock_root,
                 parent: None,
                 edge_len: 0,
                 star: None,
             }],
             star_node: Vec::new(),
-            sink_pos: design.sink_positions(),
-            sink_cap: sink_cap.to_vec(),
+            sink_pos,
+            sink_cap,
         }
     }
 

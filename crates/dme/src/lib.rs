@@ -21,6 +21,11 @@
 //! [`RoutedTree`] result with its own Elmore evaluation used by tests and
 //! by the synthesis core.
 //!
+//! [`Topology::matching`] finds each level's greedy pairs by mutual
+//! nearest neighbours instead of sorting every pair: the pairs and the
+//! node order are the same as the sorted greedy sweep's, and a level of
+//! `m` anchors needs O(m) memory instead of O(m²).
+//!
 //! # Example
 //!
 //! ```

@@ -134,6 +134,7 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
     let mut utilization = 0.0f64;
     let mut in_components = false;
     let mut in_pins = false;
+    let mut toks: Vec<&str> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -141,7 +142,8 @@ pub fn parse_def(text: &str) -> Result<Design, DefError> {
         if line.is_empty() {
             continue;
         }
-        let toks: Vec<&str> = line.split_whitespace().collect();
+        toks.clear();
+        toks.extend(line.split_whitespace());
         if line.starts_with("# dscts ") {
             match toks.get(2) {
                 Some(&"numCells") => {
