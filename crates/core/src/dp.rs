@@ -20,8 +20,8 @@
 //!    the full pattern assignment.
 //!
 //! Pruning follows van Ginneken's inferior-solution rule per side
-//! ([`PruneMode::LatencyOnly`]), optionally extended with resource
-//! dominance ([`PruneMode::MultiObjective`], the default) so the root set
+//! ([`PruneMode::LatencyOnly`], the default), optionally extended with
+//! resource dominance ([`PruneMode::MultiObjective`]) so the root set
 //! keeps the buffer/nTSV diversity that Fig. 10 shows is essential in the
 //! double-side design space.
 
@@ -360,10 +360,7 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
             .enumerate()
             .map(|(i, c)| Work {
                 pattern: None,
-                side: c
-                    .pattern
-                    .expect("stored candidates have patterns")
-                    .root_side(),
+                side: stored_side(c),
                 cap: c.cap,
                 max_d: c.max_d,
                 min_d: c.min_d,
@@ -372,30 +369,16 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
                 child: [i as u32, u32::MAX],
             })
             .collect(),
+        // Two children: pair up their candidates. The latency-only prune
+        // below keeps nothing that `merge_group_minima` leaves out, so that
+        // mode skips the |A|×|B| product; the multi-objective prune also
+        // weighs resources, and only the full product is exact for it.
         (2, None) => {
             let (a, b) = (sets.node(kids[0] as usize), sets.node(kids[1] as usize));
-            let mut out = Vec::with_capacity(a.len() * b.len() / 2);
-            for (i, ca) in a.iter().enumerate() {
-                let sa = ca.pattern.expect("stored").root_side();
-                for (j, cb) in b.iter().enumerate() {
-                    // Connectivity constraint: the shared vertex must
-                    // have one side.
-                    if sa != cb.pattern.expect("stored").root_side() {
-                        continue;
-                    }
-                    out.push(Work {
-                        pattern: None,
-                        side: sa,
-                        cap: ca.cap + cb.cap,
-                        max_d: ca.max_d.max(cb.max_d),
-                        min_d: ca.min_d.min(cb.min_d),
-                        bufs: ca.bufs + cb.bufs,
-                        ntsvs: ca.ntsvs + cb.ntsvs,
-                        child: [i as u32, j as u32],
-                    });
-                }
+            match cfg.prune {
+                PruneMode::LatencyOnly => merge_group_minima(a, b),
+                PruneMode::MultiObjective => merge_product(a, b),
             }
-            out
         }
         (c, s) => {
             return Err(CtsError::MalformedTrunk {
@@ -454,6 +437,158 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
         });
     }
     Ok(cands)
+}
+
+/// The root side of a stored candidate: the side its pattern leaves at
+/// the shared vertex.
+fn stored_side(c: &Work) -> Side {
+    c.pattern
+        .expect("stored candidates have patterns")
+        .root_side()
+}
+
+/// Candidate `child[0]` of one child merged with candidate `child[1]` of
+/// the other.
+fn merge_pair(ca: &Work, cb: &Work, child: [u32; 2]) -> Work {
+    Work {
+        pattern: None,
+        side: stored_side(ca),
+        cap: ca.cap + cb.cap,
+        max_d: ca.max_d.max(cb.max_d),
+        min_d: ca.min_d.min(cb.min_d),
+        bufs: ca.bufs + cb.bufs,
+        ntsvs: ca.ntsvs + cb.ntsvs,
+        child,
+    }
+}
+
+/// Every same-side pairing of two children's candidate sets, in `(i, j)`
+/// order (connectivity: the shared vertex must have one side). This is
+/// the merge for [`PruneMode::MultiObjective`], whose dominance test also
+/// weighs buffers and nTSVs.
+fn merge_product(a: &[Work], b: &[Work]) -> Vec<Work> {
+    let mut out = Vec::with_capacity(a.len() * b.len() / 2);
+    for (i, ca) in (0u32..).zip(a) {
+        let sa = stored_side(ca);
+        for (j, cb) in (0u32..).zip(b) {
+            if sa == stored_side(cb) {
+                out.push(merge_pair(ca, cb, [i, j]));
+            }
+        }
+    }
+    out
+}
+
+/// The merge for [`PruneMode::LatencyOnly`]: the subset of
+/// [`merge_product`] that can survive the latency-only [`prune`], at most
+/// `|A_s| + |B_s|` pairs per side instead of `|A_s|·|B_s|`, with `prune`'s
+/// result unchanged bit for bit.
+///
+/// **Which pairs can go.** The latency-only prune keeps a candidate `x`
+/// only if `x.max_d < best − 1e-12`, where `best` is the delay of the last
+/// candidate it kept on that side. Suppose some `y` of the same side
+/// sorts before `x` (`prune`'s stable `(side, cap, max_d, bufs, ntsvs)`
+/// order) with `y.max_d <= x.max_d`. If `y` was kept,
+/// `best <= y.max_d <= x.max_d`. If not, `y.max_d >= best_y − 1e-12 >=
+/// best_x − 1e-12`, since `best` only falls and floating-point
+/// subtraction is monotone. Either way the test fails for `x`. The scan
+/// changes state only when it keeps a candidate, so dropping candidates
+/// it never keeps leaves the survivors, their order and `thin`'s input
+/// unchanged. (Delays are finite, never NaN.)
+///
+/// **Groups.** A same-side pair `(i, j)` has merged delay `a_i.max_d` when
+/// `b_j.max_d <= a_i.max_d` and `b_j.max_d` otherwise. So the pairs fall
+/// into groups that share one merged delay: `G_A(i)` holds the pairs of
+/// row `i` with `b_j.max_d <= a_i.max_d`, and `G_B(j)` the pairs of column
+/// `j` with `a_i.max_d < b_j.max_d`. The boundary is exact: with any
+/// tolerance a group would mix delays, and its minimum would not dominate
+/// every member. Each group keeps only the member `prune` sorts first, the
+/// least `(cap, max_d, bufs, ntsvs)` with ties to the earliest pair, and
+/// that member sorts before the rest of its group with an equal delay.
+///
+/// **Scan.** One pass over the same-side pairs, row by row in `(i, j)`
+/// order, keeps one slot per row and one per column and replaces a slot
+/// only on a strictly smaller key, so ties stay with the earliest pair.
+/// The winners are returned in `(i, j)` order, the order of
+/// [`merge_product`], so `prune`'s stable sort meets them as it would in
+/// the full product.
+fn merge_group_minima(a: &[Work], b: &[Work]) -> Vec<Work> {
+    // Winners as `i << 32 | j`, so that sorting them gives `(i, j)` order.
+    let mut winners: Vec<u64> = Vec::with_capacity(a.len() + b.len());
+    let mut cols: Vec<(u32, &Work)> = Vec::with_capacity(b.len());
+    let mut col_best: Vec<GroupMin> = Vec::with_capacity(b.len());
+    for side in [Side::Front, Side::Back] {
+        // One side's pairs are its rows times its columns, so the scan
+        // never meets a pair it has to skip.
+        cols.clear();
+        cols.extend((0u32..).zip(b).filter(|(_, cb)| stored_side(cb) == side));
+        col_best.clear();
+        col_best.resize(cols.len(), GroupMin::EMPTY);
+        for (i, ca) in (0u32..).zip(a) {
+            if stored_side(ca) != side {
+                continue;
+            }
+            let mut row_best = GroupMin::EMPTY;
+            for (&(j, cb), col) in cols.iter().zip(&mut col_best) {
+                // The very key `prune` would give this merged pair.
+                let key = SortKey::of(&merge_pair(ca, cb, [i, j]));
+                if cb.max_d <= ca.max_d {
+                    if key < row_best.key {
+                        row_best = GroupMin { key, other: j };
+                    }
+                } else if key < col.key {
+                    *col = GroupMin { key, other: i };
+                }
+            }
+            if row_best.other != u32::MAX {
+                winners.push(u64::from(i) << 32 | u64::from(row_best.other));
+            }
+        }
+        for (&(j, _), col) in cols.iter().zip(&col_best) {
+            if col.other != u32::MAX {
+                winners.push(u64::from(col.other) << 32 | u64::from(j));
+            }
+        }
+    }
+    winners.sort_unstable();
+    winners
+        .iter()
+        .map(|&w| {
+            let (i, j) = ((w >> 32) as u32, w as u32);
+            merge_pair(&a[i as usize], &b[j as usize], [i, j])
+        })
+        .collect()
+}
+
+/// `prune`'s order within one side: `(cap, max_d, bufs, ntsvs)`, each
+/// float mapped to the integer whose order is `f64::total_cmp`'s.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SortKey(i64, i64, u32, u32);
+
+impl SortKey {
+    fn of(w: &Work) -> Self {
+        let total = |x: f64| {
+            let bits = x.to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        };
+        SortKey(total(w.cap), total(w.max_d), w.bufs, w.ntsvs)
+    }
+}
+
+/// The least pair of one group seen so far: its key and the index it
+/// pairs with (`u32::MAX` while the group is empty). The empty key sorts
+/// after every finite one.
+#[derive(Clone, Copy)]
+struct GroupMin {
+    key: SortKey,
+    other: u32,
+}
+
+impl GroupMin {
+    const EMPTY: GroupMin = GroupMin {
+        key: SortKey(i64::MAX, i64::MAX, u32::MAX, u32::MAX),
+        other: u32::MAX,
+    };
 }
 
 /// Runs the concurrent buffer-and-nTSV DP over a routed clock tree — the
@@ -652,7 +787,7 @@ pub fn try_run_dp(
     let mut root_index = Vec::new();
     for (i, c) in arena.node(root_edge).iter().enumerate() {
         // The clock source drives on the front side.
-        if c.pattern.expect("stored").root_side() != Side::Front {
+        if stored_side(c) != Side::Front {
             continue;
         }
         if c.cap > max_load {
@@ -714,14 +849,7 @@ fn prune(cands: &mut Vec<Work>, mode: PruneMode, max_cands: usize) {
     if cands.len() <= 1 {
         return;
     }
-    cands.sort_by(|a, b| {
-        (a.side == Side::Back)
-            .cmp(&(b.side == Side::Back))
-            .then(a.cap.total_cmp(&b.cap))
-            .then(a.max_d.total_cmp(&b.max_d))
-            .then(a.bufs.cmp(&b.bufs))
-            .then(a.ntsvs.cmp(&b.ntsvs))
-    });
+    cands.sort_by_key(|c| (c.side == Side::Back, SortKey::of(c)));
     let n = cands.len();
     let split = cands.partition_point(|c| c.side == Side::Front);
     let front_end = prune_side(cands, 0, 0..split, mode, max_cands);
@@ -1030,6 +1158,187 @@ mod tests {
         );
     }
 
+    /// The merge oracle: the full same-side product, pruned latency-only.
+    fn product_then_prune(a: &[Work], b: &[Work], budget: usize) -> Vec<Work> {
+        let mut merged = merge_product(a, b);
+        prune(&mut merged, PruneMode::LatencyOnly, budget);
+        merged
+    }
+
+    fn groups_then_prune(a: &[Work], b: &[Work], budget: usize) -> Vec<Work> {
+        let mut merged = merge_group_minima(a, b);
+        prune(&mut merged, PruneMode::LatencyOnly, budget);
+        merged
+    }
+
+    /// A stored-looking candidate: a pattern whose root side is its side.
+    fn stored(p: Pattern, cap: f64, max_d: f64, min_d: f64, bufs: u32, ntsvs: u32) -> Work {
+        Work {
+            pattern: Some(p),
+            side: p.root_side(),
+            cap,
+            max_d,
+            min_d,
+            bufs,
+            ntsvs,
+            child: [0, 0],
+        }
+    }
+
+    /// One child's candidate set for the merge oracle. `pool` holds delays
+    /// both children draw from, so `a.max_d == b.max_d` happens across
+    /// them; coarse caps and resources make cap sums and whole keys tie
+    /// exactly; ladders step delays and caps by fractions of 1e-12. Half
+    /// the sets are pruned as a stored set would be (the small budgets
+    /// thin them, and `thin`'s stride reorders by delay), the rest stay
+    /// raw, with sides interleaved.
+    fn random_child(rng: &mut SmallRng, pool: &[f64], ladder: f64) -> Vec<Work> {
+        let patterns = PatternSet::Extended.patterns();
+        let n = rng.random_range(0..=60usize);
+        let shape = rng.random_range(0..4);
+        let mut set: Vec<Work> = (0..n)
+            .map(|k| {
+                let (cap, max_d) = match shape {
+                    0 => (
+                        f64::from(rng.random_range(0..8u32)) * 0.25,
+                        pool[rng.random_range(0..pool.len())],
+                    ),
+                    1 => (
+                        1.0 + f64::from(rng.random_range(0..4u32)) * ladder,
+                        pool[0] + f64::from(rng.random_range(0..8u32)) * ladder,
+                    ),
+                    2 => {
+                        // A (cap, delay) staircase with near-ties.
+                        let cap = k as f64 * 0.1 + f64::from(rng.random_range(0..2u32)) * ladder;
+                        (cap, pool[0] - k as f64 * ladder * 3.0)
+                    }
+                    _ => (rng.random_range(0.0..3.0), rng.random_range(0.0..6.0)),
+                };
+                let p = patterns[rng.random_range(0..patterns.len())];
+                let bufs = rng.random_range(0..3);
+                let ntsvs = rng.random_range(0..3);
+                stored(
+                    p,
+                    cap,
+                    max_d,
+                    max_d - rng.random_range(0.0..1.0f64),
+                    bufs,
+                    ntsvs,
+                )
+            })
+            .collect();
+        match rng.random_range(0..4) {
+            0 => prune(&mut set, PruneMode::LatencyOnly, rng.random_range(1..=64)),
+            1 => prune(
+                &mut set,
+                PruneMode::MultiObjective,
+                rng.random_range(1..=64),
+            ),
+            _ => {}
+        }
+        set
+    }
+
+    #[test]
+    fn merge_group_minima_equals_product_then_prune() {
+        let mut rng = SmallRng::seed_from_u64(0x4D45_5247_4521);
+        let ladders = [0.1e-12, 0.25e-12, 0.3e-12, 0.5e-12, 0.7e-12, 1e-12, 1.3e-12];
+        // Cases whose merge prune truncated, and cases whose product held
+        // two pairs with one `prune` key (so the tie-break decided).
+        let (mut truncated, mut tied) = (0, 0);
+        for case in 0..1_200 {
+            let pool: Vec<f64> = (0..rng.random_range(1..6))
+                .map(|_| f64::from(rng.random_range(1..20u32)) * 0.5)
+                .collect();
+            let ladder = ladders[rng.random_range(0..ladders.len())];
+            let a = random_child(&mut rng, &pool, ladder);
+            let b = random_child(&mut rng, &pool, ladder);
+            // Small budgets make the staircases outgrow them.
+            let budget = rng.random_range(1..=if case % 2 == 0 { 12 } else { 130usize });
+            let want = product_then_prune(&a, &b, budget);
+            assert_eq!(
+                work_keys(&groups_then_prune(&a, &b, budget)),
+                work_keys(&want),
+                "case {case}: budget {budget}, |A| {}, |B| {}",
+                a.len(),
+                b.len()
+            );
+            let mut keys: Vec<_> = merge_product(&a, &b)
+                .iter()
+                .map(|c| (c.side, SortKey::of(c)))
+                .collect();
+            keys.sort_unstable();
+            tied += usize::from(keys.windows(2).any(|w| w[0] == w[1]));
+            truncated += usize::from(product_then_prune(&a, &b, usize::MAX).len() > want.len());
+        }
+        assert!(
+            truncated >= 50 && tied >= 100,
+            "{truncated} truncated, {tied} tied"
+        );
+    }
+
+    /// A front-side case whose group boundary needs the exact `<=`: with
+    /// `b_j.max_d < a_i.max_d + 1e-12`, pair (1, 1) would share a group
+    /// with the cheaper (1, 0) and be lost, though the full prune keeps it.
+    #[test]
+    fn merge_group_boundary_has_no_tolerance() {
+        let p = Pattern::WiringF;
+        let a = [
+            stored(p, 0.1, 5.0 + 1.2e-12, 0.0, 0, 0),
+            stored(p, 1.0, 5.0, 0.0, 0, 0),
+        ];
+        let b = [
+            stored(p, 0.1, 5.0 + 0.5e-12, 0.0, 0, 0),
+            stored(p, 1.0, 1.0, 0.0, 0, 0),
+        ];
+        let want = product_then_prune(&a, &b, 128);
+        let pairs: Vec<[u32; 2]> = want.iter().map(|w| w.child).collect();
+        assert_eq!(pairs, [[0, 0], [1, 1]]);
+        assert_eq!(work_keys(&groups_then_prune(&a, &b, 128)), work_keys(&want));
+    }
+
+    /// Both merges on the stored sets of real C4 runs: every two-child
+    /// node of the routed tree, under several fanout thresholds and both
+    /// prune modes (multi-objective sets are wider), at the DP's own merge
+    /// budget and at tighter ones.
+    #[test]
+    fn merge_group_minima_matches_product_on_c4_sets() {
+        let (topo, tech) = small_topo();
+        let csr = topo.csr();
+        let mut compared = 0;
+        for prune_mode in [PruneMode::LatencyOnly, PruneMode::MultiObjective] {
+            let cfg = DpConfig {
+                prune: prune_mode,
+                ..DpConfig::default()
+            };
+            for rule in [
+                ModeRule::AllFull,
+                ModeRule::FanoutThreshold(20),
+                ModeRule::FanoutThreshold(100),
+                ModeRule::FanoutThreshold(400),
+                ModeRule::AllIntraSide,
+            ] {
+                let modes = mode_vector(&topo, rule);
+                let (_, cache) = try_run_dp(&topo, &tech, &cfg, Some(&modes), None, None).unwrap();
+                for id in 1..topo.nodes.len() {
+                    let &[l, r] = csr.children(id as u32) else {
+                        continue;
+                    };
+                    let (a, b) = (cache.arena.node(l as usize), cache.arena.node(r as usize));
+                    for budget in [cfg.max_cands.max(4) * 2, 16, 3] {
+                        assert_eq!(
+                            work_keys(&groups_then_prune(a, b, budget)),
+                            work_keys(&product_then_prune(a, b, budget)),
+                            "{prune_mode:?}, {rule:?}, node {id}, budget {budget}"
+                        );
+                    }
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 100, "{compared} two-child nodes compared");
+    }
+
     fn small_topo() -> (ClockTopo, Technology) {
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let tech = Technology::asap7();
@@ -1259,7 +1568,14 @@ mod tests {
     #[test]
     fn latency_only_prune_preserves_min_latency() {
         let (topo, tech) = small_topo();
-        let mo = solve(&topo, &tech, &DpConfig::default());
+        let mo = solve(
+            &topo,
+            &tech,
+            &DpConfig {
+                prune: PruneMode::MultiObjective,
+                ..DpConfig::default()
+            },
+        );
         let lo = solve(
             &topo,
             &tech,
