@@ -12,19 +12,18 @@
 //! | `fig12`     | Fig. 12   | DSE Pareto comparison on C3                  |
 //! | `ablations` | —         | design-choice ablations (pruning, patterns…) |
 //! | `scaling`   | —         | quality and runtime versus sink count        |
-//! | `opt_micro` | —         | wall clock of each optimization pass         |
 //!
 //! Binaries print human-readable tables and write CSV series under
 //! `results/`.
 //!
 //! Performance is measured by the repository benchmark (`benchmark/`, one
-//! schema for end-to-end and per-layer numbers). The quality gates that
-//! must hold on every change — committed topology digests and flow
+//! schema for end-to-end and per-layer numbers; its `opt.optimize_s` and
+//! `opt.sizing_s` layers time the optimization passes). The quality gates
+//! that must hold on every change — committed topology digests and flow
 //! quality, annealed-versus-greedy sizing, robust-versus-nominal MCMM,
 //! the DP frontier cap and the n log n stage-scaling check — live in
 //! `tests/gates.rs`.
 
-use dscts_core::skew::SkewConfig;
 use dscts_core::{try_run_dp, DpConfig, HierarchicalRouter, MoesWeights, SynthesizedTree};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_tech::Technology;
@@ -46,8 +45,8 @@ pub const DESIGN_IDS: [&str; 5] = ["C1", "C2", "C3", "C4", "C5"];
 /// A post-CTS optimization workload: the given design routed and
 /// DP-assigned with latency-greedy MOES weights, which leaves skew on the
 /// table so the sizing and refinement passes do real work. Shared by the
-/// `opt_micro` bin, the `no_alloc_hot_loop` test and the sizing and MCMM
-/// gates in `tests/gates.rs`, so they all measure the *same* workloads.
+/// `no_alloc_hot_loop` test and the sizing and MCMM gates in
+/// `tests/gates.rs`, so they all exercise the *same* workloads.
 pub fn sizing_workload(spec: &BenchmarkSpec) -> (SynthesizedTree, Technology) {
     let tech = Technology::asap7();
     let design = spec.generate();
@@ -69,26 +68,11 @@ pub fn sizing_workload(spec: &BenchmarkSpec) -> (SynthesizedTree, Technology) {
     (SynthesizedTree::new(topo, res.assignment), tech)
 }
 
-/// [`sizing_workload`] on C2 (14 338 sinks), the micro-bench default.
-pub fn c2_sizing_workload() -> (SynthesizedTree, Technology) {
-    sizing_workload(&BenchmarkSpec::c2_swerv_wrapper())
-}
-
 /// The Fig. 12 fanout-threshold grid (20..=1000) at the given step. The
 /// paper's sweep uses step 10 (99 configurations); `fig12 --quick`
 /// coarsens it.
 pub fn fig12_thresholds(step: usize) -> Vec<u32> {
     (20..=1000).step_by(step).collect()
-}
-
-/// Refinement config that always fires (zero trigger, several rounds):
-/// the forced-pass setting the optimization micro-benches time.
-pub fn forced_refine_config() -> SkewConfig {
-    SkewConfig {
-        trigger_percent: 0.0,
-        max_rounds: 8,
-        ..SkewConfig::default()
-    }
 }
 
 /// Returns (creating if needed) the `results/` output directory.

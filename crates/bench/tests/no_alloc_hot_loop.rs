@@ -1,4 +1,5 @@
-//! The sizing micro-bench hot loop must not touch the heap per move.
+//! The incremental evaluator's sizing hot loop must not touch the heap
+//! per move.
 //!
 //! The incremental evaluator owns grow-only scratch (the undo records and
 //! per-corner journals, the arrival DFS stack), so after a short warm-up
@@ -89,7 +90,8 @@ fn steady_state_sizing_moves_do_not_allocate() {
         ALLOCATIONS.load(Ordering::Relaxed) - before
     };
 
-    // One corner: the sizing path `opt_micro` times.
+    // One corner: the sizing loop of the annealed-versus-greedy gate in
+    // `gates.rs`.
     let mut t = tree.clone();
     let mut eval = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
     let grew = allocations_per_window(&mut eval);

@@ -305,10 +305,10 @@ impl CandArena {
         &self.works[self.off[id] as usize..][..self.len[id] as usize]
     }
 
-    fn push_set(&mut self, id: usize, set: Vec<Work>) {
+    fn push_set(&mut self, id: usize, set: &[Work]) {
         self.off[id] = self.works.len() as u32;
         self.len[id] = set.len() as u32;
-        self.works.extend(set);
+        self.works.extend_from_slice(set);
     }
 }
 
@@ -750,14 +750,14 @@ pub fn try_run_dp(
             groups.incr();
             nodes.add(group.len() as u64);
         }
-        let results: Vec<(u32, Result<Vec<Work>, CtsError>)> = group
+        let results: Vec<_> = group
             .par_iter()
             .map(|&id| {
-                // Clean subtree: lift the cached set instead of
-                // recomputing (bit-identical — see the clean[] contract).
+                // Clean subtree: `None` has the write-back below copy the
+                // cached set straight into the arena instead of
+                // recomputing it (bit-identical — see the clean[] contract).
                 if clean[id as usize] {
-                    let cache = reuse.expect("clean nodes only exist under reuse");
-                    return (id, Ok(cache.arena.node(id as usize).to_vec()));
+                    return (id, Ok(None));
                 }
                 // Panic isolation per worker closure: the rayon shim
                 // re-raises worker panics on the joining thread, but
@@ -770,13 +770,20 @@ pub fn try_run_dp(
                             payload: crate::resilience::panic_message(payload.as_ref()),
                         })
                     });
-                (id, r)
+                (id, r.map(Some))
             })
             .collect();
         // Write back (and surface errors) in node order: deterministic
         // regardless of how the group was scheduled.
         for (id, r) in results {
-            arena.push_set(id as usize, r?);
+            match r? {
+                Some(set) => arena.push_set(id as usize, &set),
+                None => {
+                    // invariant: clean nodes only exist under reuse.
+                    let cache = reuse.expect("clean nodes only exist under reuse");
+                    arena.push_set(id as usize, cache.arena.node(id as usize));
+                }
+            }
         }
     }
 

@@ -14,9 +14,8 @@
 //!    beyond): an [`OptPass`] trait and [`PassManager`] over a shared
 //!    [`OptCtx`], with the paper's end-point refinement
 //!    ([`skew::EndpointRefinePass`]) as the default schedule, plus greedy
-//!    sizing ([`sizing::SizingPass`]), seeded simulated annealing
-//!    ([`AnnealedSizingPass`]) and pattern local search
-//!    ([`PatternSearchPass`]);
+//!    sizing ([`sizing::SizingPass`]) and seeded simulated annealing
+//!    ([`AnnealedSizingPass`]);
 //! 4. [`dse`] — design-space exploration by sweeping the fanout threshold
 //!    that switches DP nodes between full and intra-side modes (§III-E),
 //!    batched by [`dse::SweepEngine`]: one routing run per design, one DP
@@ -28,13 +27,16 @@
 //! flipping flows of refs. \[2\] (latency-driven), \[7\] (fanout-driven) and
 //! \[6\] (timing-criticality-driven).
 //!
-//! The pipeline is a *staged engine*: each phase is a [`Stage`] over a
-//! [`PipelineCtx`] blackboard, individually wall-clocked into
-//! [`Outcome::stages`] (the optimize stage additionally reports one
-//! `opt:<name>` timing per executed pass), with data-dependent failures
-//! reported as [`CtsError`] through [`DsCts::try_run`]. Routing and DP
-//! hot paths run rayon-parallel with bit-identical results at any thread
-//! count.
+//! [`DsCts::try_run`] runs the flow as four stages — `route`,
+//! `insertion`, `optimize` (when a pass is scheduled) and `evaluate` —
+//! each one call of the public staged driver for that step
+//! ([`DsCts::route`], [`DsCts::insert`], [`DsCts::optimize_tree_cancel`],
+//! [`DsCts::evaluate_tree`]), so batch drivers that compose the drivers
+//! themselves run exactly the arithmetic of a whole run. Each stage is
+//! wall-clocked into [`Outcome::stages`] (the optimize stage additionally
+//! reports one `opt:<name>` timing per executed pass), and data-dependent
+//! failures are reported as [`CtsError`]. Routing and DP hot paths run
+//! rayon-parallel with bit-identical results at any thread count.
 //!
 //! Every optimization pass runs on the one [`IncrementalEval`] engine:
 //! full evaluation state stays resident and each trial move re-propagates
@@ -196,13 +198,10 @@ pub use incremental::IncrementalEval;
 pub use mcmm::{CornerReport, RobustMetrics, RobustObjective};
 pub use opt::{
     AnnealConfig, AnnealedSizingPass, OptCtx, OptPass, OptSchedule, PassManager, PassReport,
-    PassStats, PatternSearchConfig, PatternSearchPass, ScheduleReport,
+    PassStats, ScheduleReport,
 };
 pub use pattern::{BufferStage, Mode, Pattern, PatternEval, PatternSet};
-pub use pipeline::{
-    DsCts, EvalStage, InsertionStage, OptimizeStage, Outcome, PipelineCtx, RouteStage, Stage,
-    StageTiming,
-};
+pub use pipeline::{DsCts, Outcome, StageTiming};
 pub use resilience::{CancelToken, RecoveryPolicy, RecoveryStep, Relaxation, RunBudget};
 pub use route::{HierarchicalRouter, RoutingStyle};
 pub use sizing::SizingPass;

@@ -2,11 +2,11 @@
 //!
 //! The paper's post-CTS phase (§III-D) is one fixed refinement loop, but
 //! every optimizer this repo has grown since — greedy buffer sizing,
-//! end-point refinement, annealed sizing and pattern local search — is
-//! the *same shape*: a trial-move loop over a resident incremental
-//! evaluation of the tree, accepting moves that improve an objective and
-//! rolling rejected ones back through the journal. This module makes that
-//! shape a first-class API:
+//! end-point refinement and annealed sizing — is the *same shape*: a
+//! trial-move loop over a resident incremental evaluation of the tree,
+//! accepting moves that improve an objective and rolling rejected ones
+//! back through the journal. This module makes that shape a first-class
+//! API:
 //!
 //! * [`OptPass`] — one optimizer: a name and a `run` over a shared
 //!   [`OptCtx`] (the [`IncrementalEval`] and a seeded RNG), returning
@@ -14,9 +14,10 @@
 //! * [`OptSchedule`] — an ordered, cloneable list of passes plus the RNG
 //!   seed; the value a [`crate::DsCts`] pipeline carries.
 //! * [`PassManager`] — executes a schedule over one evaluator, wrapping
-//!   each pass with before/after metrics and a wall clock into a
-//!   [`PassReport`] (folded into [`crate::Outcome::stages`] as
-//!   `opt:<name>` timings by the pipeline).
+//!   each pass's stats and wall clock into a [`PassReport`] (folded into
+//!   [`crate::Outcome::stages`] as `opt:<name>` timings by the pipeline),
+//!   with the metrics before and after the whole schedule in its
+//!   [`ScheduleReport`].
 //!
 //! The evaluator may hold one corner or several
 //! ([`IncrementalEval::with_corners`]); a pass sees the same surface
@@ -28,20 +29,15 @@
 //! per-pass evaluators would (property-tested in `opt_proptests`).
 //!
 //! The built-in passes are [`crate::sizing::SizingPass`],
-//! [`crate::skew::EndpointRefinePass`] and:
-//!
-//! * [`AnnealedSizingPass`] — seeded, deterministic simulated annealing
-//!   over [`IncrementalEval::set_buffer_scale`] (and optionally
-//!   [`IncrementalEval::set_star_buffer`]). The journal is the reject
-//!   path: the pass commits only when a new best configuration appears
-//!   and finishes by reverting to the last one — so it can *never*
-//!   degrade the objective it anneals on.
-//! * [`PatternSearchPass`] — post-DP hill climbing over
-//!   [`IncrementalEval::set_pattern`] swaps. Only swaps preserving both
-//!   endpoint sides are proposed (which provably preserves the §III-C
-//!   connectivity constraint), and
-//!   [`crate::SynthesizedTree::validate_sides`] gates the final result
-//!   defensively.
+//! [`crate::skew::EndpointRefinePass`] and [`AnnealedSizingPass`]:
+//! seeded, deterministic simulated annealing over
+//! [`IncrementalEval::set_buffer_scale`] (and optionally
+//! [`IncrementalEval::set_star_buffer`]). The journal is the reject path:
+//! the annealer commits only when a new best configuration appears and
+//! finishes by reverting to the last one — so it can *never* degrade the
+//! objective it anneals on. A custom pass may also swap an edge's
+//! pattern ([`IncrementalEval::set_pattern`]); it must keep the tree
+//! side-legal ([`crate::SynthesizedTree::validate_sides`]).
 //!
 //! # Plugging a custom pass into the pipeline
 //!
@@ -88,7 +84,6 @@
 
 use crate::dp::MoesWeights;
 use crate::incremental::IncrementalEval;
-use crate::pattern::PatternSet;
 use crate::resilience::CancelToken;
 use crate::skew::{EndpointRefinePass, SkewConfig};
 use crate::synth::TreeMetrics;
@@ -147,7 +142,7 @@ impl<'t> OptCtx<'t> {
 }
 
 /// What one pass did, in move counts. The [`PassManager`] wraps this with
-/// metrics and wall clock into a [`PassReport`].
+/// the pass's name and wall clock into a [`PassReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStats {
     /// Trial moves proposed (including infeasible and rejected ones).
@@ -185,7 +180,8 @@ pub trait OptPass: Send + Sync {
     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats;
 }
 
-/// One executed pass: its stats plus metrics either side and wall clock.
+/// One executed pass: its stats and wall clock. The metrics around the
+/// passes are in the [`ScheduleReport`], once for the whole schedule.
 #[derive(Debug, Clone)]
 pub struct PassReport {
     /// The pass's [`OptPass::name`].
@@ -196,10 +192,6 @@ pub struct PassReport {
     pub accepted: usize,
     /// The pass's run condition (see [`PassStats::triggered`]).
     pub triggered: bool,
-    /// Metrics entering the pass.
-    pub before: TreeMetrics,
-    /// Metrics leaving the pass.
-    pub after: TreeMetrics,
     /// Wall-clock seconds spent in the pass.
     pub seconds: f64,
 }
@@ -240,8 +232,8 @@ impl OptSchedule {
         }
     }
 
-    /// The schedule the default pipeline runs: end-point skew refinement
-    /// only — exactly the pre-pass-API `RefineStage` behavior.
+    /// The schedule the default pipeline runs: the paper's §III-D
+    /// end-point skew refinement only.
     pub fn default_post_cts(cfg: SkewConfig) -> Self {
         OptSchedule::new().with(EndpointRefinePass::new(cfg))
     }
@@ -319,10 +311,10 @@ impl<'a> PassManager<'a> {
 
     /// Runs every pass in order over `eval`; accepted knobs are written
     /// through to its tree. Each pass gets a fresh RNG seeded with
-    /// `schedule seed + pass index`, and the report's before/after
-    /// metrics are the evaluator's nominal corner
-    /// ([`IncrementalEval::metrics`]), so nominal and robust runs compare
-    /// like for like.
+    /// `schedule seed + pass index`. The report's before/after metrics,
+    /// taken once each around the whole schedule, are the evaluator's
+    /// nominal corner ([`IncrementalEval::metrics`]), so nominal and
+    /// robust runs compare like for like.
     ///
     /// `cancel` attaches a run budget: the evaluator rejects every move
     /// once the token trips, the built-in passes poll it inside their
@@ -338,7 +330,6 @@ impl<'a> PassManager<'a> {
         ctx.eval.set_cancel(cancel.cloned());
         let before = ctx.eval.metrics();
         let mut passes = Vec::with_capacity(self.schedule.passes.len());
-        let mut entering = before.clone();
         let mut truncated = false;
         for (i, pass) in self.schedule.passes.iter().enumerate() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
@@ -362,23 +353,19 @@ impl<'a> PassManager<'a> {
             }
             // Defensive: a pass that forgot to commit still keeps its work.
             ctx.eval.commit();
-            let after = ctx.eval.metrics();
             passes.push(PassReport {
                 name: pass.name(),
                 attempted: stats.attempted,
                 accepted: stats.accepted,
                 triggered: stats.triggered,
-                before: entering,
-                after: after.clone(),
                 seconds,
             });
-            entering = after;
         }
         // A budget that fired inside the final pass still truncated it.
         truncated |= cancel.is_some_and(CancelToken::is_cancelled);
         ScheduleReport {
             before,
-            after: entering,
+            after: ctx.eval.metrics(),
             passes,
             truncated,
         }
@@ -615,161 +602,6 @@ impl OptPass for AnnealedSizingPass {
     }
 }
 
-// --- Pattern local search ------------------------------------------------
-
-/// Configuration of [`PatternSearchPass`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PatternSearchConfig {
-    /// The pattern alphabet swaps are drawn from.
-    pub patterns: PatternSet,
-    /// Maximum hill-climbing sweeps over all edges; the climb also stops
-    /// at the first sweep with no improving swap.
-    pub max_rounds: usize,
-    /// Objective weights; the default is the paper's MOES setting
-    /// (latency plus resource costs), so the climb recovers latency the
-    /// candidate-truncated DP left behind without spending resources
-    /// the DP would not have.
-    pub weights: MoesWeights,
-}
-
-impl Default for PatternSearchConfig {
-    fn default() -> Self {
-        PatternSearchConfig {
-            patterns: PatternSet::default(),
-            max_rounds: 4,
-            weights: MoesWeights::default(),
-        }
-    }
-}
-
-/// Post-DP hill climbing over pattern swaps.
-///
-/// The DP truncates each node's candidate set to `max_cands`, so the
-/// final assignment can leave locally improvable edges behind. This pass
-/// sweeps every trunk edge and re-assigns it the best same-sides pattern
-/// under the MOES-style objective, repeating until a sweep finds nothing.
-///
-/// Only swaps preserving **both endpoint sides** are proposed: every
-/// vertex keeps its side, so the §III-C connectivity constraint is
-/// preserved by construction (and [`crate::SynthesizedTree::validate_sides`]
-/// gates the final tree defensively — a failed gate rolls the whole pass
-/// back). Note the swap alphabet ignores any DSE mode restriction the DP
-/// ran under: a node forced intra-side by a fanout threshold may gain an
-/// nTSV pattern here. The default pipeline schedule does not include this
-/// pass, and sweeps that must respect modes should not add it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PatternSearchPass {
-    /// The search space and objective.
-    pub cfg: PatternSearchConfig,
-}
-
-impl PatternSearchPass {
-    /// The pass's stable name.
-    pub const NAME: &'static str = "pattern-search";
-
-    /// A pass with the given configuration.
-    pub fn new(cfg: PatternSearchConfig) -> Self {
-        PatternSearchPass { cfg }
-    }
-}
-
-impl Default for PatternSearchPass {
-    fn default() -> Self {
-        PatternSearchPass::new(PatternSearchConfig::default())
-    }
-}
-
-impl PatternSearchPass {
-    /// The hill-climbing sweep (under a corner-aware evaluator a swap must
-    /// be feasible in *every* corner to be proposed, and improvement is
-    /// judged in the objective view). A cancelled budget ends the sweep
-    /// after the current edge; accepted swaps are kept and the side gate
-    /// still runs.
-    fn climb(&self, eval: &mut IncrementalEval, cancel: Option<&CancelToken>) -> PassStats {
-        let cfg = &self.cfg;
-        let pass_mark = eval.mark();
-        let alphabet = cfg.patterns.patterns();
-        let w = &cfg.weights;
-        let n = eval.tree().topo.nodes.len();
-        // TreeMetrics convention: the root driver counts as a buffer.
-        let mut buffers = 1 + i64::from(eval.tree().inserted_buffers());
-        let mut ntsvs = i64::from(eval.tree().inserted_ntsvs());
-        let mut cur = moes_objective(w, eval, buffers, ntsvs);
-        let mut stats = PassStats::default();
-
-        'rounds: for _ in 0..cfg.max_rounds {
-            let mut improved = false;
-            for v in 1..n {
-                if let Some(token) = cancel {
-                    if token.is_cancelled() {
-                        break 'rounds;
-                    }
-                    token.record_trial();
-                }
-                // invariant: every trunk edge leaves the DP with a pattern;
-                // the synthesizer rejects unassigned nodes before this pass
-                // can ever see the tree.
-                let p = eval.tree().patterns[v].expect("assigned pattern");
-                // Best strictly-improving same-sides alternative for this
-                // edge (best-improvement keeps the sweep deterministic).
-                let mut winner: Option<(f64, crate::pattern::Pattern, i64, i64)> = None;
-                for &q in alphabet {
-                    if q == p || q.root_side() != p.root_side() || q.sink_side() != p.sink_side() {
-                        continue;
-                    }
-                    stats.attempted += 1;
-                    // Overloading an ancestor buffer rolls itself back.
-                    if !eval.set_pattern(v, q) {
-                        continue;
-                    }
-                    let nb = buffers + i64::from(q.buffers()) - i64::from(p.buffers());
-                    let nv = ntsvs + i64::from(q.ntsvs()) - i64::from(p.ntsvs());
-                    let cand = moes_objective(w, eval, nb, nv);
-                    if cand < cur - 1e-9 && winner.is_none_or(|(b, ..)| cand < b) {
-                        winner = Some((cand, q, nb, nv));
-                    }
-                    eval.undo();
-                }
-                if let Some((obj, q, nb, nv)) = winner {
-                    // The winner was feasible when scored; re-applying it
-                    // fails only when the run budget tripped since.
-                    if !eval.set_pattern(v, q) {
-                        break 'rounds;
-                    }
-                    cur = obj;
-                    buffers = nb;
-                    ntsvs = nv;
-                    stats.accepted += 1;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-
-        // Same-sides swaps preserve legality by construction; gate anyway.
-        if stats.accepted > 0 && eval.tree().validate_sides().is_err() {
-            eval.undo_to(pass_mark);
-            stats.accepted = 0;
-            return stats;
-        }
-        eval.commit();
-        stats
-    }
-}
-
-impl OptPass for PatternSearchPass {
-    fn name(&self) -> Cow<'static, str> {
-        Cow::Borrowed(Self::NAME)
-    }
-
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
-        let cancel = ctx.cancel().cloned();
-        self.climb(ctx.eval_mut(), cancel.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,14 +656,15 @@ mod tests {
     #[test]
     fn manager_reports_chained_metrics() {
         let (mut t, tech) = tree();
+        let before = t.evaluate(&tech, EvalModel::Elmore);
         let schedule = OptSchedule::new()
             .with(SizingPass::new(SizingConfig::default()))
             .with(AnnealedSizingPass::default());
         let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
         assert_eq!(rep.passes.len(), 2);
-        assert_eq!(rep.before, rep.passes[0].before);
-        assert_eq!(rep.passes[0].after, rep.passes[1].before);
-        assert_eq!(rep.passes[1].after, rep.after);
+        assert_eq!(rep.passes[0].name, SizingPass::NAME);
+        assert_eq!(rep.passes[1].name, AnnealedSizingPass::NAME);
+        assert_eq!(rep.before, before);
         assert!(rep.passes.iter().all(|p| p.seconds >= 0.0));
         // The evaluator wrote accepted knobs through: the tree re-evaluates
         // to exactly the reported final metrics.
@@ -904,36 +737,6 @@ mod tests {
         let rep = run(&schedule, &mut t, &tech, EvalModel::Nldm);
         assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
         assert_eq!(t.validate_sides(), Ok(()));
-    }
-
-    #[test]
-    fn pattern_search_improves_objective_and_stays_legal() {
-        let (mut t, tech) = tree();
-        assert_eq!(t.validate_sides(), Ok(()));
-        let cfg = PatternSearchConfig::default();
-        let schedule = OptSchedule::new().with(PatternSearchPass::new(cfg));
-        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
-        let w = cfg.weights;
-        assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
-        assert_eq!(t.validate_sides(), Ok(()));
-        // Hill climbing is deterministic: a second run from the result is
-        // a fixed point.
-        let rep2 = run(&schedule, &mut t, &tech, EvalModel::Elmore);
-        assert_eq!(rep2.passes[0].accepted, 0);
-        assert_eq!(rep2.before, rep2.after);
-    }
-
-    #[test]
-    fn pattern_search_swaps_preserve_endpoint_sides() {
-        let (base, tech) = tree();
-        let mut t = base.clone();
-        let schedule = OptSchedule::new().with(PatternSearchPass::default());
-        let _ = run(&schedule, &mut t, &tech, EvalModel::Elmore);
-        for (old, new) in base.patterns.iter().zip(&t.patterns).skip(1) {
-            let (old, new) = (old.expect("assigned"), new.expect("assigned"));
-            assert_eq!(old.root_side(), new.root_side());
-            assert_eq!(old.sink_side(), new.sink_side());
-        }
     }
 
     #[test]
@@ -1041,9 +844,12 @@ mod tests {
     fn schedule_debug_lists_pass_names() {
         let s = OptSchedule::new()
             .with(AnnealedSizingPass::default())
-            .with(PatternSearchPass::default());
+            .with(SizingPass::default());
         let dbg = format!("{s:?}");
-        assert!(dbg.contains("annealed-sizing") && dbg.contains("pattern-search"));
+        assert!(
+            dbg.contains(r#"passes: ["annealed-sizing", "sizing"]"#),
+            "{dbg}"
+        );
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
     }

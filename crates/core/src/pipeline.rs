@@ -1,29 +1,31 @@
-//! The end-to-end double-side CTS pipeline (Fig. 4), as a staged engine.
+//! The end-to-end double-side CTS pipeline (Fig. 4).
 //!
-//! [`DsCts`] is the builder; a run executes a sequence of [`Stage`]s over
-//! a shared [`PipelineCtx`] blackboard:
+//! [`DsCts`] holds a run's configuration. [`DsCts::try_run`] runs four
+//! stages in order, and each stage is one call of the staged driver for
+//! that step:
 //!
-//! | stage | name | reads | writes |
-//! |-------|------|-------|--------|
-//! | [`RouteStage`] | `route` | design, tech | `topo` (routed [`ClockTopo`](crate::ClockTopo)) |
-//! | [`InsertionStage`] | `insertion` | `topo`, tech | `dp`, `tree` (side-validated) |
-//! | [`OptimizeStage`] | `optimize` | `tree`, tech | `optimization`, `refinement` (optional stage) |
-//! | [`EvalStage`] | `evaluate` | `tree`, tech | `metrics` |
+//! | stage | name | driver | produces |
+//! |-------|------|--------|----------|
+//! | hierarchical routing (§III-B) | `route` | [`DsCts::route`] | the routed, subdivided [`ClockTopo`] |
+//! | buffer and nTSV insertion (§III-C) | `insertion` | [`DsCts::insert`] | the DP result and the side-validated tree |
+//! | optimization (§III-D) | `optimize` | [`DsCts::optimize_tree_cancel`] | [`Outcome::optimization`]; skipped when no pass is scheduled |
+//! | evaluation | `evaluate` | [`DsCts::evaluate_tree`] | [`Outcome::metrics`], and [`Outcome::corners`] when corner-aware |
 //!
-//! The optimize stage executes a configured [`OptSchedule`] through the
-//! [`PassManager`] (see [`crate::opt`]): by default exactly one
-//! [`EndpointRefinePass`] — reproducing the paper's §III-D refinement
-//! loop bit-for-bit — and via [`DsCts::schedule`] any composition of
-//! [`crate::opt::OptPass`]es (greedy or annealed sizing, pattern local
-//! search, custom passes). Each pass's wall clock is folded into
-//! [`Outcome::stages`] as an `opt:<name>` entry.
+//! The optimize stage executes the [`DsCts::effective_schedule`] through
+//! the [`PassManager`] (see [`crate::opt`]): by default exactly one
+//! [`EndpointRefinePass`](crate::skew::EndpointRefinePass), the paper's
+//! §III-D refinement loop, and via
+//! [`DsCts::schedule`] any composition of [`crate::opt::OptPass`]es
+//! (greedy or annealed sizing, custom passes). Each pass's wall clock is
+//! folded into [`Outcome::stages`] as an `opt:<name>` row behind the
+//! `optimize` row.
 //!
-//! Each stage is timed individually; [`Outcome::stages`] carries the
-//! per-stage wall clock so regressions can be pinned to a phase instead
-//! of a whole run. Data-dependent failures (no sinks, infeasible DP,
-//! side-inconsistent tree) surface as [`CtsError`] from
-//! [`DsCts::try_run`]; [`DsCts::run`] is a thin wrapper that panics with
-//! the same message, preserving the original API.
+//! Each stage is timed individually, so regressions can be pinned to a
+//! phase instead of a whole run, and each is a `catch_unwind` boundary: a
+//! panic escaping it becomes [`CtsError::Internal`] naming the stage.
+//! Data-dependent failures (no sinks, infeasible DP, side-inconsistent
+//! tree) surface as [`CtsError`] from [`DsCts::try_run`]; [`DsCts::run`]
+//! is a thin wrapper that panics with the same message.
 //!
 //! The hot paths behind the stages — per-cluster DME routing and
 //! per-height DP candidate propagation — are parallelized with rayon and
@@ -33,18 +35,14 @@
 //! pipeline produces the paper's "Our Buffered Clock Tree" front-side
 //! flow.
 //!
-//! Besides [`DsCts::run`]/[`DsCts::try_run`] (which execute the whole
-//! stage sequence), every stage can be **driven individually** —
-//! [`DsCts::route`], [`DsCts::insert`] / [`DsCts::insert_with`],
-//! [`DsCts::optimize_tree`], [`DsCts::evaluate_tree`] — so batch drivers
-//! can amortize shared work across configurations. The batched DSE engine
+//! Batch drivers call the staged drivers themselves to amortize shared
+//! work across configurations. The batched DSE engine
 //! ([`crate::dse::SweepEngine`]) routes a design once and then fans the
 //! insertion + optimization + evaluation tail out over mode-equivalence
 //! classes of the threshold sweep; the Table III regenerator shares one
 //! routed topology between the double-side and front-side flows the same
-//! way. Each staged method runs exactly the arithmetic its [`Stage`]
-//! counterpart runs, so any composition of them is bit-identical to the
-//! monolithic `run`.
+//! way. Since `try_run` is itself that composition, any such driver runs
+//! exactly the arithmetic of the monolithic `run`.
 
 use crate::dp::{
     try_run_dp, DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights, PruneMode, RootCand,
@@ -56,7 +54,7 @@ use crate::opt::{OptSchedule, PassManager, ScheduleReport};
 use crate::pattern::{Mode, PatternSet};
 use crate::resilience::{fault, CancelToken, RecoveryPolicy, RecoveryStep, Relaxation, RunBudget};
 use crate::route::{HierarchicalRouter, RoutingStyle};
-use crate::skew::{EndpointRefinePass, RefineReport, SkewConfig};
+use crate::skew::SkewConfig;
 use crate::synth::{EvalModel, SynthesizedTree, TreeMetrics};
 use crate::tree::ClockTopo;
 use dscts_netlist::Design;
@@ -100,9 +98,10 @@ pub struct DsCts {
 /// pass, reported as `opt:<name>`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
-    /// The stage's [`Stage::name`], or `opt:<pass name>` for a pass of
-    /// the optimize stage. Static for built-in stages, owned for
-    /// dynamically named passes — no leaked strings either way.
+    /// The stage's name (`route`, `insertion`, `optimize`, `evaluate`),
+    /// or `opt:<pass name>` for a pass of the optimize stage. Static for
+    /// the stages, owned for dynamically named passes — no leaked strings
+    /// either way.
     pub name: Cow<'static, str>,
     /// Elapsed wall-clock seconds.
     pub seconds: f64,
@@ -123,12 +122,8 @@ pub struct Outcome {
     pub root_candidates: Vec<RootCand>,
     /// Index of the MOES-selected candidate.
     pub chosen: usize,
-    /// Skew-refinement report, reconstructed from the optimize stage's
-    /// [`EndpointRefinePass`] when the schedule ran one (the default
-    /// schedule does) — kept so refinement-era callers read the same
-    /// numbers they always did.
-    pub refinement: Option<RefineReport>,
-    /// Per-pass optimization report when the optimize stage ran.
+    /// The optimize stage's report (metrics before and after the
+    /// schedule, and each pass's move counts and wall clock) when it ran.
     pub optimization: Option<ScheduleReport>,
     /// Per-corner metrics and the cross-corner robust summary of the
     /// final tree, present when the pipeline was configured with
@@ -163,143 +158,8 @@ impl Outcome {
     }
 }
 
-/// The shared blackboard a pipeline run threads through its stages.
-///
-/// Earlier stages deposit artifacts that later stages consume; a stage
-/// that reaches for an artifact its predecessors did not produce is a
-/// stage-ordering bug and panics (the engine constructs orders that
-/// cannot do this). Data-dependent failures use [`CtsError`] instead.
-#[derive(Debug)]
-pub struct PipelineCtx<'a> {
-    /// The design under synthesis.
-    pub design: &'a Design,
-    /// The target technology.
-    pub tech: &'a Technology,
-    /// Delay model for refinement and final metrics.
-    pub eval: EvalModel,
-    /// Routed clock topology (deposited by [`RouteStage`], consumed by
-    /// [`InsertionStage`]).
-    pub topo: Option<ClockTopo>,
-    /// DP result (deposited by [`InsertionStage`]).
-    pub dp: Option<DpResult>,
-    /// Synthesized, side-validated tree (deposited by
-    /// [`InsertionStage`], optimized in place by [`OptimizeStage`]).
-    pub tree: Option<SynthesizedTree>,
-    /// Skew-refinement report (deposited by [`OptimizeStage`] when its
-    /// schedule ran an [`EndpointRefinePass`]).
-    pub refinement: Option<RefineReport>,
-    /// Per-pass optimization report (deposited by [`OptimizeStage`]).
-    pub optimization: Option<ScheduleReport>,
-    /// Final metrics (deposited by [`EvalStage`]).
-    pub metrics: Option<TreeMetrics>,
-    /// Per-corner metrics + robust summary (deposited by [`EvalStage`]
-    /// when the pipeline carries a [`CornerSet`]).
-    pub corner_report: Option<CornerReport>,
-    /// Cooperative cancellation token for this run, when a [`RunBudget`]
-    /// is configured. Stages check it at their boundary; long loops check
-    /// it inside.
-    pub cancel: Option<CancelToken>,
-    /// Set by a stage that truncated work under cancellation (the
-    /// optimize stage); folded into [`Outcome::degraded`].
-    pub degraded: bool,
-}
-
-impl<'a> PipelineCtx<'a> {
-    /// An empty blackboard over `design` and `tech`.
-    pub fn new(design: &'a Design, tech: &'a Technology, eval: EvalModel) -> Self {
-        PipelineCtx {
-            design,
-            tech,
-            eval,
-            topo: None,
-            dp: None,
-            tree: None,
-            refinement: None,
-            optimization: None,
-            metrics: None,
-            corner_report: None,
-            cancel: None,
-            degraded: false,
-        }
-    }
-
-    /// The cancellation token, when the run is budgeted.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-}
-
-/// One phase of the CTS engine, individually instrumented and
-/// restartable over a [`PipelineCtx`].
-pub trait Stage {
-    /// Stable identifier used in [`StageTiming`] and logs.
-    fn name(&self) -> &'static str;
-    /// Executes the stage, reading and writing [`PipelineCtx`] artifacts.
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError>;
-}
-
-/// Hierarchical clock routing (§III-B): dual-level clustering, parallel
-/// per-cluster DME, trunk subdivision to the DP granularity.
-#[derive(Debug, Clone)]
-pub struct RouteStage {
-    hc: usize,
-    lc: usize,
-    seed: u64,
-    style: RoutingStyle,
-    max_seg_len: i64,
-}
-
-impl Stage for RouteStage {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        if let Some(cancel) = &ctx.cancel {
-            cancel.check(self.name())?;
-        }
-        let mut topo = HierarchicalRouter::new()
-            .hc(self.hc)
-            .lc(self.lc)
-            .seed(self.seed)
-            .style(self.style)
-            .try_route(ctx.design, ctx.tech)?;
-        topo.subdivide(self.max_seg_len);
-        ctx.topo = Some(topo);
-        Ok(())
-    }
-}
-
-/// Concurrent buffer & nTSV insertion (§III-C): the multi-objective DP
-/// plus construction and side-validation of the synthesized tree.
-#[derive(Debug, Clone)]
-pub struct InsertionStage {
-    dp: DpConfig,
-}
-
-impl Stage for InsertionStage {
-    fn name(&self) -> &'static str {
-        "insertion"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        if let Some(cancel) = &ctx.cancel {
-            cancel.check(self.name())?;
-        }
-        // invariant: the engine only runs insertion after route.
-        let topo = ctx.topo.take().expect("route stage deposits the topology");
-        // The suffix cache is dropped here, before the tree is built, so
-        // the candidate arena does not raise the run's peak memory.
-        let (dp, _) = try_run_dp(&topo, ctx.tech, &self.dp, None, ctx.cancel.as_ref(), None)?;
-        ctx.tree = Some(synthesize(topo, &dp)?);
-        ctx.dp = Some(dp);
-        Ok(())
-    }
-}
-
-/// The insertion stage after the DP: tree construction and the legality
-/// gate. Shared by [`InsertionStage`] and [`DsCts::insert_with`] so every
-/// path runs the identical arithmetic.
+/// The insertion step after the DP: tree construction and the legality
+/// gate.
 fn synthesize(topo: ClockTopo, dp: &DpResult) -> Result<SynthesizedTree, CtsError> {
     fault::fault_check(fault::SITE_SYNTH)?;
     let tree = SynthesizedTree::new(topo, dp.assignment.clone());
@@ -309,135 +169,36 @@ fn synthesize(topo: ClockTopo, dp: &DpResult) -> Result<SynthesizedTree, CtsErro
     Ok(tree)
 }
 
-/// Post-CTS optimization (§III-D and beyond): executes a configured
-/// [`OptSchedule`] over one resident incremental evaluator. Optional:
-/// present only when [`DsCts::schedule`] or [`DsCts::skew_refinement`]
-/// configures at least one pass. The default schedule is a single
-/// [`EndpointRefinePass`], bit-identical to the pre-pass-API refine
-/// stage.
-#[derive(Debug, Clone)]
-pub struct OptimizeStage {
-    schedule: OptSchedule,
-    /// MCMM: fan every trial move out to these corners, scoring through
-    /// the objective (see [`DsCts::corners`]).
-    corners: Option<(Arc<CornerSet>, RobustObjective)>,
-}
-
-impl OptimizeStage {
-    /// A stage executing `schedule` over the single (nominal) corner.
-    pub fn new(schedule: OptSchedule) -> Self {
-        OptimizeStage {
-            schedule,
-            corners: None,
-        }
+/// Runs one stage of [`DsCts::try_run`]: `f` inside a `catch_unwind`
+/// boundary that reports an escaping panic as [`CtsError::Internal`]
+/// naming the stage (the vendored rayon shim re-raises worker panics on
+/// the joining thread, so this also covers parallel sections). On
+/// success the stage's wall clock is appended to `rows` and recorded as
+/// the `span.<name>` histogram, so instrumented timings equal
+/// [`Outcome::stages`].
+fn stage<T>(
+    rows: &mut Vec<StageTiming>,
+    name: &'static str,
+    f: impl FnOnce() -> Result<T, CtsError>,
+) -> Result<T, CtsError> {
+    let t0 = Instant::now();
+    let out = catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        telemetry::count("pipeline.panics_caught", 1);
+        Err(CtsError::Internal {
+            stage: name,
+            payload: crate::resilience::panic_message(payload.as_ref()),
+        })
+    })?;
+    let seconds = t0.elapsed().as_secs_f64();
+    if let Some(tel) = telemetry::active() {
+        tel.record_duration(&format!("span.{name}"), seconds);
     }
-
-    /// A stage executing `schedule` over every corner of `corners`,
-    /// scored through `objective` (see
-    /// [`IncrementalEval::with_corners`]).
-    pub fn new_corners(
-        schedule: OptSchedule,
-        corners: Arc<CornerSet>,
-        objective: RobustObjective,
-    ) -> Self {
-        OptimizeStage {
-            schedule,
-            corners: Some((corners, objective)),
-        }
-    }
-
-    /// Reconstructs the [`RefineReport`] from a schedule run, when the
-    /// schedule included an [`EndpointRefinePass`]: the pass's trigger
-    /// flag, added-buffer count and surrounding metrics, exact for the
-    /// default single-refine schedule. When a custom schedule runs
-    /// several refine passes, the **last** one is reported
-    /// (the closest to the final tree); its `after` still predates any
-    /// later non-refine passes. Matching is by pass name —
-    /// [`EndpointRefinePass::NAME`] is reserved for the built-in pass.
-    fn refine_report(report: &ScheduleReport) -> Option<RefineReport> {
-        report
-            .passes
-            .iter()
-            .rev()
-            .find(|p| p.name == EndpointRefinePass::NAME)
-            .map(|p| RefineReport {
-                triggered: p.triggered,
-                buffers_added: p.accepted,
-                before: p.before.clone(),
-                after: p.after.clone(),
-            })
-    }
-}
-
-impl Stage for OptimizeStage {
-    fn name(&self) -> &'static str {
-        "optimize"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        // invariant: the engine only runs optimize after insertion.
-        let tree = ctx
-            .tree
-            .as_mut()
-            .expect("insertion stage deposits the tree");
-        let corners = self.corners.as_ref().map(|(c, o)| (&**c, *o));
-        let eval = schedule_eval(tree, ctx.tech, corners, ctx.eval)?;
-        let report = PassManager::new(&self.schedule).run(eval, ctx.cancel.as_ref());
-        // A truncated schedule is the *degraded but valid* outcome the
-        // budget promises: skip the rest, still evaluate, flag it.
-        ctx.degraded |= report.truncated;
-        ctx.refinement = Self::refine_report(&report);
-        ctx.optimization = Some(report);
-        Ok(())
-    }
-}
-
-/// Final metric extraction under the configured delay model — plus, for
-/// a corner-aware pipeline, one batch evaluation per corner folded into
-/// the [`CornerReport`].
-#[derive(Debug, Clone, Default)]
-pub struct EvalStage {
-    corners: Option<Arc<CornerSet>>,
-}
-
-impl Stage for EvalStage {
-    fn name(&self) -> &'static str {
-        "evaluate"
-    }
-
-    fn run(&self, ctx: &mut PipelineCtx<'_>) -> Result<(), CtsError> {
-        // No cancellation check: evaluation is cheap and always runs, so a
-        // budget-truncated run still yields a fully-measured outcome.
-        fault::fault_check(fault::SITE_EVAL)?;
-        // invariant: the engine only runs evaluate after insertion.
-        let tree = ctx
-            .tree
-            .as_ref()
-            .expect("insertion stage deposits the tree");
-        ctx.metrics = Some(tree.evaluate(ctx.tech, ctx.eval));
-        if let Some(corners) = &self.corners {
-            ctx.corner_report = Some(CornerReport::try_evaluate(tree, corners, ctx.eval)?);
-        }
-        Ok(())
-    }
-}
-
-/// The evaluator an optimize schedule runs over: `tech` alone, or every
-/// corner of `corners` scored through its objective. A corner that makes
-/// the tree electrically infeasible is the typed
-/// [`CtsError::NoFeasiblePattern`] the recovery ladder retries.
-fn schedule_eval<'t>(
-    tree: &'t mut SynthesizedTree,
-    tech: &'t Technology,
-    corners: Option<(&'t CornerSet, RobustObjective)>,
-    model: EvalModel,
-) -> Result<IncrementalEval<'t>, CtsError> {
-    match corners {
-        Some((corners, objective)) => {
-            IncrementalEval::with_corners(tree, corners, model, objective)
-        }
-        None => Ok(IncrementalEval::new(tree, tech, model)),
-    }
+    rows.push(StageTiming {
+        name: Cow::Borrowed(name),
+        seconds,
+        peak_rss_bytes: crate::rss::peak_rss_bytes(),
+    });
+    Ok(out)
 }
 
 impl DsCts {
@@ -632,7 +393,8 @@ impl DsCts {
 
     /// The schedule the optimize stage will actually run: the custom
     /// schedule when set (`None` if it is empty), else the default
-    /// single-[`EndpointRefinePass`] schedule derived from
+    /// single-[`EndpointRefinePass`](crate::skew::EndpointRefinePass)
+    /// schedule derived from
     /// [`DsCts::skew_refinement`], else `None` (stage dropped).
     pub fn effective_schedule(&self) -> Option<OptSchedule> {
         match &self.schedule {
@@ -658,27 +420,31 @@ impl DsCts {
 
     // ---- Staged drivers. ----
     //
-    // Each method below executes exactly one stage's arithmetic, so any
-    // composition is bit-identical to `run`. Batch drivers use them to
-    // amortize shared work: the DSE engine routes once per design, the
-    // Table III regenerator shares a routed topology between flows.
+    // Each method below is one stage of `try_run`, which calls them in
+    // order, so any composition of them is bit-identical to `run`. Batch
+    // drivers use them to amortize shared work: the DSE engine routes once
+    // per design, the Table III regenerator shares a routed topology
+    // between flows.
 
-    /// Runs only the routing stage, returning the routed (and subdivided)
-    /// topology. Identical to what [`DsCts::run`] deposits after its first
-    /// stage.
+    /// Runs only the routing stage: dual-level clustering, per-cluster
+    /// DME and trunk subdivision to the DP granularity, returning the
+    /// routed topology.
     pub fn route(&self, design: &Design) -> Result<ClockTopo, CtsError> {
-        let mut ctx = PipelineCtx::new(design, &self.tech, self.eval);
-        self.route_stage().run(&mut ctx)?;
-        // invariant: RouteStage::run deposits topo on every Ok return.
-        Ok(ctx.topo.expect("route stage deposits the topology"))
+        let mut topo = HierarchicalRouter::new()
+            .hc(self.hc)
+            .lc(self.lc)
+            .seed(self.seed)
+            .style(self.style)
+            .try_route(design, &self.tech)?;
+        topo.subdivide(self.max_seg_len);
+        Ok(topo)
     }
 
     /// Runs only the insertion stage on a pre-routed topology: the DP
     /// under this pipeline's configuration, tree construction and the
     /// side-legality gate.
     pub fn insert(&self, topo: ClockTopo) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        self.insert_with(topo, None, None, None)
-            .map(|(tree, dp, _)| (tree, dp))
+        self.insert_dropping_cache(topo, None, None)
     }
 
     /// [`DsCts::insert`] with a precomputed per-node [`Mode`] vector,
@@ -688,8 +454,7 @@ impl DsCts {
         topo: ClockTopo,
         modes: &[Mode],
     ) -> Result<(SynthesizedTree, DpResult), CtsError> {
-        self.insert_with(topo, Some(modes), None, None)
-            .map(|(tree, dp, _)| (tree, dp))
+        self.insert_dropping_cache(topo, Some(modes), None)
     }
 
     /// The general insertion driver: [`DsCts::insert`] with an optional
@@ -715,12 +480,26 @@ impl DsCts {
         Ok((synthesize(topo, &dp)?, dp, cache))
     }
 
+    /// The insertion stage of [`DsCts::insert`],
+    /// [`DsCts::insert_with_modes`] and [`DsCts::try_run`]: the DP's
+    /// suffix cache is dropped before the tree is built, so the candidate
+    /// arena does not raise the run's peak memory.
+    fn insert_dropping_cache(
+        &self,
+        topo: ClockTopo,
+        modes: Option<&[Mode]>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(SynthesizedTree, DpResult), CtsError> {
+        let (dp, _) = try_run_dp(&topo, &self.tech, &self.dp, modes, cancel, None)?;
+        Ok((synthesize(topo, &dp)?, dp))
+    }
+
     /// Runs only the optimize stage on a synthesized tree, in place:
     /// exactly the configured [`DsCts::effective_schedule`] — over the
     /// configured corners when the pipeline is corner-aware — so any
     /// composition with the other staged drivers is bit-identical to
     /// [`DsCts::run`]. Returns `None` (doing nothing) when no pass is
-    /// scheduled, mirroring the optional [`OptimizeStage`].
+    /// scheduled, the case in which `run` skips the stage.
     ///
     /// # Panics
     ///
@@ -743,7 +522,7 @@ impl DsCts {
     ///
     /// Returns [`CtsError::NoFeasiblePattern`], leaving the tree
     /// untouched, when a configured corner makes the tree electrically
-    /// infeasible.
+    /// infeasible; the recovery ladder retries that error.
     pub fn optimize_tree_cancel(
         &self,
         tree: &mut SynthesizedTree,
@@ -752,8 +531,10 @@ impl DsCts {
         let Some(schedule) = self.effective_schedule() else {
             return Ok(None);
         };
-        let corners = self.corners.as_deref().map(|c| (c, self.robust));
-        let eval = schedule_eval(tree, &self.tech, corners, self.eval)?;
+        let eval = match &self.corners {
+            Some(corners) => IncrementalEval::with_corners(tree, corners, self.eval, self.robust)?,
+            None => IncrementalEval::new(tree, &self.tech, self.eval),
+        };
         Ok(Some(PassManager::new(&schedule).run(eval, cancel)))
     }
 
@@ -761,41 +542,6 @@ impl DsCts {
     /// delay model.
     pub fn evaluate_tree(&self, tree: &SynthesizedTree) -> TreeMetrics {
         tree.evaluate(&self.tech, self.eval)
-    }
-
-    /// The routing stage this configuration runs — the single place its
-    /// fields are copied out, shared by [`DsCts::stages`] and
-    /// [`DsCts::route`] so the staged driver cannot drift from `run`.
-    fn route_stage(&self) -> RouteStage {
-        RouteStage {
-            hc: self.hc,
-            lc: self.lc,
-            seed: self.seed,
-            style: self.style,
-            max_seg_len: self.max_seg_len,
-        }
-    }
-
-    /// The stage sequence this configuration will execute, in order.
-    pub fn stages(&self) -> Vec<Box<dyn Stage>> {
-        let mut stages: Vec<Box<dyn Stage>> = vec![
-            Box::new(self.route_stage()),
-            Box::new(InsertionStage {
-                dp: self.dp.clone(),
-            }),
-        ];
-        if let Some(schedule) = self.effective_schedule() {
-            stages.push(Box::new(match &self.corners {
-                Some(corners) => {
-                    OptimizeStage::new_corners(schedule, Arc::clone(corners), self.robust)
-                }
-                None => OptimizeStage::new(schedule),
-            }));
-        }
-        stages.push(Box::new(EvalStage {
-            corners: self.corners.clone(),
-        }));
-        stages
     }
 
     /// Runs the full pipeline on `design`, timing each stage.
@@ -872,82 +618,78 @@ impl DsCts {
         self
     }
 
-    /// One full stage-sequence attempt: the pre-resilience `try_run`
-    /// body, plus the cancellation token on the blackboard and a
-    /// `catch_unwind` isolation boundary around every stage (the vendored
-    /// rayon shim re-raises worker panics on the joining thread, so this
-    /// boundary also catches panics from parallel sections).
+    /// One attempt at the whole flow: the four staged drivers in order,
+    /// each run through [`stage`], with the budget's token checked before
+    /// routing and insertion and handed to the DP and the schedule.
     fn try_run_once(
         &self,
         design: &Design,
         cancel: Option<&CancelToken>,
     ) -> Result<Outcome, CtsError> {
         let start = Instant::now();
-        let mut ctx = PipelineCtx::new(design, &self.tech, self.eval);
-        ctx.cancel = cancel.cloned();
-        let mut timings = Vec::new();
-        for stage in self.stages() {
-            let deposited_before = ctx.optimization.is_some();
-            let t0 = Instant::now();
-            catch_unwind(AssertUnwindSafe(|| stage.run(&mut ctx))).unwrap_or_else(|payload| {
-                telemetry::count("pipeline.panics_caught", 1);
-                Err(CtsError::Internal {
-                    stage: stage.name(),
-                    payload: crate::resilience::panic_message(payload.as_ref()),
-                })
-            })?;
-            let seconds = t0.elapsed().as_secs_f64();
-            // Stage spans share the already-taken wall clock instead of
-            // re-measuring, so instrumented timings equal Outcome's.
-            if let Some(tel) = telemetry::active() {
-                tel.record_duration(&format!("span.{}", stage.name()), seconds);
-            }
-            timings.push(StageTiming {
-                name: Cow::Borrowed(stage.name()),
-                seconds,
-                peak_rss_bytes: crate::rss::peak_rss_bytes(),
-            });
-            if !deposited_before {
-                // Whichever stage just deposited the schedule report gets
-                // its per-pass wall clocks folded in right behind it, as
-                // `opt:<name>` entries.
-                if let Some(report) = &ctx.optimization {
-                    // Per-pass rows inherit the optimize stage's sample:
-                    // the passes already finished, so the stage-end
-                    // high-water mark covers all of them.
-                    let stage_peak = timings.last().and_then(|t| t.peak_rss_bytes);
-                    timings.extend(report.passes.iter().map(|p| StageTiming {
-                        name: Cow::Owned(format!("opt:{}", p.name)),
-                        seconds: p.seconds,
-                        peak_rss_bytes: stage_peak,
-                    }));
-                }
-            }
+        let checkpoint = |name| cancel.map_or(Ok(()), |token| token.check(name));
+        let mut stages = Vec::new();
+        let topo = stage(&mut stages, "route", || {
+            checkpoint("route")?;
+            self.route(design)
+        })?;
+        let (mut tree, dp) = stage(&mut stages, "insertion", || {
+            checkpoint("insertion")?;
+            self.insert_dropping_cache(topo, None, cancel)
+        })?;
+        let optimization = if self.effective_schedule().is_some() {
+            stage(&mut stages, "optimize", || {
+                self.optimize_tree_cancel(&mut tree, cancel)
+            })?
+        } else {
+            None
+        };
+        if let Some(report) = &optimization {
+            // Per-pass rows follow the optimize row and inherit its
+            // sample: the passes already finished, so the stage-end
+            // high-water mark covers all of them.
+            let stage_peak = stages.last().and_then(|t| t.peak_rss_bytes);
+            stages.extend(report.passes.iter().map(|p| StageTiming {
+                name: Cow::Owned(format!("opt:{}", p.name)),
+                seconds: p.seconds,
+                peak_rss_bytes: stage_peak,
+            }));
         }
+        // A truncated schedule is the *degraded but valid* outcome the
+        // budget promises: the rest is skipped, the tree still evaluated.
+        let degraded = optimization.as_ref().is_some_and(|r| r.truncated);
+        let (metrics, corners) = stage(&mut stages, "evaluate", || {
+            // No cancellation check: evaluation is cheap and always runs,
+            // so a budget-truncated run still yields a measured outcome.
+            fault::fault_check(fault::SITE_EVAL)?;
+            let metrics = self.evaluate_tree(&tree);
+            let corners = self
+                .corners
+                .as_deref()
+                .map(|corners| CornerReport::try_evaluate(&tree, corners, self.eval))
+                .transpose()?;
+            Ok((metrics, corners))
+        })?;
         if let Some(tel) = telemetry::active() {
             tel.counter("pipeline.runs").incr();
-            if ctx.degraded {
+            if degraded {
                 tel.counter("pipeline.degraded").incr();
             }
             if let Some(rss) = crate::rss::peak_rss_bytes() {
                 tel.gauge("process.peak_rss_bytes").max(rss as i64);
             }
         }
-        // invariant: the stage sequence always contains insertion and
-        // evaluate, and every stage returned Ok above.
-        let dp = ctx.dp.expect("insertion stage ran");
         Ok(Outcome {
-            tree: ctx.tree.expect("insertion stage ran"),
-            metrics: ctx.metrics.expect("evaluation stage ran"),
+            tree,
+            metrics,
             root_candidates: dp.root_candidates,
             chosen: dp.chosen,
-            refinement: ctx.refinement,
-            optimization: ctx.optimization,
-            corners: ctx.corner_report,
-            stages: timings,
+            optimization,
+            corners,
+            stages,
             runtime_s: start.elapsed().as_secs_f64(),
             peak_rss_bytes: crate::rss::peak_rss_bytes(),
-            degraded: ctx.degraded,
+            degraded,
             recovery: Vec::new(),
         })
     }
@@ -1024,6 +766,7 @@ pub(crate) mod test_env {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skew::EndpointRefinePass;
     use dscts_netlist::BenchmarkSpec;
 
     fn run(single: bool) -> Outcome {
@@ -1090,6 +833,25 @@ mod tests {
         assert_eq!(serial.chosen, parallel.chosen);
     }
 
+    /// The stage row names of `o`, in order.
+    fn stage_names(o: &Outcome) -> Vec<&str> {
+        o.stages.iter().map(|s| s.name.as_ref()).collect()
+    }
+
+    /// Asserts two schedule reports agree in everything but wall clock.
+    fn assert_same_report(a: &ScheduleReport, b: &ScheduleReport) {
+        assert_eq!(a.before, b.before);
+        assert_eq!(a.after, b.after);
+        assert_eq!(a.truncated, b.truncated);
+        let counts = |r: &ScheduleReport| {
+            r.passes
+                .iter()
+                .map(|p| (p.name.clone(), p.attempted, p.accepted, p.triggered))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(a), counts(b));
+    }
+
     #[test]
     fn staged_drivers_compose_to_run() {
         // route + insert + optimize_tree + evaluate_tree must be
@@ -1106,23 +868,16 @@ mod tests {
         assert_eq!(whole.metrics, metrics);
         assert_eq!(whole.root_candidates, dp.root_candidates);
         assert_eq!(whole.chosen, dp.chosen);
-        // Outcome::refinement is the default schedule's refine pass.
-        assert_eq!(
-            whole.refinement,
-            OptimizeStage::refine_report(&optimization)
-        );
-        assert!(whole.refinement.is_some());
         let whole_opt = whole.optimization.expect("default schedule ran");
-        assert_eq!(whole_opt.before, optimization.before);
-        assert_eq!(whole_opt.after, optimization.after);
+        assert_same_report(&whole_opt, &optimization);
     }
 
     #[test]
     fn legacy_refine_tree_matches_default_schedule() {
         // Refinement alone, driven by hand over an evaluator of the
         // inserted tree, is the same arithmetic the default schedule runs:
-        // the tree stays bit-identical to `run`, and Outcome::refinement
-        // is exactly what the refine pass reports.
+        // the tree stays bit-identical to `run`, and the schedule report
+        // carries exactly the refine pass's stats and metrics.
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let pipe = DsCts::new(Technology::asap7());
         let whole = pipe.run(&d);
@@ -1132,22 +887,25 @@ mod tests {
         let before = eval.metrics();
         let stats = EndpointRefinePass::new(SkewConfig::default()).run_on(&mut eval, None);
         eval.commit();
-        let refinement = RefineReport {
-            triggered: stats.triggered,
-            buffers_added: stats.accepted,
-            before,
-            after: eval.metrics(),
-        };
+        let after = eval.metrics();
         drop(eval);
         assert_eq!(whole.tree, tree);
-        assert_eq!(whole.refinement, Some(refinement));
+        let report = whole.optimization.expect("default schedule ran");
+        assert_eq!(report.passes.len(), 1);
+        let pass = &report.passes[0];
+        assert_eq!(pass.name, EndpointRefinePass::NAME);
+        assert_eq!(
+            (pass.attempted, pass.accepted, pass.triggered),
+            (stats.attempted, stats.accepted, stats.triggered)
+        );
+        assert_eq!(report.before, before);
+        assert_eq!(report.after, after);
     }
 
     #[test]
     fn explicit_default_schedule_is_bit_identical() {
         // Spelling the default schedule out via the builder must change
         // nothing: schedule(default_post_cts(cfg)) == skew_refinement(cfg).
-        use crate::opt::OptSchedule;
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let implicit = DsCts::new(Technology::asap7()).run(&d);
         let explicit = DsCts::new(Technology::asap7())
@@ -1155,12 +913,15 @@ mod tests {
             .run(&d);
         assert_eq!(implicit.tree, explicit.tree);
         assert_eq!(implicit.metrics, explicit.metrics);
-        assert_eq!(implicit.refinement, explicit.refinement);
+        assert_eq!(stage_names(&implicit), stage_names(&explicit));
+        let implicit_opt = implicit.optimization.expect("default schedule ran");
+        let explicit_opt = explicit.optimization.expect("explicit schedule ran");
+        assert_same_report(&implicit_opt, &explicit_opt);
     }
 
     #[test]
     fn custom_schedule_runs_and_reports_passes() {
-        use crate::opt::{AnnealedSizingPass, OptSchedule};
+        use crate::opt::AnnealedSizingPass;
         use crate::sizing::SizingPass;
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let o = DsCts::new(Technology::asap7())
@@ -1172,29 +933,33 @@ mod tests {
             )
             .run(&d);
         let report = o.optimization.as_ref().expect("schedule ran");
-        assert_eq!(report.passes.len(), 3);
+        let passes: Vec<&str> = report.passes.iter().map(|p| p.name.as_ref()).collect();
+        assert_eq!(passes, ["sizing", "endpoint-refine", "annealed-sizing"]);
         assert_eq!(report.after, o.metrics);
         // Per-pass wall clocks folded into the stage timings.
-        for name in ["opt:sizing", "opt:endpoint-refine", "opt:annealed-sizing"] {
-            assert!(o.stage_seconds(name).is_some(), "missing timing {name}");
-        }
-        // The refine-compat report comes from the scheduled pass.
-        let refinement = o.refinement.expect("schedule includes refine");
-        assert_eq!(refinement.buffers_added, report.passes[1].accepted);
+        assert_eq!(
+            stage_names(&o),
+            [
+                "route",
+                "insertion",
+                "optimize",
+                "opt:sizing",
+                "opt:endpoint-refine",
+                "opt:annealed-sizing",
+                "evaluate"
+            ]
+        );
         assert_eq!(o.tree.validate_sides(), Ok(()));
     }
 
     #[test]
     fn empty_custom_schedule_drops_the_stage() {
-        use crate::opt::OptSchedule;
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let o = DsCts::new(Technology::asap7())
             .schedule(OptSchedule::new())
             .run(&d);
-        assert!(o.stage_seconds("optimize").is_none());
         assert!(o.optimization.is_none());
-        assert!(o.refinement.is_none());
-        assert_eq!(o.stages.len(), 3);
+        assert_eq!(stage_names(&o), ["route", "insertion", "evaluate"]);
     }
 
     #[test]
@@ -1213,10 +978,13 @@ mod tests {
 
     #[test]
     fn outcome_reports_per_stage_timings() {
-        let o = run(false);
-        let names: Vec<&str> = o.stages.iter().map(|s| s.name.as_ref()).collect();
+        use crate::sizing::SizingPass;
+        use dscts_tech::CornerSet;
+        let d = BenchmarkSpec::c4_riscv32i().generate();
+        let tech = Technology::asap7();
+        let default = DsCts::new(tech.clone()).run(&d);
         assert_eq!(
-            names,
+            stage_names(&default),
             [
                 "route",
                 "insertion",
@@ -1225,30 +993,56 @@ mod tests {
                 "evaluate"
             ]
         );
-        assert!(o.stages.iter().all(|s| s.seconds >= 0.0));
-        // Proper stage wall clocks are disjoint slices of the total
-        // runtime; `opt:` entries are nested inside the optimize stage.
-        let stage_sum: f64 = o
-            .stages
-            .iter()
-            .filter(|s| !s.name.starts_with("opt:"))
-            .map(|s| s.seconds)
-            .sum();
-        assert!(
-            stage_sum <= o.runtime_s + 1e-6,
-            "{stage_sum} vs {}",
-            o.runtime_s
+        // A corner-aware run with a two-pass schedule.
+        let cornered = DsCts::new(tech.clone())
+            .corners(CornerSet::asap7_pvt(&tech))
+            .schedule(
+                OptSchedule::new()
+                    .with(SizingPass::default())
+                    .with(EndpointRefinePass::default()),
+            )
+            .run(&d);
+        assert_eq!(
+            stage_names(&cornered),
+            [
+                "route",
+                "insertion",
+                "optimize",
+                "opt:sizing",
+                "opt:endpoint-refine",
+                "evaluate"
+            ]
         );
-        let pass_sum: f64 = o
-            .stages
-            .iter()
-            .filter(|s| s.name.starts_with("opt:"))
-            .map(|s| s.seconds)
-            .sum();
-        let optimize = o.stage_seconds("optimize").expect("stage ran");
-        assert!(pass_sum <= optimize + 1e-6, "{pass_sum} vs {optimize}");
-        assert_eq!(o.stage_seconds("insertion"), Some(o.stages[1].seconds));
-        assert_eq!(o.stage_seconds("nonexistent"), None);
+        assert!(cornered.corners.is_some());
+        let report = cornered.optimization.as_ref().expect("schedule ran");
+        assert_eq!(report.after, cornered.metrics);
+
+        for o in [&default, &cornered] {
+            assert!(o.stages.iter().all(|s| s.seconds >= 0.0));
+            // Proper stage wall clocks are disjoint slices of the total
+            // runtime; `opt:` entries are nested inside the optimize stage.
+            let stage_sum: f64 = o
+                .stages
+                .iter()
+                .filter(|s| !s.name.starts_with("opt:"))
+                .map(|s| s.seconds)
+                .sum();
+            assert!(
+                stage_sum <= o.runtime_s + 1e-6,
+                "{stage_sum} vs {}",
+                o.runtime_s
+            );
+            let pass_sum: f64 = o
+                .stages
+                .iter()
+                .filter(|s| s.name.starts_with("opt:"))
+                .map(|s| s.seconds)
+                .sum();
+            let optimize = o.stage_seconds("optimize").expect("stage ran");
+            assert!(pass_sum <= optimize + 1e-6, "{pass_sum} vs {optimize}");
+            assert_eq!(o.stage_seconds("insertion"), Some(o.stages[1].seconds));
+            assert_eq!(o.stage_seconds("nonexistent"), None);
+        }
     }
 
     #[test]
@@ -1257,10 +1051,8 @@ mod tests {
         let o = DsCts::new(Technology::asap7())
             .skew_refinement(None)
             .run(&d);
-        assert!(o.stage_seconds("optimize").is_none());
-        assert!(o.refinement.is_none());
         assert!(o.optimization.is_none());
-        assert_eq!(o.stages.len(), 3);
+        assert_eq!(stage_names(&o), ["route", "insertion", "evaluate"]);
     }
 
     #[test]
@@ -1289,7 +1081,7 @@ mod tests {
         assert_eq!(whole.tree, tree);
         assert_eq!(pipe.evaluate_tree(&tree), whole.metrics);
         let whole_opt = whole.optimization.expect("schedule ran");
-        assert_eq!(whole_opt.after, opt.after);
+        assert_same_report(&whole_opt, &opt);
     }
 
     #[test]

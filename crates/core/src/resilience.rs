@@ -41,7 +41,7 @@ pub struct RunBudget {
     /// Wall-clock deadline, measured from [`RunBudget::token`].
     pub deadline: Option<Duration>,
     /// Maximum optimization trial moves across the whole run (annealer
-    /// moves, sizing and pattern-search trials all count).
+    /// moves, sizing trials and attempted refinement pads all count).
     pub max_trials: Option<u64>,
 }
 
@@ -306,7 +306,10 @@ pub mod fault {
     pub const SITE_DP: &str = "dp";
     /// Injection site in tree synthesis (insertion stage, post-DP).
     pub const SITE_SYNTH: &str = "synth";
-    /// Injection site in the evaluation stage.
+    /// Injection site in the evaluation stage of
+    /// [`DsCts::try_run`](crate::DsCts::try_run); the
+    /// [`DsCts::evaluate_tree`](crate::DsCts::evaluate_tree) driver alone
+    /// does not visit it.
     pub const SITE_EVAL: &str = "eval";
     /// Infeasibility site in [`IncrementalEval`](crate::IncrementalEval)
     /// mutations (fires after every corner's dirty path was repaired, so

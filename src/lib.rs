@@ -17,13 +17,15 @@
 //! | [`cluster`] | `dscts-cluster` | capacity-bounded k-means, dual-level hierarchy |
 //! | [`dme`] | `dscts-dme` | zero-skew deferred-merge embedding |
 //! | [`vanginneken`] | `dscts-buffer` | classic single-side buffer insertion |
-//! | [`core`] | `dscts-core` | the staged CTS engine: stages, patterns, DP, the composable `opt` pass layer, the `mcmm` multi-corner subsystem, DSE, baselines, errors |
+//! | [`core`] | `dscts-core` | the CTS pipeline and its staged drivers, patterns, DP, the composable `opt` pass layer, the `mcmm` multi-corner subsystem, DSE, baselines, errors |
 //! | [`service`] | `dscts-service` | multi-tenant job service: route-once design cache, bounded worker pool, admission control, quarantine, graceful drain |
 //! | [`telemetry`] | `dscts-telemetry` | zero-dependency observability: spans, counters, gauges, histograms, JSON-lines export |
 //!
-//! The synthesis flow itself is a **staged engine**: [`DsCts`] executes
-//! `route → insertion → optimize → evaluate`, where each phase is a
-//! [`Stage`] over a shared [`PipelineCtx`] blackboard and is wall-clocked
+//! The synthesis flow itself runs in **stages**: [`DsCts::try_run`]
+//! executes `route → insertion → optimize → evaluate`, each stage one call
+//! of the public driver for that step (`DsCts::route`, `DsCts::insert`,
+//! `DsCts::optimize_tree_cancel`, `DsCts::evaluate_tree`, which batch
+//! drivers such as the DSE sweep call directly), and each wall-clocked
 //! individually into [`Outcome::stages`]. The optimize stage runs a
 //! composable schedule of [`core::opt::OptPass`]es (by default the
 //! paper's §III-D skew refinement; custom schedules plug in via
@@ -118,8 +120,8 @@ pub use dscts_buffer as vanginneken;
 pub use dscts_core::{
     baseline, dse, mcmm, opt, resilience, skew, CancelToken, CornerReport, CtsError, DsCts,
     EvalModel, HierarchicalRouter, IncrementalEval, Mode, ModeRule, MoesWeights, OptSchedule,
-    Outcome, Pattern, PatternSet, PipelineCtx, PruneMode, RecoveryPolicy, RecoveryStep, Relaxation,
-    RobustMetrics, RobustObjective, RootCand, RoutingStyle, RunBudget, Stage, StageTiming,
+    Outcome, Pattern, PatternSet, PruneMode, RecoveryPolicy, RecoveryStep, Relaxation,
+    RobustMetrics, RobustObjective, RootCand, RoutingStyle, RunBudget, StageTiming,
     SynthesizedTree, TreeMetrics,
 };
 pub use dscts_netlist::{BenchmarkSpec, Design};

@@ -37,5 +37,26 @@ fn known_flags_still_run() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("stages:"));
+    // The stage rows, in order: `stages: route 1.0 ms | … | total 9.9 ms`.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("stages: "))
+        .unwrap_or_else(|| panic!("no stages line in {stdout}"));
+    let rows: Vec<&str> = line
+        .split(" | ")
+        .map(|cell| cell.split(' ').next().unwrap_or(""))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            "route",
+            "insertion",
+            "optimize",
+            "opt:endpoint-refine",
+            "evaluate",
+            "total"
+        ],
+        "{line}"
+    );
 }
