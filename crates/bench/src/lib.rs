@@ -20,9 +20,8 @@
 //! schema for end-to-end and per-layer numbers; its `opt.optimize_s` and
 //! `opt.sizing_s` layers time the optimization passes). The quality gates
 //! that must hold on every change — committed topology digests and flow
-//! quality, annealed-versus-greedy sizing, robust-versus-nominal MCMM,
-//! the DP frontier cap and the n log n stage-scaling check — live in
-//! `tests/gates.rs`.
+//! quality, annealed-versus-greedy sizing, robust-versus-nominal MCMM and
+//! the n log n stage-scaling check — live in `tests/gates.rs`.
 
 use dscts_core::{try_run_dp, DpConfig, HierarchicalRouter, MoesWeights, SynthesizedTree};
 use dscts_netlist::{BenchmarkSpec, Design};

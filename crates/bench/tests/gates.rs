@@ -10,9 +10,6 @@
 //! * **MCMM** — optimizing the worst-corner objective beats optimizing
 //!   the nominal one on worst-corner skew, at equal resources, on at
 //!   least one of C1/C4/C5.
-//! * **Frontier** — a DP frontier cap of 8 shrinks the candidate arena at
-//!   100k sinks and keeps the chosen root candidate of C1–C5
-//!   bit-identical.
 //! * **Scaling** (release builds only) — from 10k to 100k sinks no
 //!   pipeline stage grows faster than n log n, with 3× slack.
 //!
@@ -21,16 +18,15 @@
 
 use dscts_bench::{sizing_workload, DESIGN_IDS};
 use dscts_core::mcmm::{CornerReport, RobustObjective};
-use dscts_core::opt::{AnnealedSizingPass, OptSchedule, PassManager};
+use dscts_core::opt::{AnnealedSizingPass, OptSchedule};
 use dscts_core::skew::SkewConfig;
 use dscts_core::{
-    try_run_dp, ClockTopo, DpConfig, DpResult, DsCts, EvalModel, IncrementalEval, SizingPass,
-    SynthesizedTree, TreeMetrics,
+    ClockTopo, DsCts, EvalModel, IncrementalEval, SizingPass, SynthesizedTree, TreeMetrics,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{CornerSet, Technology};
 use std::collections::BTreeMap;
-use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Committed default-flow quality (one record per line).
 const BENCH_BASELINE: &str = include_str!("../../../BENCH_baseline.json");
@@ -53,19 +49,6 @@ static EXCLUSIVE: RwLock<()> = RwLock::new(());
 
 fn shared() -> RwLockReadGuard<'static, ()> {
     EXCLUSIVE.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The default routes of C1–C5, built once per test binary.
-fn table2() -> &'static [ClockTopo] {
-    static ROUTED: OnceLock<Vec<ClockTopo>> = OnceLock::new();
-    ROUTED.get_or_init(|| BenchmarkSpec::all().iter().map(route).collect())
-}
-
-/// The default route of `scaled(100_000, 1)`, built once per test binary
-/// and shared by the anchor and frontier gates.
-fn scaled_100k() -> &'static ClockTopo {
-    static ROUTED: OnceLock<ClockTopo> = OnceLock::new();
-    ROUTED.get_or_init(|| route(&BenchmarkSpec::scaled(100_000, 1)))
 }
 
 fn route(spec: &BenchmarkSpec) -> ClockTopo {
@@ -162,9 +145,10 @@ fn assert_quality(design: &str, m: &TreeMetrics, record: &str) {
 #[test]
 fn table2_routes_and_quality_match_committed() {
     let _g = shared();
-    let digests: Vec<u64> = table2().iter().map(topo_digest).collect();
+    let routed: Vec<ClockTopo> = BenchmarkSpec::all().iter().map(route).collect();
+    let digests: Vec<u64> = routed.iter().map(topo_digest).collect();
     assert_eq!(digests, TABLE2_DIGESTS, "C1–C5 routed topologies changed");
-    for (id, topo) in DESIGN_IDS.iter().zip(table2()) {
+    for (id, topo) in DESIGN_IDS.iter().zip(&routed) {
         assert_quality(id, &default_flow(topo), record(BENCH_BASELINE, id));
     }
 }
@@ -172,7 +156,7 @@ fn table2_routes_and_quality_match_committed() {
 #[test]
 fn scaled_100k_route_and_quality_match_committed() {
     let _g = shared();
-    let topo = scaled_100k();
+    let topo = &route(&BenchmarkSpec::scaled(100_000, 1));
     assert_eq!(
         topo_digest(topo),
         SCALED_100K_DIGEST,
@@ -190,8 +174,8 @@ fn annealed_sizing_beats_greedy_at_equal_resources() {
         let (tree, tech) = sizing_workload(&spec);
         let optimize = |schedule: OptSchedule| {
             let mut t = tree.clone();
-            let eval = IncrementalEval::new(&mut t, &tech, EvalModel::Elmore);
-            PassManager::new(&schedule).run(eval, None).after
+            schedule.run(IncrementalEval::new(&mut t, &tech, EvalModel::Elmore), None);
+            t.evaluate(&tech, EvalModel::Elmore)
         };
         let greedy = optimize(OptSchedule::new().with(SizingPass::default()));
         let annealed = optimize(
@@ -230,14 +214,13 @@ fn robust_schedule_beats_nominal_on_worst_corner_skew() {
         let schedule = OptSchedule::default_post_cts(SkewConfig::default())
             .with(AnnealedSizingPass::default())
             .seed(7);
-        let manager = PassManager::new(&schedule);
         let signoff = |t: &SynthesizedTree| {
             CornerReport::try_evaluate(t, &corners, EvalModel::Elmore)
                 .expect("MCMM workloads are feasible at every PVT corner")
         };
 
         let mut nominal = tree.clone();
-        manager.run(
+        schedule.run(
             IncrementalEval::new(&mut nominal, &tech, EvalModel::Elmore),
             None,
         );
@@ -251,7 +234,7 @@ fn robust_schedule_beats_nominal_on_worst_corner_skew() {
             RobustObjective::WorstCorner,
         )
         .expect("MCMM workloads are feasible at every PVT corner");
-        manager.run(eval, None);
+        schedule.run(eval, None);
         let robust = signoff(&robust);
 
         let (n, r) = (&nominal.per_corner[0], &robust.per_corner[0]);
@@ -265,48 +248,6 @@ fn robust_schedule_beats_nominal_on_worst_corner_skew() {
         !improved.is_empty(),
         "robust optimization improved worst-corner skew nowhere at equal resources"
     );
-}
-
-#[test]
-fn frontier_cap_shrinks_the_arena_and_keeps_chosen_roots() {
-    let _g = shared();
-    let tech = Technology::asap7();
-    let capped = DpConfig {
-        frontier: Some(8),
-        ..DpConfig::default()
-    };
-    let dp = |topo: &ClockTopo, cfg: &DpConfig| -> DpResult {
-        try_run_dp(topo, &tech, cfg, None, None, None)
-            .expect("default DP is feasible")
-            .0
-    };
-
-    let topo = scaled_100k();
-    let (unbounded, bounded) = (dp(topo, &DpConfig::default()), dp(topo, &capped));
-    assert!(
-        bounded.stored_candidates < unbounded.stored_candidates,
-        "frontier cap 8 did not shrink the 100k arena ({} vs {})",
-        bounded.stored_candidates,
-        unbounded.stored_candidates
-    );
-
-    for (id, topo) in DESIGN_IDS.iter().zip(table2()) {
-        let (u, b) = (dp(topo, &DpConfig::default()), dp(topo, &capped));
-        let key = |r: &DpResult| {
-            let c = r.root_candidates[r.chosen];
-            (
-                c.latency_ps.to_bits(),
-                c.skew_ps.to_bits(),
-                c.buffers,
-                c.ntsvs,
-            )
-        };
-        assert_eq!(
-            key(&u),
-            key(&b),
-            "{id}: frontier cap 8 changed the chosen root"
-        );
-    }
 }
 
 #[test]

@@ -158,19 +158,6 @@ pub struct DpConfig {
     /// Restrict to the front side entirely ({P1, P2}): the "Our Buffered
     /// Clock Tree" flow.
     pub single_side: bool,
-    /// Memory-bounding frontier cap. `None` (the default) leaves candidate
-    /// propagation exactly as configured by `max_cands` — bit-identical to
-    /// the pre-cap DP. `Some(f)` tightens the *stored* per-node candidate
-    /// budget to `max_cands.min(f)` after the provable-dominance prune,
-    /// but only for nodes deeper than `FRONTIER_FULL_DIVERSITY_DEPTH`
-    /// (24) edges from the root (the transient merge working set keeps the
-    /// full `max_cands`-keyed budget everywhere). Near-root diversity —
-    /// what root selection quality rides on — is untouched, while the
-    /// deep subdivision chains of huge designs are bounded
-    /// (the stored total is reported
-    /// in [`DpResult::stored_candidates`]). Dominated candidates are always
-    /// dropped first, so the cap only thins the resource-diverse tail.
-    pub frontier: Option<usize>,
 }
 
 impl Default for DpConfig {
@@ -182,7 +169,6 @@ impl Default for DpConfig {
             mode_rule: ModeRule::AllFull,
             moes: MoesWeights::default(),
             single_side: false,
-            frontier: None,
         }
     }
 }
@@ -211,11 +197,6 @@ pub struct DpResult {
     pub root_candidates: Vec<RootCand>,
     /// Index into `root_candidates` selected by the MOES.
     pub chosen: usize,
-    /// Total candidate records stored across all DP nodes — the peak
-    /// footprint of the candidate arena. This is what
-    /// [`DpConfig::frontier`] bounds; the frontier gate in the bench
-    /// crate's `gates` test reports it to show the cap's effect.
-    pub stored_candidates: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -230,16 +211,6 @@ struct Work {
     child: [u32; 2],
 }
 
-/// Nodes within this many edges of the clock root always keep the full
-/// `max_cands` budget, even under a [`DpConfig::frontier`] cap. Root
-/// selection quality rides on the diversity of the sets near the root,
-/// so the cap must not thin them; 24 levels of trunk (branch points plus
-/// their subdivision segments) cover every Table II preset at the
-/// pipeline's default granularity, so the cap engages only on the deep
-/// subdivision chains of 100k+-sink floorplans — which is exactly where
-/// the candidate arena bloats.
-const FRONTIER_FULL_DIVERSITY_DEPTH: u32 = 24;
-
 /// Read-only inputs shared by every per-node DP computation.
 struct DpCtx<'a> {
     topo: &'a ClockTopo,
@@ -248,9 +219,6 @@ struct DpCtx<'a> {
     patterns: &'a [Pattern],
     csr: &'a TreeCsr,
     modes: &'a [Mode],
-    /// Per-node distance from the clock root, used to gate the frontier
-    /// cap; empty when `cfg.frontier` is `None` (never read then).
-    depths: &'a [u32],
 }
 
 /// Candidate-set capture of one DP run, reusable by later runs over the
@@ -324,7 +292,6 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
         patterns,
         csr,
         modes,
-        depths,
     } = *ctx;
     let rc_front = tech.rc(Side::Front);
     let max_load = tech.max_load_ff();
@@ -388,19 +355,9 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
             })
         }
     };
-    // The merge working set keeps the full `max_cands`-keyed budget even
-    // under a frontier cap: the oversized intermediate is transient (it
-    // never reaches the arena), and thinning it would change *which*
-    // candidates survive rather than merely how many are stored.
+    // The merge working set never reaches the arena; it keeps twice the
+    // stored budget.
     prune(&mut merged, cfg.prune, cfg.max_cands.max(4) * 2);
-    // The frontier tightens only the stored (final) per-node budget, and
-    // only beyond [`FRONTIER_FULL_DIVERSITY_DEPTH`]; with `frontier:
-    // None` this is exactly `max_cands` and the DP is bit-identical to
-    // the uncapped formulation.
-    let budget = match cfg.frontier {
-        Some(f) if depths[idu] > FRONTIER_FULL_DIVERSITY_DEPTH => cfg.max_cands.min(f),
-        _ => cfg.max_cands,
-    };
 
     // --- Insert step: assign a pattern to this edge. ---
     let mode = modes[idu];
@@ -429,7 +386,7 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
             });
         }
     }
-    prune(&mut cands, cfg.prune, budget);
+    prune(&mut cands, cfg.prune, cfg.max_cands);
     if cands.is_empty() {
         return Err(CtsError::NoFeasiblePattern {
             node: idu as u32,
@@ -692,19 +649,6 @@ pub fn try_run_dp(
         cursor[height[id]] += 1;
     }
 
-    // Root distances, needed only to gate the frontier cap.
-    let depths: Vec<u32> = if cfg.frontier.is_some() {
-        let mut d = vec![0u32; n];
-        for &id in order {
-            if let Some(p) = topo.nodes[id as usize].parent {
-                d[id as usize] = d[p as usize] + 1;
-            }
-        }
-        d
-    } else {
-        Vec::new()
-    };
-
     // Suffix sharing: a node is *clean* when its own mode and every
     // descendant's mode match the cached run, making its cached
     // candidate set bit-identical to what process_node would recompute.
@@ -735,7 +679,6 @@ pub fn try_run_dp(
         patterns,
         csr,
         modes: &modes,
-        depths: &depths,
     };
     let mut arena = CandArena::with_nodes(n);
     for h in 0..=max_height {
@@ -838,7 +781,6 @@ pub fn try_run_dp(
         assignment,
         root_candidates,
         chosen,
-        stored_candidates: arena.works.len(),
     };
     Ok((result, DpSuffixCache { modes, arena }))
 }
@@ -1606,73 +1548,6 @@ mod tests {
             min(&mo),
             min(&lo)
         );
-    }
-
-    #[test]
-    fn frontier_none_is_bit_identical_and_cap_shrinks_memory() {
-        let (topo, tech) = small_topo();
-        let base = solve(&topo, &tech, &DpConfig::default());
-        let explicit_none = solve(
-            &topo,
-            &tech,
-            &DpConfig {
-                frontier: None,
-                ..DpConfig::default()
-            },
-        );
-        assert_eq!(base.assignment, explicit_none.assignment);
-        assert_eq!(base.root_candidates, explicit_none.root_candidates);
-        assert_eq!(base.chosen, explicit_none.chosen);
-        assert_eq!(base.stored_candidates, explicit_none.stored_candidates);
-        // A cap wider than max_cands changes nothing either.
-        let loose = solve(
-            &topo,
-            &tech,
-            &DpConfig {
-                frontier: Some(1 << 20),
-                ..DpConfig::default()
-            },
-        );
-        assert_eq!(base.assignment, loose.assignment);
-        assert_eq!(base.stored_candidates, loose.stored_candidates);
-        // On a shallow topology (max depth within
-        // FRONTIER_FULL_DIVERSITY_DEPTH) even a tight cap never engages:
-        // the run stays bit-identical, not merely equivalent.
-        let tight = solve(
-            &topo,
-            &tech,
-            &DpConfig {
-                frontier: Some(8),
-                ..DpConfig::default()
-            },
-        );
-        assert_eq!(base.assignment, tight.assignment);
-        assert_eq!(base.stored_candidates, tight.stored_candidates);
-        // A finer subdivision drives the trunk chains past the
-        // full-diversity depth; there the tight cap bounds the
-        // stored-candidate footprint but still produces a complete,
-        // feasible assignment.
-        let d = BenchmarkSpec::c4_riscv32i().generate();
-        let mut deep_topo = HierarchicalRouter::new().try_route(&d, &tech).unwrap();
-        deep_topo.subdivide(2_000);
-        let deep_base = solve(&deep_topo, &tech, &DpConfig::default());
-        let deep_tight = solve(
-            &deep_topo,
-            &tech,
-            &DpConfig {
-                frontier: Some(8),
-                ..DpConfig::default()
-            },
-        );
-        assert!(
-            deep_tight.stored_candidates < deep_base.stored_candidates,
-            "cap 8 should store fewer candidates on deep chains ({} vs {})",
-            deep_tight.stored_candidates,
-            deep_base.stored_candidates
-        );
-        for a in deep_tight.assignment.iter().skip(1) {
-            assert!(a.is_some());
-        }
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //!   [`IncrementalEval::commit`] forgets history once a move is accepted.
 //!   A mutation that would make any pattern electrically infeasible
 //!   rolls itself back and returns `false`, leaving the state untouched —
-//!   trial moves need no feasibility pre-probe.
+//!   trial moves need no feasibility pre-probe. A re-pattern that would
+//!   move either end of an edge to the other side is refused the same
+//!   way, so no mutation makes a side-legal tree illegal.
 //!
 //! The evaluator borrows the tree mutably and writes accepted knob changes
 //! (`buffer_scales`, `star_buffers`, `patterns`) through to it, so when the
@@ -892,13 +894,15 @@ impl<'a> IncrementalEval<'a> {
         })
     }
 
-    /// Re-assigns the pattern of `edge` (a non-root trunk node). Side
-    /// legality is *not* checked here; run
-    /// [`SynthesizedTree::validate_sides`] before accepting a final tree.
+    /// Re-assigns the pattern of `edge` (a non-root trunk node) to one
+    /// that starts and ends on the same sides as the current pattern, so
+    /// a side-legal tree ([`SynthesizedTree::validate_sides`]) stays
+    /// legal.
     ///
-    /// Returns `false` — with the state fully rolled back — when the new
-    /// pattern is infeasible on this edge or overloads an ancestor buffer
-    /// in any corner.
+    /// Returns `false`, changing nothing, when `pattern`'s root or sink
+    /// side differs from the current pattern's; and `false` — with the
+    /// state fully rolled back — when the new pattern is infeasible on
+    /// this edge or overloads an ancestor buffer in any corner.
     ///
     /// # Panics
     ///
@@ -906,8 +910,13 @@ impl<'a> IncrementalEval<'a> {
     pub fn set_pattern(&mut self, edge: usize, pattern: Pattern) -> bool {
         assert!(edge != 0, "node 0 has no incoming edge");
         self.last_mark = self.records.len();
-        if self.tree.patterns[edge] == Some(pattern) {
+        let current = self.tree.patterns[edge];
+        if current == Some(pattern) {
             return true;
+        }
+        let sides = |p: Pattern| (p.root_side(), p.sink_side());
+        if current.map(sides) != Some(sides(pattern)) {
+            return false;
         }
         self.begin(Knob::Pattern(edge as u32, self.tree.patterns[edge]));
         self.tree.patterns[edge] = Some(pattern);

@@ -11,8 +11,8 @@
 //!    edge-pattern design space P1–P6, selected by the multi-objective
 //!    enhancement score (§III-C);
 //! 3. [`opt`] — the composable post-CTS optimization layer (§III-D and
-//!    beyond): an [`OptPass`] trait and [`PassManager`] over a shared
-//!    [`OptCtx`], with the paper's end-point refinement
+//!    beyond): an [`OptPass`] trait and an [`OptSchedule`] of passes run
+//!    over a shared [`OptCtx`], with the paper's end-point refinement
 //!    ([`skew::EndpointRefinePass`]) as the default schedule, plus greedy
 //!    sizing ([`sizing::SizingPass`]) and seeded simulated annealing
 //!    ([`AnnealedSizingPass`]);
@@ -46,7 +46,9 @@
 //! holds one technology or every corner of a [`dscts_tech::CornerSet`]
 //! ([`IncrementalEval::with_corners`]), so every pass, built-in or
 //! custom, runs corner-aware unchanged. Passes run through one entry
-//! point, [`PassManager::run`].
+//! point, [`OptSchedule::run`]; a schedule measures nothing itself, and
+//! the evaluate stage ([`DsCts::evaluate_tree`]) is the one measurement
+//! of the final tree.
 //!
 //! Most users want the [`DsCts`] pipeline builder; custom optimization
 //! schedules plug in through [`DsCts::schedule`] (see the [`opt`] module
@@ -197,8 +199,8 @@ pub use error::CtsError;
 pub use incremental::IncrementalEval;
 pub use mcmm::{CornerReport, RobustMetrics, RobustObjective};
 pub use opt::{
-    AnnealConfig, AnnealedSizingPass, OptCtx, OptPass, OptSchedule, PassManager, PassReport,
-    PassStats, ScheduleReport,
+    AnnealConfig, AnnealedSizingPass, OptCtx, OptPass, OptSchedule, PassReport, PassStats,
+    ScheduleReport,
 };
 pub use pattern::{BufferStage, Mode, Pattern, PatternEval, PatternSet};
 pub use pipeline::{DsCts, Outcome, StageTiming};

@@ -13,11 +13,14 @@
 //!   [`PassStats`].
 //! * [`OptSchedule`] — an ordered, cloneable list of passes plus the RNG
 //!   seed; the value a [`crate::DsCts`] pipeline carries.
-//! * [`PassManager`] — executes a schedule over one evaluator, wrapping
-//!   each pass's stats and wall clock into a [`PassReport`] (folded into
-//!   [`crate::Outcome::stages`] as `opt:<name>` timings by the pipeline),
-//!   with the metrics before and after the whole schedule in its
-//!   [`ScheduleReport`].
+//!   [`OptSchedule::run`] executes it over one evaluator and returns a
+//!   [`ScheduleReport`]: one [`PassReport`] per pass with its move counts
+//!   and wall clock (folded into [`crate::Outcome::stages`] as
+//!   `opt:<name>` timings by the pipeline).
+//!
+//! A schedule takes no measurement of the tree: the pipeline's evaluate
+//! stage ([`crate::DsCts::evaluate_tree`]) measures the optimized tree
+//! once.
 //!
 //! The evaluator may hold one corner or several
 //! ([`IncrementalEval::with_corners`]); a pass sees the same surface
@@ -36,8 +39,10 @@
 //! the annealer commits only when a new best configuration appears and
 //! finishes by reverting to the last one — so it can *never* degrade the
 //! objective it anneals on. A custom pass may also swap an edge's
-//! pattern ([`IncrementalEval::set_pattern`]); it must keep the tree
-//! side-legal ([`crate::SynthesizedTree::validate_sides`]).
+//! pattern ([`IncrementalEval::set_pattern`]) for one that starts and
+//! ends on the same sides; the evaluator refuses any other, so every
+//! schedule leaves the tree side-legal
+//! ([`crate::SynthesizedTree::validate_sides`]).
 //!
 //! # Plugging a custom pass into the pipeline
 //!
@@ -122,7 +127,7 @@ impl<'t> OptCtx<'t> {
         (&mut self.eval, &mut self.rng)
     }
 
-    /// The deterministic per-pass RNG. The [`PassManager`] re-seeds it
+    /// The deterministic per-pass RNG. [`OptSchedule::run`] re-seeds it
     /// before every pass (with `schedule seed + pass index`) so a pass's
     /// random stream never depends on how many draws its predecessors
     /// consumed.
@@ -141,8 +146,8 @@ impl<'t> OptCtx<'t> {
     }
 }
 
-/// What one pass did, in move counts. The [`PassManager`] wraps this with
-/// the pass's name and wall clock into a [`PassReport`].
+/// What one pass did, in move counts. [`OptSchedule::run`] wraps this
+/// with the pass's name and wall clock into a [`PassReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStats {
     /// Trial moves proposed (including infeasible and rejected ones).
@@ -180,8 +185,7 @@ pub trait OptPass: Send + Sync {
     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats;
 }
 
-/// One executed pass: its stats and wall clock. The metrics around the
-/// passes are in the [`ScheduleReport`], once for the whole schedule.
+/// One executed pass: its stats and wall clock.
 #[derive(Debug, Clone)]
 pub struct PassReport {
     /// The pass's [`OptPass::name`].
@@ -199,10 +203,6 @@ pub struct PassReport {
 /// Everything a schedule execution produced.
 #[derive(Debug, Clone)]
 pub struct ScheduleReport {
-    /// Metrics before the first pass.
-    pub before: TreeMetrics,
-    /// Metrics after the last pass.
-    pub after: TreeMetrics,
     /// One report per pass, in execution order.
     pub passes: Vec<PassReport>,
     /// Whether a run budget expired before every scheduled pass finished.
@@ -213,7 +213,7 @@ pub struct ScheduleReport {
 }
 
 /// An ordered list of [`OptPass`]es plus the RNG seed — the value a
-/// [`crate::DsCts`] pipeline carries and the [`PassManager`] executes.
+/// [`crate::DsCts`] pipeline carries and [`OptSchedule::run`] executes.
 ///
 /// Passes are reference-counted so the schedule is cheap to clone into
 /// parallel sweep workers; `OptPass: Send + Sync` keeps that sound.
@@ -276,45 +276,11 @@ impl OptSchedule {
     pub fn is_empty(&self) -> bool {
         self.passes.is_empty()
     }
-}
-
-impl Default for OptSchedule {
-    fn default() -> Self {
-        OptSchedule::new()
-    }
-}
-
-impl fmt::Debug for OptSchedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OptSchedule")
-            .field(
-                "passes",
-                &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
-            .field("seed", &self.seed)
-            .finish()
-    }
-}
-
-/// Executes an [`OptSchedule`] over one shared evaluator, reporting per
-/// pass. See the [module docs](self) for the architecture.
-#[derive(Debug, Clone, Copy)]
-pub struct PassManager<'a> {
-    schedule: &'a OptSchedule,
-}
-
-impl<'a> PassManager<'a> {
-    /// A manager for `schedule`.
-    pub fn new(schedule: &'a OptSchedule) -> Self {
-        PassManager { schedule }
-    }
 
     /// Runs every pass in order over `eval`; accepted knobs are written
     /// through to its tree. Each pass gets a fresh RNG seeded with
-    /// `schedule seed + pass index`. The report's before/after metrics,
-    /// taken once each around the whole schedule, are the evaluator's
-    /// nominal corner ([`IncrementalEval::metrics`]), so nominal and
-    /// robust runs compare like for like.
+    /// `seed + pass index`. See the [module docs](self) for the
+    /// architecture.
     ///
     /// `cancel` attaches a run budget: the evaluator rejects every move
     /// once the token trips, the built-in passes poll it inside their
@@ -325,20 +291,19 @@ impl<'a> PassManager<'a> {
     pub fn run(&self, eval: IncrementalEval<'_>, cancel: Option<&CancelToken>) -> ScheduleReport {
         let mut ctx = OptCtx {
             eval,
-            rng: SmallRng::seed_from_u64(self.schedule.seed),
+            rng: SmallRng::seed_from_u64(self.seed),
         };
         ctx.eval.set_cancel(cancel.cloned());
-        let before = ctx.eval.metrics();
-        let mut passes = Vec::with_capacity(self.schedule.passes.len());
+        let mut passes = Vec::with_capacity(self.passes.len());
         let mut truncated = false;
-        for (i, pass) in self.schedule.passes.iter().enumerate() {
+        for (i, pass) in self.passes.iter().enumerate() {
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 // Budget expired between passes: keep what earlier passes
                 // committed, skip the rest of the schedule.
                 truncated = true;
                 break;
             }
-            ctx.rng = SmallRng::seed_from_u64(self.schedule.seed.wrapping_add(i as u64));
+            ctx.rng = SmallRng::seed_from_u64(self.seed.wrapping_add(i as u64));
             let t0 = Instant::now();
             let stats = pass.run(&mut ctx);
             let seconds = t0.elapsed().as_secs_f64();
@@ -363,12 +328,25 @@ impl<'a> PassManager<'a> {
         }
         // A budget that fired inside the final pass still truncated it.
         truncated |= cancel.is_some_and(CancelToken::is_cancelled);
-        ScheduleReport {
-            before,
-            after: ctx.eval.metrics(),
-            passes,
-            truncated,
-        }
+        ScheduleReport { passes, truncated }
+    }
+}
+
+impl Default for OptSchedule {
+    fn default() -> Self {
+        OptSchedule::new()
+    }
+}
+
+impl fmt::Debug for OptSchedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("OptSchedule")
+            .field(
+                "passes",
+                &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
+            )
+            .field("seed", &self.seed)
+            .finish()
     }
 }
 
@@ -638,25 +616,34 @@ mod tests {
         tech: &Technology,
         model: EvalModel,
     ) -> ScheduleReport {
-        PassManager::new(schedule).run(IncrementalEval::new(t, tech, model), None)
+        schedule.run(IncrementalEval::new(t, tech, model), None)
     }
 
     #[test]
     fn empty_schedule_is_identity() {
         let (mut t, tech) = tree();
-        let before = t.evaluate(&tech, EvalModel::Elmore);
-        let schedule = OptSchedule::new();
-        let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
+        let base = t.clone();
+        let rep = run(&OptSchedule::new(), &mut t, &tech, EvalModel::Elmore);
         assert!(rep.passes.is_empty());
-        assert_eq!(rep.before, before);
-        assert_eq!(rep.after, before);
-        assert_eq!(t.evaluate(&tech, EvalModel::Elmore), before);
+        assert!(!rep.truncated);
+        assert_eq!(t, base);
     }
 
     #[test]
     fn manager_reports_chained_metrics() {
-        let (mut t, tech) = tree();
-        let before = t.evaluate(&tech, EvalModel::Elmore);
+        // Two passes over one evaluator: the report lists both in order,
+        // and the annealer starts from the tree sizing left, so the batch
+        // evaluation of the result never scores worse on the annealer's
+        // objective than sizing alone.
+        let (base, tech) = tree();
+        let mut sized = base.clone();
+        let _ = run(
+            &OptSchedule::new().with(SizingPass::new(SizingConfig::default())),
+            &mut sized,
+            &tech,
+            EvalModel::Elmore,
+        );
+        let mut t = base.clone();
         let schedule = OptSchedule::new()
             .with(SizingPass::new(SizingConfig::default()))
             .with(AnnealedSizingPass::default());
@@ -664,11 +651,18 @@ mod tests {
         assert_eq!(rep.passes.len(), 2);
         assert_eq!(rep.passes[0].name, SizingPass::NAME);
         assert_eq!(rep.passes[1].name, AnnealedSizingPass::NAME);
-        assert_eq!(rep.before, before);
         assert!(rep.passes.iter().all(|p| p.seconds >= 0.0));
-        // The evaluator wrote accepted knobs through: the tree re-evaluates
-        // to exactly the reported final metrics.
-        assert_eq!(t.evaluate(&tech, EvalModel::Elmore), rep.after);
+        assert!(rep.passes[0].accepted > 0);
+        // The evaluator wrote accepted knobs through to the tree.
+        assert_ne!(t, base);
+        let w = AnnealConfig::default().weights;
+        let (before, mid, after) = (
+            base.evaluate(&tech, EvalModel::Elmore),
+            sized.evaluate(&tech, EvalModel::Elmore),
+            t.evaluate(&tech, EvalModel::Elmore),
+        );
+        assert!(moes_objective_of(&w, &after) <= moes_objective_of(&w, &mid) + 1e-9);
+        assert_eq!((after.buffers, after.ntsvs), (before.buffers, before.ntsvs));
     }
 
     #[test]
@@ -686,12 +680,14 @@ mod tests {
         let (t1, r1) = run_once(7);
         let (t2, r2) = run_once(7);
         assert_eq!(t1, t2, "same seed, same tree");
-        assert_eq!(r1.after, r2.after);
+        assert_eq!(r1.passes[0].accepted, r2.passes[0].accepted);
+        let before = base.evaluate(&tech, EvalModel::Elmore);
+        let after = t1.evaluate(&tech, EvalModel::Elmore);
         // Never degrades the objective it anneals on.
-        assert!(moes_objective_of(&w, &r1.after) <= moes_objective_of(&w, &r1.before) + 1e-9);
+        assert!(moes_objective_of(&w, &after) <= moes_objective_of(&w, &before) + 1e-9);
         // Pure sizing: resource counts are bit-equal.
-        assert_eq!(r1.after.buffers, r1.before.buffers);
-        assert_eq!(r1.after.ntsvs, r1.before.ntsvs);
+        assert_eq!(after.buffers, before.buffers);
+        assert_eq!(after.ntsvs, before.ntsvs);
     }
 
     #[test]
@@ -700,7 +696,7 @@ mod tests {
         // no star toggles, latency-greedy DP leaves skew on the table.
         let (base, tech) = tree();
         let mut greedy = base.clone();
-        let g = run(
+        let _ = run(
             &OptSchedule::new().with(SizingPass::default()),
             &mut greedy,
             &tech,
@@ -710,17 +706,18 @@ mod tests {
         let schedule = OptSchedule::new()
             .seed(7)
             .with(AnnealedSizingPass::default());
-        let a = run(&schedule, &mut annealed, &tech, EvalModel::Elmore);
-        assert_eq!(a.after.buffers, g.after.buffers, "equal resource bounds");
-        assert_eq!(a.after.ntsvs, g.after.ntsvs);
+        let _ = run(&schedule, &mut annealed, &tech, EvalModel::Elmore);
+        let g = greedy.evaluate(&tech, EvalModel::Elmore);
+        let a = annealed.evaluate(&tech, EvalModel::Elmore);
+        assert_eq!(a.buffers, g.buffers, "equal resource bounds");
+        assert_eq!(a.ntsvs, g.ntsvs);
         assert!(
-            a.after.skew_ps < g.after.skew_ps - 1e-9
-                || a.after.latency_ps < g.after.latency_ps - 1e-9,
+            a.skew_ps < g.skew_ps - 1e-9 || a.latency_ps < g.latency_ps - 1e-9,
             "annealed (skew {:.3}, lat {:.3}) vs greedy (skew {:.3}, lat {:.3})",
-            a.after.skew_ps,
-            a.after.latency_ps,
-            g.after.skew_ps,
-            g.after.latency_ps
+            a.skew_ps,
+            a.latency_ps,
+            g.skew_ps,
+            g.latency_ps
         );
     }
 
@@ -733,9 +730,11 @@ mod tests {
             ..AnnealConfig::default()
         };
         let w = cfg.weights;
+        let before = t.evaluate(&tech, EvalModel::Nldm);
         let schedule = OptSchedule::new().with(AnnealedSizingPass::new(cfg));
-        let rep = run(&schedule, &mut t, &tech, EvalModel::Nldm);
-        assert!(moes_objective_of(&w, &rep.after) <= moes_objective_of(&w, &rep.before) + 1e-9);
+        let _ = run(&schedule, &mut t, &tech, EvalModel::Nldm);
+        let after = t.evaluate(&tech, EvalModel::Nldm);
+        assert!(moes_objective_of(&w, &after) <= moes_objective_of(&w, &before) + 1e-9);
         assert_eq!(t.validate_sides(), Ok(()));
     }
 
@@ -767,7 +766,7 @@ mod tests {
             RobustObjective::WorstCorner,
         )
         .expect("feasible corners");
-        let rep = PassManager::new(&schedule).run(eval, None);
+        let _ = schedule.run(eval, None);
         let rr = signoff(&robust);
 
         assert_eq!(
@@ -780,11 +779,6 @@ mod tests {
             "robust {:.3} vs nominal {:.3} worst-corner skew",
             rr.robust.worst_skew_ps,
             rn.robust.worst_skew_ps
-        );
-        // The schedule report's metrics are the nominal corner's view.
-        assert_eq!(
-            rep.after,
-            robust.evaluate(corners.nominal_tech(), EvalModel::Elmore)
         );
     }
 

@@ -11,14 +11,15 @@
 //! | optimization (§III-D) | `optimize` | [`DsCts::optimize_tree_cancel`] | [`Outcome::optimization`]; skipped when no pass is scheduled |
 //! | evaluation | `evaluate` | [`DsCts::evaluate_tree`] | [`Outcome::metrics`], and [`Outcome::corners`] when corner-aware |
 //!
-//! The optimize stage executes the [`DsCts::effective_schedule`] through
-//! the [`PassManager`] (see [`crate::opt`]): by default exactly one
+//! The optimize stage runs the pipeline's one [`OptSchedule`] through
+//! [`OptSchedule::run`] (see [`crate::opt`]): by default exactly one
 //! [`EndpointRefinePass`](crate::skew::EndpointRefinePass), the paper's
-//! §III-D refinement loop, and via
-//! [`DsCts::schedule`] any composition of [`crate::opt::OptPass`]es
+//! §III-D refinement loop ([`DsCts::skew_refinement`] configures it), and
+//! via [`DsCts::schedule`] any composition of [`crate::opt::OptPass`]es
 //! (greedy or annealed sizing, custom passes). Each pass's wall clock is
 //! folded into [`Outcome::stages`] as an `opt:<name>` row behind the
-//! `optimize` row.
+//! `optimize` row. The evaluate stage is the one measurement of the final
+//! tree.
 //!
 //! Each stage is timed individually, so regressions can be pinned to a
 //! phase instead of a whole run, and each is a `catch_unwind` boundary: a
@@ -50,7 +51,7 @@ use crate::dp::{
 use crate::error::CtsError;
 use crate::incremental::IncrementalEval;
 use crate::mcmm::{CornerReport, RobustObjective};
-use crate::opt::{OptSchedule, PassManager, ScheduleReport};
+use crate::opt::{OptSchedule, ScheduleReport};
 use crate::pattern::{Mode, PatternSet};
 use crate::resilience::{fault, CancelToken, RecoveryPolicy, RecoveryStep, Relaxation, RunBudget};
 use crate::route::{HierarchicalRouter, RoutingStyle};
@@ -77,8 +78,7 @@ pub struct DsCts {
     style: RoutingStyle,
     max_seg_len: i64,
     dp: DpConfig,
-    skew: Option<SkewConfig>,
-    schedule: Option<OptSchedule>,
+    schedule: OptSchedule,
     eval: EvalModel,
     /// MCMM: when set, the optimize stage fans every trial move out to
     /// all corners (scored by `robust`) and the outcome carries a
@@ -94,7 +94,7 @@ pub struct DsCts {
     recovery: Option<RecoveryPolicy>,
 }
 
-/// Wall-clock measurement of one pipeline stage (or one optimization
+/// The name and wall clock of one pipeline stage (or one optimization
 /// pass, reported as `opt:<name>`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
@@ -105,10 +105,6 @@ pub struct StageTiming {
     pub name: Cow<'static, str>,
     /// Elapsed wall-clock seconds.
     pub seconds: f64,
-    /// Process-wide peak RSS (bytes) sampled when the stage finished,
-    /// via [`crate::rss::peak_rss_bytes`]. Monotone non-decreasing
-    /// across stages (it is a high-water mark); `None` off Linux.
-    pub peak_rss_bytes: Option<u64>,
 }
 
 /// Everything a pipeline run produces.
@@ -116,14 +112,15 @@ pub struct StageTiming {
 pub struct Outcome {
     /// The synthesized (legal) double-side clock tree.
     pub tree: SynthesizedTree,
-    /// Final metrics (after skew refinement when enabled).
+    /// Metrics of `tree`, measured once by the evaluate stage after the
+    /// optimize stage.
     pub metrics: TreeMetrics,
     /// The DP's surviving root candidate set (Fig. 10 material).
     pub root_candidates: Vec<RootCand>,
     /// Index of the MOES-selected candidate.
     pub chosen: usize,
-    /// The optimize stage's report (metrics before and after the
-    /// schedule, and each pass's move counts and wall clock) when it ran.
+    /// The optimize stage's report (each pass's move counts and wall
+    /// clock, and whether a budget truncated the schedule) when it ran.
     pub optimization: Option<ScheduleReport>,
     /// Per-corner metrics and the cross-corner robust summary of the
     /// final tree, present when the pipeline was configured with
@@ -134,9 +131,6 @@ pub struct Outcome {
     pub stages: Vec<StageTiming>,
     /// Wall-clock runtime of the whole pipeline (seconds).
     pub runtime_s: f64,
-    /// Process-wide peak RSS (bytes) at the end of the run, via
-    /// [`crate::rss::peak_rss_bytes`]; `None` off Linux.
-    pub peak_rss_bytes: Option<u64>,
     /// Whether a [`RunBudget`] expired mid-run and the optimization
     /// schedule was truncated: the tree is valid and fully evaluated, but
     /// some scheduled passes were skipped or cut short. Always `false`
@@ -196,7 +190,6 @@ fn stage<T>(
     rows.push(StageTiming {
         name: Cow::Borrowed(name),
         seconds,
-        peak_rss_bytes: crate::rss::peak_rss_bytes(),
     });
     Ok(out)
 }
@@ -212,8 +205,7 @@ impl DsCts {
             style: RoutingStyle::Hierarchical,
             max_seg_len: 40_000,
             dp: DpConfig::default(),
-            skew: Some(SkewConfig::default()),
-            schedule: None,
+            schedule: OptSchedule::default_post_cts(SkewConfig::default()),
             eval: EvalModel::Elmore,
             corners: None,
             robust: RobustObjective::default(),
@@ -290,20 +282,22 @@ impl DsCts {
         self
     }
 
-    /// Configure (or disable with `None`) the default skew-refinement
-    /// schedule. Ignored when a custom [`DsCts::schedule`] is set.
+    /// Sets the optimize stage to the paper's end-point refinement alone
+    /// under `cfg` ([`OptSchedule::default_post_cts`]), or drops the
+    /// stage with `None`. Like [`DsCts::schedule`], it replaces the
+    /// schedule: of the two, the last call wins.
     pub fn skew_refinement(mut self, cfg: Option<SkewConfig>) -> Self {
-        self.skew = cfg;
+        self.schedule = cfg.map_or_else(OptSchedule::new, OptSchedule::default_post_cts);
         self
     }
 
-    /// Replaces the optimize stage's pass schedule. An empty schedule
-    /// drops the stage entirely (like `skew_refinement(None)`); a custom
-    /// schedule takes precedence over the [`DsCts::skew_refinement`]
-    /// default. Swept points of [`crate::dse::SweepEngine`] are scored
-    /// through the same schedule.
+    /// Replaces the optimize stage's pass schedule (by default
+    /// `OptSchedule::default_post_cts(SkewConfig::default())`). An empty
+    /// schedule drops the stage entirely, like `skew_refinement(None)`.
+    /// Swept points of [`crate::dse::SweepEngine`] are scored through the
+    /// same schedule.
     pub fn schedule(mut self, schedule: OptSchedule) -> Self {
-        self.schedule = Some(schedule);
+        self.schedule = schedule;
         self
     }
 
@@ -380,27 +374,10 @@ impl DsCts {
         &self.dp
     }
 
-    /// The skew-refinement configuration (`None` when the stage is
-    /// disabled).
-    pub fn skew_config(&self) -> Option<SkewConfig> {
-        self.skew
-    }
-
-    /// The custom pass schedule, when one was set.
-    pub fn custom_schedule(&self) -> Option<&OptSchedule> {
-        self.schedule.as_ref()
-    }
-
-    /// The schedule the optimize stage will actually run: the custom
-    /// schedule when set (`None` if it is empty), else the default
-    /// single-[`EndpointRefinePass`](crate::skew::EndpointRefinePass)
-    /// schedule derived from
-    /// [`DsCts::skew_refinement`], else `None` (stage dropped).
-    pub fn effective_schedule(&self) -> Option<OptSchedule> {
-        match &self.schedule {
-            Some(s) => (!s.is_empty()).then(|| s.clone()),
-            None => self.skew.map(OptSchedule::default_post_cts),
-        }
+    /// The schedule the optimize stage runs, or `None` when it holds no
+    /// pass and the stage is dropped.
+    pub fn effective_schedule(&self) -> Option<&OptSchedule> {
+        (!self.schedule.is_empty()).then_some(&self.schedule)
     }
 
     /// The delay model final metrics and refinement use.
@@ -535,7 +512,7 @@ impl DsCts {
             Some(corners) => IncrementalEval::with_corners(tree, corners, self.eval, self.robust)?,
             None => IncrementalEval::new(tree, &self.tech, self.eval),
         };
-        Ok(Some(PassManager::new(&schedule).run(eval, cancel)))
+        Ok(Some(schedule.run(eval, cancel)))
     }
 
     /// Runs only the evaluation stage: final metrics under the configured
@@ -559,23 +536,17 @@ impl DsCts {
         // One token for the whole run: recovery retries share the same
         // deadline/trial budget instead of resetting it per attempt.
         let token = self.budget.as_ref().map(RunBudget::token);
-        let first = self.try_run_once(design, token.as_ref());
-        let err = match first {
+        let first = match self.try_run_once(design, token.as_ref()) {
             Ok(outcome) => return Ok(outcome),
             Err(err) => err,
         };
         let Some(policy) = &self.recovery else {
-            return Err(err);
+            return Err(first);
         };
-        if !RecoveryPolicy::recoverable(&err) {
-            return Err(err);
-        }
-        // Deterministic ladder: apply each relaxation cumulatively and
-        // retry the whole stage sequence; record every rung taken.
-        let mut steps = Vec::new();
+        // Retry the whole stage sequence with each relaxation applied on
+        // top of the ones before it.
         let mut relaxed = self.clone();
-        let mut last_err = err;
-        for &rung in policy.ladder() {
+        let (result, steps) = policy.climb(first, |rung| {
             // Rung counters ("pipeline.recovery.<rung>") make ladder
             // climbs visible in the metrics snapshot without parsing
             // per-outcome recovery vectors.
@@ -583,23 +554,12 @@ impl DsCts {
                 tel.counter(&format!("pipeline.recovery.{}", rung.label()))
                     .incr();
             }
-            steps.push(RecoveryStep {
-                error: last_err.clone(),
-                relaxation: rung,
-            });
-            relaxed = relaxed.with_relaxation(rung);
-            match relaxed.try_run_once(design, token.as_ref()) {
-                Ok(mut outcome) => {
-                    outcome.recovery = steps;
-                    return Ok(outcome);
-                }
-                Err(e) if RecoveryPolicy::recoverable(&e) => last_err = e,
-                // Cancellation/internal errors end the ladder immediately:
-                // more relaxations cannot help.
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
+            relaxed = relaxed.clone().with_relaxation(rung);
+            relaxed.try_run_once(design, token.as_ref())
+        });
+        let mut outcome = result?;
+        outcome.recovery = steps;
+        Ok(outcome)
     }
 
     /// One [`Relaxation`] rung applied to this configuration — the same
@@ -645,14 +605,9 @@ impl DsCts {
             None
         };
         if let Some(report) = &optimization {
-            // Per-pass rows follow the optimize row and inherit its
-            // sample: the passes already finished, so the stage-end
-            // high-water mark covers all of them.
-            let stage_peak = stages.last().and_then(|t| t.peak_rss_bytes);
             stages.extend(report.passes.iter().map(|p| StageTiming {
                 name: Cow::Owned(format!("opt:{}", p.name)),
                 seconds: p.seconds,
-                peak_rss_bytes: stage_peak,
             }));
         }
         // A truncated schedule is the *degraded but valid* outcome the
@@ -688,7 +643,6 @@ impl DsCts {
             corners,
             stages,
             runtime_s: start.elapsed().as_secs_f64(),
-            peak_rss_bytes: crate::rss::peak_rss_bytes(),
             degraded,
             recovery: Vec::new(),
         })
@@ -840,8 +794,6 @@ mod tests {
 
     /// Asserts two schedule reports agree in everything but wall clock.
     fn assert_same_report(a: &ScheduleReport, b: &ScheduleReport) {
-        assert_eq!(a.before, b.before);
-        assert_eq!(a.after, b.after);
         assert_eq!(a.truncated, b.truncated);
         let counts = |r: &ScheduleReport| {
             r.passes
@@ -877,17 +829,15 @@ mod tests {
         // Refinement alone, driven by hand over an evaluator of the
         // inserted tree, is the same arithmetic the default schedule runs:
         // the tree stays bit-identical to `run`, and the schedule report
-        // carries exactly the refine pass's stats and metrics.
+        // carries exactly the refine pass's stats.
         let d = BenchmarkSpec::c4_riscv32i().generate();
         let pipe = DsCts::new(Technology::asap7());
         let whole = pipe.run(&d);
         let topo = pipe.route(&d).expect("routable");
         let (mut tree, _dp) = pipe.insert(topo).expect("feasible");
         let mut eval = IncrementalEval::new(&mut tree, &pipe.tech, pipe.eval);
-        let before = eval.metrics();
         let stats = EndpointRefinePass::new(SkewConfig::default()).run_on(&mut eval, None);
         eval.commit();
-        let after = eval.metrics();
         drop(eval);
         assert_eq!(whole.tree, tree);
         let report = whole.optimization.expect("default schedule ran");
@@ -898,8 +848,6 @@ mod tests {
             (pass.attempted, pass.accepted, pass.triggered),
             (stats.attempted, stats.accepted, stats.triggered)
         );
-        assert_eq!(report.before, before);
-        assert_eq!(report.after, after);
     }
 
     #[test]
@@ -935,7 +883,11 @@ mod tests {
         let report = o.optimization.as_ref().expect("schedule ran");
         let passes: Vec<&str> = report.passes.iter().map(|p| p.name.as_ref()).collect();
         assert_eq!(passes, ["sizing", "endpoint-refine", "annealed-sizing"]);
-        assert_eq!(report.after, o.metrics);
+        // The outcome's metrics are a batch evaluation of its tree.
+        assert_eq!(
+            o.tree.evaluate(&Technology::asap7(), EvalModel::Elmore),
+            o.metrics
+        );
         // Per-pass wall clocks folded into the stage timings.
         assert_eq!(
             stage_names(&o),
@@ -950,6 +902,55 @@ mod tests {
             ]
         );
         assert_eq!(o.tree.validate_sides(), Ok(()));
+    }
+
+    #[test]
+    fn custom_pass_cannot_move_an_edge_to_another_side() {
+        use crate::opt::{OptCtx, OptPass, PassStats};
+        use crate::pattern::Pattern;
+        use dscts_tech::Side;
+        /// Offers the first (F, F) edge every pattern with other end sides.
+        struct SideSwapPass;
+        impl OptPass for SideSwapPass {
+            fn name(&self) -> Cow<'static, str> {
+                Cow::Borrowed("side-swap")
+            }
+            fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+                let eval = ctx.eval_mut();
+                let front =
+                    |p: Pattern| p.root_side() == Side::Front && p.sink_side() == Side::Front;
+                let edge = (1..eval.tree().topo.nodes.len())
+                    .find(|&v| eval.tree().patterns[v].is_some_and(front))
+                    .expect("C4 has an (F, F) edge");
+                let mut stats = PassStats::default();
+                for p in [
+                    Pattern::WiringB,
+                    Pattern::Ntsv2,
+                    Pattern::NtsvBuf,
+                    Pattern::Ntsv3,
+                    Pattern::BufNtsv,
+                ] {
+                    stats.attempted += 1;
+                    if eval.set_pattern(edge, p) {
+                        stats.accepted += 1;
+                    }
+                }
+                eval.commit();
+                stats
+            }
+        }
+        let d = BenchmarkSpec::c4_riscv32i().generate();
+        let plain = DsCts::new(Technology::asap7())
+            .skew_refinement(None)
+            .run(&d);
+        let o = DsCts::new(Technology::asap7())
+            .schedule(OptSchedule::new().with(SideSwapPass))
+            .try_run(&d)
+            .expect("C4 synthesizes");
+        let pass = &o.optimization.as_ref().expect("schedule ran").passes[0];
+        assert_eq!((pass.attempted, pass.accepted), (5, 0));
+        assert_eq!(o.tree.validate_sides(), Ok(()));
+        assert_eq!(o.tree, plain.tree);
     }
 
     #[test]
@@ -1014,8 +1015,10 @@ mod tests {
             ]
         );
         assert!(cornered.corners.is_some());
-        let report = cornered.optimization.as_ref().expect("schedule ran");
-        assert_eq!(report.after, cornered.metrics);
+        assert_eq!(
+            cornered.tree.evaluate(&tech, EvalModel::Elmore),
+            cornered.metrics
+        );
 
         for o in [&default, &cornered] {
             assert!(o.stages.iter().all(|s| s.seconds >= 0.0));

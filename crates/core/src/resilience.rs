@@ -282,6 +282,41 @@ impl RecoveryPolicy {
                 | CtsError::IllegalSides(_)
         )
     }
+
+    /// Climbs the ladder after a first attempt failed with `first`: for
+    /// each rung in order, records a [`RecoveryStep`] naming the error
+    /// that forced it and calls `attempt(rung)`, which applies the rung on
+    /// top of the earlier ones and runs the work again. Returns the last
+    /// attempt's result together with every step taken. The climb stops
+    /// at the first success or at an error that is not
+    /// [`recoverable`](RecoveryPolicy::recoverable) (more relaxations
+    /// cannot help a cancellation or a bug); an exhausted ladder returns
+    /// the last error. A `first` error that is not recoverable comes back
+    /// as it is, with no step and no attempt.
+    ///
+    /// [`DsCts::try_run`](crate::DsCts::try_run) and the service's job
+    /// executor both retry through this one ladder.
+    pub fn climb<T>(
+        &self,
+        first: CtsError,
+        mut attempt: impl FnMut(Relaxation) -> Result<T, CtsError>,
+    ) -> (Result<T, CtsError>, Vec<RecoveryStep>) {
+        let mut steps = Vec::new();
+        let mut last = first;
+        if RecoveryPolicy::recoverable(&last) {
+            for &rung in &self.ladder {
+                steps.push(RecoveryStep {
+                    error: last,
+                    relaxation: rung,
+                });
+                match attempt(rung) {
+                    Err(e) if RecoveryPolicy::recoverable(&e) => last = e,
+                    result => return (result, steps),
+                }
+            }
+        }
+        (Err(last), steps)
+    }
 }
 
 /// Deterministic fault injection for the robustness test harness.
@@ -627,6 +662,47 @@ mod tests {
         assert!(!RecoveryPolicy::recoverable(&CtsError::Cancelled {
             stage: "route"
         }));
+    }
+
+    #[test]
+    fn climb_records_each_rung_and_stops_where_retrying_cannot_help() {
+        let policy = RecoveryPolicy::default();
+        let infeasible = CtsError::NoRootCandidate;
+        let cancelled = CtsError::Cancelled { stage: "dp" };
+        let mut tried = Vec::new();
+        let (result, steps) = policy.climb(infeasible.clone(), |rung| {
+            tried.push(rung);
+            match rung {
+                Relaxation::SingleSide => Ok(rung),
+                _ => Err(CtsError::IllegalSides(rung.to_string())),
+            }
+        });
+        assert_eq!(result, Ok(Relaxation::SingleSide));
+        assert_eq!(tried, policy.ladder());
+        let errors: Vec<_> = steps.iter().map(|s| s.error.clone()).collect();
+        assert_eq!(
+            errors,
+            [
+                infeasible.clone(),
+                CtsError::IllegalSides("widen pattern set to Extended".into()),
+                CtsError::IllegalSides("raise max_cands x4".into()),
+            ]
+        );
+        // A cancellation ends the climb at the rung that hit it.
+        let (result, steps) = policy.climb(infeasible.clone(), |_| -> Result<(), _> {
+            Err(cancelled.clone())
+        });
+        assert_eq!((result, steps.len()), (Err(cancelled.clone()), 1));
+        // An exhausted ladder returns the last error.
+        let (result, steps) = policy.climb(infeasible.clone(), |_| -> Result<(), _> {
+            Err(CtsError::NoRootCandidate)
+        });
+        assert_eq!((result, steps.len()), (Err(infeasible), 3));
+        // A first error the ladder does not retry: no step, no attempt.
+        let (result, steps) = policy.climb(cancelled.clone(), |_| -> Result<(), _> {
+            panic!("not retried")
+        });
+        assert_eq!((result, steps.len()), (Err(cancelled), 0));
     }
 
     #[test]

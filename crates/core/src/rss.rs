@@ -1,19 +1,16 @@
-//! Peak resident-set-size measurement for the scaling bench tier.
+//! Peak resident-set-size measurement.
 //!
 //! Linux exposes a process's high-water RSS mark as the `VmHWM` line of
-//! `/proc/self/status` (kilobytes). That is the number the scaling tier
-//! records next to each stage's wall clock: it is maintained by the
-//! kernel with no sampling loop, survives frees (it is a high-water
-//! mark, not the current RSS), and costs one small file read.
+//! `/proc/self/status` (kilobytes). It is maintained by the kernel with
+//! no sampling loop, survives frees (it is a high-water mark, not the
+//! current RSS), and costs one small file read. A pipeline run under an
+//! installed telemetry collector records it as the
+//! `process.peak_rss_bytes` gauge, and the repository benchmark reports
+//! it as `peak_rss_mb`.
 //!
 //! On non-Linux targets — or if procfs is unavailable — the probe
-//! degrades to [`None`] and callers simply omit the column; nothing in
-//! the pipeline depends on the value being present.
-//!
-//! Because `VmHWM` is process-wide and monotone non-decreasing, the
-//! per-stage values recorded by the pipeline tell you *which stage first
-//! pushed the process to a given footprint*, not how much each stage
-//! allocated in isolation.
+//! degrades to [`None`]; nothing in the pipeline depends on the value
+//! being present.
 
 /// The process's peak resident set size in **bytes**, if the platform
 /// exposes it.

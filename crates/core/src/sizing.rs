@@ -18,7 +18,7 @@
 //!
 //! The optimizer is packaged as [`SizingPass`] for the composable
 //! [`crate::opt`] schedule API; schedule it through
-//! [`crate::opt::PassManager`] or a [`crate::DsCts`] pipeline.
+//! [`crate::opt::OptSchedule::run`] or a [`crate::DsCts`] pipeline.
 
 use crate::incremental::IncrementalEval;
 use crate::opt::{OptCtx, OptPass, PassStats};
@@ -176,7 +176,7 @@ impl OptPass for SizingPass {
 mod tests {
     use super::*;
     use crate::dp::{try_run_dp, DpConfig, MoesWeights};
-    use crate::opt::{OptSchedule, PassManager, ScheduleReport};
+    use crate::opt::{OptSchedule, ScheduleReport};
     use crate::route::HierarchicalRouter;
     use crate::synth::{EvalModel, SynthesizedTree};
     use dscts_netlist::BenchmarkSpec;
@@ -200,30 +200,33 @@ mod tests {
         (SynthesizedTree::new(topo, res.assignment), tech)
     }
 
-    /// One greedy sizing pass over `t`, through the pass manager.
+    /// One greedy sizing pass over `t`, through a one-pass schedule.
     fn size(t: &mut SynthesizedTree, tech: &Technology, cfg: SizingConfig) -> ScheduleReport {
         let schedule = OptSchedule::new().with(SizingPass::new(cfg));
-        PassManager::new(&schedule).run(IncrementalEval::new(t, tech, EvalModel::Elmore), None)
+        schedule.run(IncrementalEval::new(t, tech, EvalModel::Elmore), None)
     }
 
     #[test]
     fn sizing_reduces_skew_without_latency_loss() {
         let (mut t, tech) = tree();
-        let report = size(&mut t, &tech, SizingConfig::default());
-        assert!(report.after.skew_ps <= report.before.skew_ps + 1e-9);
-        assert!(report.after.latency_ps <= report.before.latency_ps + 1e-9);
+        let before = t.evaluate(&tech, EvalModel::Elmore);
+        let _ = size(&mut t, &tech, SizingConfig::default());
+        let after = t.evaluate(&tech, EvalModel::Elmore);
+        assert!(after.skew_ps <= before.skew_ps + 1e-9);
+        assert!(after.latency_ps <= before.latency_ps + 1e-9);
         // Cell count is untouched: sizing only changes strengths.
-        assert_eq!(report.after.buffers, report.before.buffers);
-        assert_eq!(report.after.ntsvs, report.before.ntsvs);
+        assert_eq!(after.buffers, before.buffers);
+        assert_eq!(after.ntsvs, before.ntsvs);
     }
 
     #[test]
     fn sizing_is_idempotent_at_fixed_point() {
         let (mut t, tech) = tree();
         let _ = size(&mut t, &tech, SizingConfig::default());
+        let fixed = t.clone();
         let second = size(&mut t, &tech, SizingConfig::default());
         assert_eq!(second.passes[0].accepted, 0);
-        assert_eq!(second.before, second.after);
+        assert_eq!(t, fixed);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! shared token from several threads at once.
 
 use dscts_core::dse::SweepEngine;
-use dscts_core::opt::{OptSchedule, PassManager};
+use dscts_core::opt::OptSchedule;
 use dscts_core::{
     AnnealConfig, AnnealedSizingPass, CancelToken, CtsError, DsCts, EvalModel, IncrementalEval,
     RobustObjective, RunBudget, ScheduleReport, SynthesizedTree,
@@ -31,7 +31,7 @@ fn run_corners(
     let eval =
         IncrementalEval::with_corners(tree, corners, EvalModel::Elmore, RobustObjective::default())
             .expect("small design is feasible at every PVT corner");
-    PassManager::new(schedule).run(eval, cancel)
+    schedule.run(eval, cancel)
 }
 
 fn annealed_base(tech: Technology) -> DsCts {
@@ -116,7 +116,6 @@ fn mcmm_fanout_under_concurrent_load_truncates_typed() {
             .map(|_| {
                 let mut tree = tree.clone();
                 let corners = &corners;
-                let schedule = &schedule;
                 scope.spawn(move || {
                     let token = RunBudget::new().with_max_trials(1).token();
                     token.record_trial(); // trip it before the fan-out
@@ -159,14 +158,13 @@ fn mcmm_fanout_concurrent_untripped_matches_plain() {
     let schedule = base.effective_schedule().expect("annealed schedule");
 
     let mut plain_tree = tree.clone();
-    let plain_report = run_corners(&schedule, &mut plain_tree, &corners, None);
+    let plain_report = run_corners(schedule, &mut plain_tree, &corners, None);
     let reference = plain_tree.evaluate(&tech, EvalModel::Elmore);
 
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let mut tree = tree.clone();
             let corners = &corners;
-            let schedule = &schedule;
             let tech = &tech;
             let plain_report = &plain_report;
             let reference = &reference;
@@ -176,7 +174,7 @@ fn mcmm_fanout_concurrent_untripped_matches_plain() {
                     .token();
                 let report = run_corners(schedule, &mut tree, corners, Some(&token));
                 assert!(!report.truncated);
-                assert_eq!(report.after, plain_report.after);
+                assert_eq!(report.passes[0].accepted, plain_report.passes[0].accepted);
                 assert_eq!(&tree.evaluate(tech, EvalModel::Elmore), reference);
             });
         }

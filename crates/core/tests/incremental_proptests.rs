@@ -8,7 +8,6 @@
 //! `f64`s, via `TreeMetrics: PartialEq` — a from-scratch
 //! `SynthesizedTree::evaluate` of the mutated tree, for both delay models.
 
-use dscts_core::opt::{OptSchedule, PassManager};
 use dscts_core::{
     try_run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
     SizingPass, SynthesizedTree,
@@ -150,16 +149,18 @@ proptest! {
         sinks in 60usize..160,
         seed in 0u64..500,
     ) {
-        // The rewired sizing pass must report exactly what a batch
-        // evaluation of its output tree reports.
+        // After the sizing pass the evaluator must hold exactly what a
+        // batch evaluation of its output tree reports, and the batch skew
+        // must not have risen.
         for model in [EvalModel::Elmore, EvalModel::Nldm] {
             let (mut tree, tech) = small_tree(sinks, seed);
-            let schedule = OptSchedule::new().with(SizingPass::default());
-            let eval = IncrementalEval::new(&mut tree, &tech, model);
-            let report = PassManager::new(&schedule).run(eval, None);
-            let batch = tree.evaluate(&tech, model);
-            prop_assert_eq!(&report.after, &batch);
-            prop_assert!(report.after.skew_ps <= report.before.skew_ps + 1e-9);
+            let before = tree.evaluate(&tech, model);
+            let mut eval = IncrementalEval::new(&mut tree, &tech, model);
+            SizingPass::default().run_on(&mut eval, None);
+            eval.commit();
+            let batch = eval.tree().evaluate(&tech, model);
+            prop_assert_eq!(&eval.metrics(), &batch);
+            prop_assert!(batch.skew_ps <= before.skew_ps + 1e-9);
         }
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! Two invariants the `opt` redesign promises:
 //!
-//! * **Schedule equivalence.** A `PassManager` schedule of
+//! * **Schedule equivalence.** A schedule of
 //!   `SizingPass + EndpointRefinePass` over one shared evaluator is
-//!   bit-identical — trees *and* metrics, as `f64`s — to the chain of two
-//!   one-pass schedules, each over its own freshly built evaluator.
-//!   Checked on random small designs under both [`EvalModel`]s.
+//!   bit-identical — trees *and* their batch metrics, as `f64`s — to the
+//!   chain of two one-pass schedules, each over its own freshly built
+//!   evaluator. Checked on random small designs under both
+//!   [`EvalModel`]s.
 //! * **Annealing discipline.** `AnnealedSizingPass` is deterministic per
 //!   seed, never degrades the MOES objective it anneals on (it reverts to
 //!   the best accepted state), and with star moves disabled never changes
 //!   resource counts.
 
 use dscts_core::opt::{
-    moes_objective_of, AnnealConfig, AnnealedSizingPass, OptSchedule, PassManager, ScheduleReport,
+    moes_objective_of, AnnealConfig, AnnealedSizingPass, OptSchedule, ScheduleReport,
 };
 use dscts_core::sizing::{SizingConfig, SizingPass};
 use dscts_core::skew::{EndpointRefinePass, SkewConfig};
@@ -72,7 +73,7 @@ fn run(
     tech: &Technology,
     model: EvalModel,
 ) -> ScheduleReport {
-    PassManager::new(schedule).run(IncrementalEval::new(t, tech, model), None)
+    schedule.run(IncrementalEval::new(t, tech, model), None)
 }
 
 fn check_schedule_equivalence(design: &Design, model: EvalModel) {
@@ -91,21 +92,20 @@ fn check_schedule_equivalence(design: &Design, model: EvalModel) {
     );
     let refine_rep = run(&OptSchedule::new().with(refine), &mut chained, &tech, model);
 
-    // Pass manager: one shared evaluator across the same two passes.
+    // One shared evaluator across the same two passes.
     let mut managed = base.clone();
     let schedule = OptSchedule::new().with(sizing).with(refine);
     let report = run(&schedule, &mut managed, &tech, model);
 
     // Bit-identical trees (patterns, scales, star buffers) and metrics.
     assert_eq!(chained, managed);
-    assert_eq!(report.before, sizing_rep.before);
-    assert_eq!(sizing_rep.after, refine_rep.before);
-    assert_eq!(report.after, refine_rep.after);
     assert_eq!(report.passes[0].accepted, sizing_rep.passes[0].accepted);
     assert_eq!(report.passes[1].accepted, refine_rep.passes[0].accepted);
     assert_eq!(report.passes[1].triggered, refine_rep.passes[0].triggered);
-    // And the final tree re-evaluates to exactly the reported metrics.
-    assert_eq!(managed.evaluate(&tech, model), report.after);
+    assert_eq!(
+        managed.evaluate(&tech, model),
+        chained.evaluate(&tech, model)
+    );
 }
 
 proptest! {
@@ -151,20 +151,22 @@ proptest! {
             let schedule = OptSchedule::new()
                 .seed(anneal_seed)
                 .with(AnnealedSizingPass::new(cfg.clone()));
-            let rep = run(&schedule, &mut t, &tech, EvalModel::Elmore);
-            (t, rep)
+            let _ = run(&schedule, &mut t, &tech, EvalModel::Elmore);
+            let m = t.evaluate(&tech, EvalModel::Elmore);
+            (t, m)
         };
-        let (t1, r1) = run_once();
-        let (t2, r2) = run_once();
+        let (t1, after) = run_once();
+        let (t2, again) = run_once();
         // Deterministic per seed: bit-identical trees and metrics.
         prop_assert_eq!(&t1, &t2);
-        prop_assert_eq!(&r1.after, &r2.after);
+        prop_assert_eq!(&after, &again);
         // Never degrades the objective it accepts on.
-        prop_assert!(moes_objective_of(&w, &r1.after) <= moes_objective_of(&w, &r1.before) + 1e-9);
+        let before = base.evaluate(&tech, EvalModel::Elmore);
+        prop_assert!(moes_objective_of(&w, &after) <= moes_objective_of(&w, &before) + 1e-9);
         // Pure sizing keeps resource counts bit-equal.
         if star_prob == 0.0 {
-            prop_assert_eq!(r1.after.buffers, r1.before.buffers);
-            prop_assert_eq!(r1.after.ntsvs, r1.before.ntsvs);
+            prop_assert_eq!(after.buffers, before.buffers);
+            prop_assert_eq!(after.ntsvs, before.ntsvs);
         }
         // Side legality is untouched by sizing/star moves.
         prop_assert_eq!(t1.validate_sides(), Ok(()));

@@ -125,7 +125,7 @@
 //!   `span.service.job` and `span.register_route`, and per-stage
 //!   `span.<stage>` histograms fed from every completed job's stage
 //!   rows (insertion / optimize / evaluate / signoff; the `opt:<name>`
-//!   rows are skipped because the pass manager already records them as
+//!   rows are skipped because `OptSchedule::run` already records them as
 //!   `span.pass.<name>`).
 //! - **Per-job stage breakdowns**: every completed job's
 //!   [`JobOutcome::stages`] mirrors

@@ -7,7 +7,7 @@ use dscts_core::mcmm::CornerReport;
 use dscts_core::resilience::panic_message;
 use dscts_core::{
     mode_vector, AnnealConfig, AnnealedSizingPass, CancelToken, CtsError, DsCts, ModeRule,
-    RecoveryPolicy, RecoveryStep, RunBudget, StageTiming,
+    RecoveryPolicy, RunBudget, StageTiming,
 };
 use dscts_netlist::Design;
 use dscts_tech::CornerSet;
@@ -39,8 +39,8 @@ pub struct ServiceConfig {
     /// Internal-error strikes (panics, injected faults) a design may
     /// accumulate before it is quarantined.
     pub quarantine_threshold: u32,
-    /// Per-job retry ladder for data-dependent infeasibilities,
-    /// mirroring [`DsCts::try_run`]'s recovery semantics.
+    /// Per-job retry ladder for data-dependent infeasibilities, climbed
+    /// by [`RecoveryPolicy::climb`] as in [`DsCts::try_run`].
     pub retry: Option<RecoveryPolicy>,
     /// Corner set for [`JobKind::CornerSignoff`] jobs; without one such
     /// jobs are rejected [`Rejected::MissingCorners`].
@@ -548,13 +548,12 @@ pub fn job_pipeline(base: &DsCts, kind: &JobKind) -> DsCts {
             .clone()
             .mode_rule(ModeRule::FanoutThreshold(*threshold)),
         JobKind::Sizing { moves } => {
-            let schedule =
-                base.effective_schedule()
-                    .unwrap_or_default()
-                    .with(AnnealedSizingPass::new(AnnealConfig {
-                        moves: *moves,
-                        ..AnnealConfig::default()
-                    }));
+            let schedule = base.effective_schedule().cloned().unwrap_or_default().with(
+                AnnealedSizingPass::new(AnnealConfig {
+                    moves: *moves,
+                    ..AnnealConfig::default()
+                }),
+            );
             base.clone().schedule(schedule)
         }
     }
@@ -570,46 +569,21 @@ fn execute_job(inner: &Inner, job: &QueuedJob, queue_wait_s: f64, started: Insta
         };
     }
 
-    let pipe = job_pipeline(&inner.base, &job.kind);
-    let mut recovery: Vec<RecoveryStep> = Vec::new();
-    let mut attempt_pipe = pipe;
-    let mut result = attempt(inner, &attempt_pipe, job);
-    if let Err(first_err) = &result {
-        if let Some(policy) = &inner.cfg.retry {
-            if RecoveryPolicy::recoverable(first_err) {
-                // The service-side mirror of DsCts::try_run's ladder:
-                // cumulative relaxations, one shared token, typed stop on
-                // non-recoverable errors.
-                let mut last_err = first_err.clone();
-                for &rung in policy.ladder() {
-                    recovery.push(RecoveryStep {
-                        error: last_err.clone(),
-                        relaxation: rung,
-                    });
-                    inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = telemetry::active() {
-                        tel.counter(&format!("service.recovery.{}", rung.label()))
-                            .incr();
-                    }
-                    attempt_pipe = attempt_pipe.with_relaxation(rung);
-                    match attempt(inner, &attempt_pipe, job) {
-                        Ok(outcome) => {
-                            result = Ok(outcome);
-                            break;
-                        }
-                        Err(e) if RecoveryPolicy::recoverable(&e) => {
-                            last_err = e.clone();
-                            result = Err(e);
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
+    let mut pipe = job_pipeline(&inner.base, &job.kind);
+    // DsCts::try_run's ladder: cumulative relaxations, one shared token,
+    // typed stop on non-recoverable errors.
+    let (result, recovery) = match (attempt(inner, &pipe, job), &inner.cfg.retry) {
+        (Err(first), Some(policy)) => policy.climb(first, |rung| {
+            inner.counters.retries.fetch_add(1, Ordering::Relaxed);
+            if let Some(tel) = telemetry::active() {
+                tel.counter(&format!("service.recovery.{}", rung.label()))
+                    .incr();
             }
-        }
-    }
+            pipe = pipe.clone().with_relaxation(rung);
+            attempt(inner, &pipe, job)
+        }),
+        (result, _) => (result, Vec::new()),
+    };
 
     match result {
         Ok(mut outcome) => {
@@ -620,7 +594,7 @@ fn execute_job(inner: &Inner, job: &QueuedJob, queue_wait_s: f64, started: Insta
             if let Some(tel) = telemetry::active() {
                 // The winning attempt's stage rows double as the
                 // aggregate per-stage span histograms (`opt:<name>`
-                // rows are skipped — the pass manager already records
+                // rows are skipped — `OptSchedule::run` already records
                 // them as `span.pass.<name>`).
                 for stage in &outcome.stages {
                     if !stage.name.starts_with("opt:") {
@@ -643,16 +617,15 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
     let mut stages: Vec<StageTiming> = Vec::new();
     let mut stage_start = Instant::now();
     // Mirrors `Outcome::stages`' construction in the pipeline's own
-    // run loop: name + wall clock + RSS high-water mark per stage,
-    // `opt:<name>` rows folded in behind the optimize stage. Routing is
-    // deliberately absent — it ran once at registration (`route_s` on
-    // the cached artifact), not per job.
+    // run loop: name + wall clock per stage, `opt:<name>` rows folded in
+    // behind the optimize stage. Routing is deliberately absent — it ran
+    // once at registration (`route_s` on the cached artifact), not per
+    // job.
     let push_stage = |stages: &mut Vec<StageTiming>, stage_start: &mut Instant, name| {
         let now = Instant::now();
         stages.push(StageTiming {
             name: Cow::Borrowed(name),
             seconds: (now - *stage_start).as_secs_f64(),
-            peak_rss_bytes: dscts_core::rss::peak_rss_bytes(),
         });
         *stage_start = now;
     };
@@ -670,11 +643,9 @@ fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, C
     let degraded = report.as_ref().is_some_and(|r| r.truncated);
     push_stage(&mut stages, &mut stage_start, "optimize");
     if let Some(report) = &report {
-        let stage_peak = stages.last().and_then(|t| t.peak_rss_bytes);
         stages.extend(report.passes.iter().map(|p| StageTiming {
             name: Cow::Owned(format!("opt:{}", p.name)),
             seconds: p.seconds,
-            peak_rss_bytes: stage_peak,
         }));
     }
     let metrics = pipe.evaluate_tree(&tree);

@@ -25,7 +25,6 @@
 //! An unknown flag, or a value flag without its value, is an error.
 
 use dscts::baseline::{flip_backside, FlipMethod, HTreeCts};
-use dscts::core::opt::PassManager;
 use dscts::core::sizing::SizingPass;
 use dscts::netlist::def::{parse_def, write_def_with_extras, ExtraComponent};
 use dscts::{
@@ -186,17 +185,23 @@ fn run() -> Result<(), String> {
         other => return Err(format!("unknown flow `{other}`")),
     };
 
-    if has("--size") {
-        let schedule = OptSchedule::new().with(SizingPass::default());
-        let eval = IncrementalEval::new(&mut tree, &tech, model);
-        let report = PassManager::new(&schedule).run(eval, None);
-        println!(
-            "sizing: {} buffers resized, skew {:.3} -> {:.3} ps",
-            report.passes[0].accepted, report.before.skew_ps, report.after.skew_ps
-        );
-    }
+    // The sizing line reads skew from the same batch evaluation as the
+    // metrics lines, before and after the pass.
+    let sizing = has("--size").then(|| {
+        let before = tree.evaluate(&tech, model);
+        let report = OptSchedule::new()
+            .with(SizingPass::default())
+            .run(IncrementalEval::new(&mut tree, &tech, model), None);
+        (report.passes[0].accepted, before.skew_ps)
+    });
 
     let m = tree.evaluate(&tech, model);
+    if let Some((resized, skew_before)) = sizing {
+        println!(
+            "sizing: {resized} buffers resized, skew {skew_before:.3} -> {:.3} ps",
+            m.skew_ps
+        );
+    }
     println!("{m}");
     println!(
         "trunk WL {:.3}e6 nm | switched cap {:.1} fF | cell area {:.1} um^2 | worst sink slew {:.1} ps",

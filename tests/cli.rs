@@ -60,3 +60,42 @@ fn known_flags_still_run() {
         "{line}"
     );
 }
+
+#[test]
+fn size_line_reads_the_metrics_lines_before_and_after() {
+    let run = |args: &[&str]| {
+        let out = dscts(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // The skew field of a `latency … | skew 17.377 ps | …` metrics line.
+    let metrics_skew = |stdout: &str| {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("latency "))
+            .unwrap_or_else(|| panic!("no metrics line in {stdout}"));
+        let skew = line.split(" | ").nth(1).expect("skew field");
+        skew.strip_prefix("skew ")
+            .and_then(|s| s.strip_suffix(" ps"))
+            .unwrap_or_else(|| panic!("malformed skew field in {line}"))
+            .to_owned()
+    };
+    let plain = run(&["--design", "c4"]);
+    let sized = run(&["--design", "c4", "--size"]);
+    // `sizing: N buffers resized, skew X -> Y ps`
+    let line = sized
+        .lines()
+        .find_map(|l| l.strip_prefix("sizing: "))
+        .unwrap_or_else(|| panic!("no sizing line in {sized}"));
+    let (resized, skews) = line
+        .split_once(" buffers resized, skew ")
+        .unwrap_or_else(|| panic!("malformed sizing line {line}"));
+    let (before, after) = skews
+        .strip_suffix(" ps")
+        .and_then(|s| s.split_once(" -> "))
+        .unwrap_or_else(|| panic!("malformed sizing line {line}"));
+    assert!(resized.parse::<usize>().is_ok(), "{line}");
+    assert_eq!(before, metrics_skew(&plain), "{line}");
+    assert_eq!(after, metrics_skew(&sized), "{line}");
+    assert_ne!(before, after, "C4 sizing changes skew: {line}");
+}
