@@ -174,7 +174,10 @@ fn annealed_sizing_beats_greedy_at_equal_resources() {
         let (tree, tech) = sizing_workload(&spec);
         let optimize = |schedule: OptSchedule| {
             let mut t = tree.clone();
-            schedule.run(IncrementalEval::new(&mut t, &tech, EvalModel::Elmore), None);
+            schedule.run(
+                &mut IncrementalEval::new(&mut t, &tech, EvalModel::Elmore),
+                None,
+            );
             t.evaluate(&tech, EvalModel::Elmore)
         };
         let greedy = optimize(OptSchedule::new().with(SizingPass::default()));
@@ -221,20 +224,20 @@ fn robust_schedule_beats_nominal_on_worst_corner_skew() {
 
         let mut nominal = tree.clone();
         schedule.run(
-            IncrementalEval::new(&mut nominal, &tech, EvalModel::Elmore),
+            &mut IncrementalEval::new(&mut nominal, &tech, EvalModel::Elmore),
             None,
         );
         let nominal = signoff(&nominal);
 
         let mut robust = tree.clone();
-        let eval = IncrementalEval::with_corners(
+        let mut eval = IncrementalEval::with_corners(
             &mut robust,
             &corners,
             EvalModel::Elmore,
             RobustObjective::WorstCorner,
         )
         .expect("MCMM workloads are feasible at every PVT corner");
-        schedule.run(eval, None);
+        schedule.run(&mut eval, None);
         let robust = signoff(&robust);
 
         let (n, r) = (&nominal.per_corner[0], &robust.per_corner[0]);

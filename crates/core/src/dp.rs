@@ -52,7 +52,9 @@ pub enum ModeRule {
 }
 
 impl ModeRule {
-    fn mode(self, fanout: u32, total: u32) -> Mode {
+    /// The mode of a node with `fanout` sinks below it, in a design of
+    /// `total` sinks.
+    pub(crate) fn mode(self, fanout: u32, total: u32) -> Mode {
         match self {
             ModeRule::AllFull => Mode::Full,
             ModeRule::AllIntraSide => Mode::IntraSide,
@@ -75,7 +77,12 @@ impl ModeRule {
 /// equivalent (identical vectors) and run the DP once per equivalence
 /// class via [`try_run_dp`].
 pub fn mode_vector(topo: &ClockTopo, rule: ModeRule) -> Vec<Mode> {
-    let fanout = topo.fanout();
+    modes_from_fanout(&topo.fanout(), rule)
+}
+
+/// [`mode_vector`] over a precomputed [`ClockTopo::fanout`], for callers
+/// that apply many rules to one topology and walk it once.
+pub(crate) fn modes_from_fanout(fanout: &[u32], rule: ModeRule) -> Vec<Mode> {
     let total = fanout[0];
     fanout.iter().map(|&f| rule.mode(f, total)).collect()
 }

@@ -18,7 +18,10 @@
 //! * **Routing is threshold-independent.** The [`ModeRule`] only enters at
 //!   the DP, so the engine routes each design exactly **once** per sweep
 //!   and shares the routed [`ClockTopo`] (with its cached CSR adjacency,
-//!   warmed before the fan-out) read-only across all configurations.
+//!   warmed before the fan-out) across all configurations. Insertion
+//!   takes a topology by value and no optimization pass changes one, so
+//!   each worker thread clones it once and moves the same copy through
+//!   all of its classes (the fullest-mode class below gets one more).
 //! * **Most thresholds are provably equivalent.** A node's insertion mode
 //!   depends only on its fanout, so the whole per-node mode vector of
 //!   threshold `t` is determined by how many distinct trunk fanout values
@@ -31,11 +34,16 @@
 //!
 //! Scoring happens on **optimized** trees, not raw DP output: each
 //! class's tree goes through the pipeline's configured optimization
-//! schedule ([`DsCts::optimize_tree`] — by default the §III-D skew
-//! refinement pass, or any custom [`crate::opt::OptSchedule`] set on the
-//! base pipeline; every pass runs on the incremental dirty-path
-//! evaluator, [`crate::IncrementalEval`]) before its metrics are read,
-//! exactly as in a full [`DsCts::run`].
+//! schedule (by default the §III-D skew refinement pass, or any custom
+//! [`crate::opt::OptSchedule`] set on the base pipeline; every pass runs
+//! on the incremental dirty-path evaluator, [`crate::IncrementalEval`])
+//! before its point is read, exactly as in a full [`DsCts::run`]. A
+//! nominal class reads its point from the evaluator the schedule left
+//! behind, whose state is bit-identical to a batch evaluation of the
+//! optimized tree, so the tree is measured once. A corner-aware base
+//! optimizes the worst corner, so its classes keep the staged path:
+//! [`DsCts::optimize_tree`], the corner sign-off and
+//! [`DsCts::evaluate_tree`].
 //! Parallelism is per-class rather than per-threshold; results come back
 //! in requested-threshold order at any thread count, and every point is
 //! bit-identical to what the naive per-threshold pipeline (one full
@@ -53,13 +61,14 @@
 //! by construction (a candidate set is a pure function of its subtree),
 //! so every sweep result above is unchanged.
 
-use crate::dp::{mode_vector, DpSuffixCache, ModeRule};
+use crate::dp::{modes_from_fanout, DpSuffixCache, ModeRule};
 use crate::error::CtsError;
+use crate::incremental::IncrementalEval;
 use crate::mcmm::{CornerReport, RobustMetrics};
 use crate::pattern::Mode;
 use crate::pipeline::DsCts;
 use crate::resilience::{CancelToken, RunBudget};
-use crate::synth::TreeMetrics;
+use crate::synth::{SynthesizedTree, TreeMetrics};
 use crate::tree::ClockTopo;
 use dscts_netlist::Design;
 use dscts_telemetry as telemetry;
@@ -89,9 +98,11 @@ impl MetricsPoint {
         self.buffers + self.ntsvs
     }
 
-    fn new(threshold: u32, m: &TreeMetrics) -> Self {
+    /// The point of a measured tree, with threshold 0 for the caller to
+    /// stamp.
+    fn of_tree(m: &TreeMetrics) -> Self {
         MetricsPoint {
-            threshold,
+            threshold: 0,
             latency_ps: m.latency_ps,
             skew_ps: m.skew_ps,
             buffers: m.buffers,
@@ -226,23 +237,26 @@ impl<'a> SweepEngine<'a> {
         // never allocates a token and the fan-out is bit-identical.
         let cancel = self.base.run_budget().map(RunBudget::token);
         let scored = self.score_classes(&topo, &classes, cancel.as_ref());
-        let mut metrics: Vec<TreeMetrics> = Vec::with_capacity(classes.len());
+        let mut class_points: Vec<MetricsPoint> = Vec::with_capacity(classes.len());
         let mut robust: Vec<Option<RobustMetrics>> = Vec::with_capacity(classes.len());
         let tel = telemetry::active();
         for (class, r) in classes.iter_mut().zip(scored) {
-            let (m, rb, intra) = r?;
-            class.intra_side_nodes = intra;
+            let scored = r?;
+            class.intra_side_nodes = scored.intra_side_nodes;
             if let Some(tel) = &tel {
                 tel.counter("dse.classes").incr();
             }
-            metrics.push(m);
-            robust.push(rb);
+            class_points.push(scored.point);
+            robust.push(scored.robust);
         }
 
         let points = thresholds
             .iter()
             .zip(&class_of)
-            .map(|(&t, &ci)| MetricsPoint::new(t, &metrics[ci]))
+            .map(|(&threshold, &ci)| MetricsPoint {
+                threshold,
+                ..class_points[ci]
+            })
             .collect();
         let robust_points = self.base.corner_set().map(|_| {
             thresholds
@@ -262,95 +276,155 @@ impl<'a> SweepEngine<'a> {
         })
     }
 
-    /// One DP + optimization + evaluation per class, fanned out across
+    /// One DP + optimization + scoring per class, fanned out across
     /// threads against the shared read-only topology. The optimization
     /// schedule is seeded per class by the base pipeline's OptSchedule,
     /// so results are deterministic and returned in class order — the
     /// outcome is thread-count invariant.
     ///
+    /// A nominal class is scored from the evaluator its schedule ran on:
+    /// latency and skew from [`IncrementalEval::latency_skew_ps`], the
+    /// buffer and nTSV counts from the tree, and the wirelength once per
+    /// route, since every class shares the routed geometry. The
+    /// evaluator's state is bit-identical to a batch evaluation of the
+    /// optimized tree, so no second evaluation runs. A corner-aware base
+    /// optimizes the worst corner, not the nominal one, so its classes
+    /// keep the staged path: [`DsCts::optimize_tree_cancel`], the corner
+    /// sign-off and [`DsCts::evaluate_tree`].
+    ///
+    /// Insertion consumes a topology, and no pass can change one (the
+    /// evaluator exposes the tree only as `&SynthesizedTree`), so each
+    /// worker clones the routed topology once, moves its copy into
+    /// [`DsCts::insert_with`] and takes it back out of the scored tree for
+    /// its next class. A worker whose copy was lost to a failed class, or
+    /// that a new `map_init` state leaves without one, clones again.
+    ///
     /// The fullest-mode class (fewest intra-side nodes, ties to the
-    /// lowest index) is scored first on the caller's thread and its
-    /// [`DpSuffixCache`] lent read-only to every other class's DP, which
-    /// copies the candidate sets of all mode-identical subtrees instead
-    /// of recomputing them. The copies are bit-identical by construction,
-    /// so sharing never changes a result; if the base class fails, the
-    /// rest are scored standalone and the error surfaces at its slot.
+    /// lowest index) is scored first on the caller's thread, on its own
+    /// copy, and its [`DpSuffixCache`] lent read-only to every other
+    /// class's DP, which copies the candidate sets of all mode-identical
+    /// subtrees instead of recomputing them. The copies are bit-identical
+    /// by construction, so sharing never changes a result; if the base
+    /// class fails, the rest are scored standalone and the error surfaces
+    /// at its slot.
     fn score_classes(
         &self,
         topo: &ClockTopo,
         classes: &[ModeClass],
         cancel: Option<&CancelToken>,
     ) -> Vec<Result<Scored, CtsError>> {
-        let score_one = |class: &ModeClass,
+        let fanout = topo.fanout();
+        let total = fanout[0];
+        let rule_of = |class: &ModeClass| ModeRule::FanoutThreshold(class.thresholds[0]);
+        let intra_of: Vec<usize> = classes
+            .iter()
+            .map(|class| {
+                let rule = rule_of(class);
+                fanout
+                    .iter()
+                    .filter(|&&f| rule.mode(f, total) == Mode::IntraSide)
+                    .count()
+            })
+            .collect();
+        let wirelength_nm = topo.total_wirelength();
+        // Scores class `i` on `copy`, a clone of `topo`, and hands the
+        // copy back with the class's suffix cache.
+        let score_one = |i: usize,
+                         copy: ClockTopo,
                          reuse: Option<&DpSuffixCache>|
-         -> Result<(Scored, DpSuffixCache), CtsError> {
+         -> Result<(Scored, DpSuffixCache, ClockTopo), CtsError> {
             if let Some(token) = cancel {
                 token.check("dse")?;
             }
             let _span = telemetry::Span::enter("dse.class");
-            let rep = ModeRule::FanoutThreshold(class.thresholds[0]);
-            let modes = mode_vector(topo, rep);
-            let intra = modes.iter().filter(|&&m| m == Mode::IntraSide).count();
+            let modes = modes_from_fanout(&fanout, rule_of(&classes[i]));
             let (mut tree, _dp, cache) =
-                self.base
-                    .insert_with(topo.clone(), Some(&modes), cancel, reuse)?;
-            // Corner-aware pipelines optimize the robust objective here
-            // (optimize_tree fans out over the corner set), exactly as a
-            // full corner-aware `run` would. The sweep token reaches the
-            // schedule too: a deadline expiring mid-class truncates that
-            // class's optimization (a degraded-but-valid point) rather
-            // than overshooting.
-            self.base.optimize_tree_cancel(&mut tree, cancel)?;
-            let robust = match self.base.corner_set() {
-                Some(corners) => Some(
-                    CornerReport::try_evaluate(&tree, corners, self.base.delay_model())?.robust,
-                ),
-                None => None,
+                self.base.insert_with(copy, Some(&modes), cancel, reuse)?;
+            let (point, robust) = match self.base.corner_set() {
+                None => (self.score_nominal(&mut tree, cancel, wirelength_nm), None),
+                Some(corners) => {
+                    // The sweep token reaches the schedule too: a deadline
+                    // expiring mid-class truncates that class's
+                    // optimization (a degraded-but-valid point) rather
+                    // than overshooting.
+                    self.base.optimize_tree_cancel(&mut tree, cancel)?;
+                    let robust =
+                        CornerReport::try_evaluate(&tree, corners, self.base.delay_model())?.robust;
+                    let m = self.base.evaluate_tree(&tree);
+                    (MetricsPoint::of_tree(&m), Some(robust))
+                }
             };
-            Ok(((self.base.evaluate_tree(&tree), robust, intra), cache))
+            let scored = Scored {
+                point,
+                robust,
+                intra_side_nodes: intra_of[i],
+            };
+            Ok((scored, cache, tree.topo))
         };
 
-        if classes.len() < 2 {
-            return classes
-                .iter()
-                .map(|c| score_one(c, None).map(|(s, _)| s))
-                .collect();
-        }
-
-        let intra_of: Vec<usize> = classes
-            .iter()
-            .map(|c| {
-                let modes = mode_vector(topo, ModeRule::FanoutThreshold(c.thresholds[0]));
-                modes.iter().filter(|&&m| m == Mode::IntraSide).count()
-            })
-            .collect();
         let base_idx = (0..classes.len())
             .min_by_key(|&i| (intra_of[i], i))
             .expect("non-empty class list");
-        let base_scored = score_one(&classes[base_idx], None);
-        let cache: Option<&DpSuffixCache> = base_scored.as_ref().ok().map(|(_, c)| c);
+        let base_scored = score_one(base_idx, topo.clone(), None);
+        let cache: Option<&DpSuffixCache> = base_scored.as_ref().ok().map(|(_, c, _)| c);
 
         let mut out: Vec<Option<Result<Scored, CtsError>>> = (0..classes.len())
             .into_par_iter()
-            .map(|i| {
-                if i == base_idx {
-                    None // already scored on the caller's thread
-                } else {
-                    Some(score_one(&classes[i], cache).map(|(s, _)| s))
-                }
-            })
+            .map_init(
+                || None::<ClockTopo>,
+                |copy, i| {
+                    if i == base_idx {
+                        return None; // already scored on the caller's thread
+                    }
+                    let own = copy.take().unwrap_or_else(|| topo.clone());
+                    Some(score_one(i, own, cache).map(|(scored, _, back)| {
+                        *copy = Some(back);
+                        scored
+                    }))
+                },
+            )
             .collect();
-        out[base_idx] = Some(base_scored.map(|(s, _)| s));
+        out[base_idx] = Some(base_scored.map(|(scored, ..)| scored));
         out.into_iter()
             .map(|r| r.expect("every class scored exactly once"))
             .collect()
     }
+
+    /// Runs the base pipeline's schedule, if any, on a nominal evaluator
+    /// of `tree` and reads the class's point from the evaluator it leaves,
+    /// with threshold 0 for the caller to stamp.
+    fn score_nominal(
+        &self,
+        tree: &mut SynthesizedTree,
+        cancel: Option<&CancelToken>,
+        wirelength_nm: i64,
+    ) -> MetricsPoint {
+        let mut eval = IncrementalEval::new(tree, self.base.technology(), self.base.delay_model());
+        if let Some(schedule) = self.base.effective_schedule() {
+            schedule.run(&mut eval, cancel);
+        }
+        let (latency_ps, skew_ps) = eval.latency_skew_ps();
+        let tree = eval.tree();
+        MetricsPoint {
+            threshold: 0,
+            latency_ps,
+            skew_ps,
+            buffers: 1 + tree.inserted_buffers(),
+            ntsvs: tree.inserted_ntsvs(),
+            wirelength_nm,
+        }
+    }
 }
 
-/// What scoring one mode class yields: nominal metrics, the cross-corner
-/// view (when the base pipeline is corner-aware) and the class's
-/// intra-side node count.
-type Scored = (TreeMetrics, Option<RobustMetrics>, usize);
+/// What scoring one mode class yields.
+struct Scored {
+    /// The nominal point of the class's optimized tree, with threshold 0.
+    point: MetricsPoint,
+    /// The cross-corner view, when the base pipeline is corner-aware.
+    robust: Option<RobustMetrics>,
+    /// Trunk nodes forced intra-side under the class's mode vector.
+    intra_side_nodes: usize,
+}
 
 /// Partition `thresholds` into mode-equivalence classes over the distinct
 /// fanout values `levels`: the mode vector of threshold `t` is determined

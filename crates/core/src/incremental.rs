@@ -16,14 +16,19 @@
 //!   so they are re-propagated over that *subtree* only. Total cost per
 //!   mutation: O(depth + dirty subtree) instead of O(n).
 //! * **bit-identical state invariant.** After every successful mutation,
-//!   `cap`, `up_cap`, `arr`, `slew`, the per-star bases and the per-sink
-//!   arrivals are bit-identical (as `f64`s) to what a from-scratch
+//!   `cap`, `up_cap`, `arr`, `slew` and the per-star base arrivals and
+//!   slews are bit-identical (as `f64`s) to what a from-scratch
 //!   [`SynthesizedTree::evaluate`] of the mutated tree would compute: all
 //!   repairs re-run the *same* arithmetic in the *same* order as the batch
 //!   evaluator (shared helpers in `synth`), and early termination happens
 //!   only when a recomputed value compares equal to the stored one. The
 //!   property suite `incremental_matches_batch` enforces this for both
 //!   [`EvalModel`]s under arbitrary interleaved mutations and undos.
+//! * **star-level state.** No per-sink value is stored. A sink's arrival
+//!   is its star's base plus its constant branch delay, the expression the
+//!   batch evaluator uses, so [`IncrementalEval::metrics`] derives the
+//!   per-sink vector on demand and a mutation re-times each star it
+//!   passes with one write and one journal entry, whatever its sink count.
 //! * **journaled undo.** Every overwritten value is recorded in an undo
 //!   journal. [`IncrementalEval::undo`] reverts the last mutation,
 //!   [`IncrementalEval::mark`]/[`IncrementalEval::undo_to`] revert a group
@@ -98,8 +103,6 @@ enum Entry {
     Slew(u32, f64),
     /// `(star_base, star_base_slew)[si]` previous values.
     StarBase(u32, f64, f64),
-    /// `arrivals[sink]` previous value.
-    SinkArr(u32, f64),
 }
 
 /// The previous value of the tree knob one mutation overwrote.
@@ -142,11 +145,10 @@ struct CornerState {
     /// Transition time at each trunk node.
     slew: Vec<f64>,
     /// Per-star arrival/slew at the star root, after the optional
-    /// refinement buffer.
+    /// refinement buffer. Sink `sk` of star `si` arrives at
+    /// `star_base[si] + branch_d[sk]`.
     star_base: Vec<f64>,
     star_base_slew: Vec<f64>,
-    /// Per-sink arrival times (the batch evaluator's `arrivals` vector).
-    arrivals: Vec<f64>,
     /// Every value overwritten since the last commit, oldest first.
     journal: Vec<Entry>,
     /// Grow-only DFS stack reused by every arrival re-propagation, so a
@@ -224,7 +226,6 @@ impl CornerState {
         }
 
         let n_stars = topo.stars.len();
-        let n_sinks = topo.sink_pos.len();
         let mut this = CornerState {
             star_load,
             branch_d,
@@ -236,7 +237,6 @@ impl CornerState {
             slew: vec![0.0; n],
             star_base: vec![0.0; n_stars],
             star_base_slew: vec![0.0; n_stars],
-            arrivals: vec![0.0; n_sinks],
             journal: Vec::new(),
             arrival_scratch: Vec::new(),
         };
@@ -275,20 +275,21 @@ impl CornerState {
 
     /// Full metrics of the current state, bit-identical to
     /// [`SynthesizedTree::evaluate`] of the same tree under the same
-    /// technology.
+    /// technology. The per-sink arrivals are derived here, as
+    /// `star_base[si] + branch_d[sk]` in the batch evaluator's star order.
     fn metrics(&self, tree: &SynthesizedTree, tech: &Technology) -> TreeMetrics {
-        let stats = ArrivalStats::from_arrivals(self.arrivals.iter().copied())
-            .expect("designs have at least one sink");
-        let res = resources(tree, tech);
+        let mut arrivals = vec![0.0f64; tree.topo.sink_pos.len()];
         let mut max_sink_slew = 0.0f64;
         for (si, s) in tree.topo.stars.iter().enumerate() {
             for &sk in &s.sinks {
-                max_sink_slew = max_sink_slew.max(wire_slew(
-                    self.star_base_slew[si],
-                    self.branch_d[sk as usize],
-                ));
+                let d = self.branch_d[sk as usize];
+                arrivals[sk as usize] = self.star_base[si] + d;
+                max_sink_slew = max_sink_slew.max(wire_slew(self.star_base_slew[si], d));
             }
         }
+        let stats = ArrivalStats::from_arrivals(arrivals.iter().copied())
+            .expect("designs have at least one sink");
+        let res = resources(tree, tech);
         TreeMetrics {
             latency_ps: stats.latency(),
             skew_ps: stats.skew(),
@@ -299,7 +300,7 @@ impl CornerState {
             switched_cap_ff: res.switched_cap_ff,
             cell_area_nm2: res.cell_area_nm2,
             max_sink_slew_ps: max_sink_slew,
-            arrivals: self.arrivals.clone(),
+            arrivals,
         }
     }
 
@@ -521,8 +522,8 @@ impl CornerState {
     }
 
     /// Refreshes star `si`'s base arrival/slew (through the optional
-    /// refinement buffer) and its sinks' arrivals, mirroring the batch
-    /// evaluator's sink stage exactly.
+    /// refinement buffer), mirroring the batch evaluator's sink stage
+    /// exactly. Its sinks' arrivals follow from the base (see `metrics`).
     fn recompute_star(
         &mut self,
         tree: &SynthesizedTree,
@@ -549,11 +550,6 @@ impl CornerState {
         ));
         self.star_base[si] = base;
         self.star_base_slew[si] = base_slew;
-        for &sk in &tree.topo.stars[si].sinks {
-            let sku = sk as usize;
-            self.journal.push(Entry::SinkArr(sk, self.arrivals[sku]));
-            self.arrivals[sku] = base + self.branch_d[sku];
-        }
     }
 
     /// Reverts every journaled value past `len`, newest first.
@@ -568,7 +564,6 @@ impl CornerState {
                     self.star_base[si as usize] = base;
                     self.star_base_slew[si as usize] = slew;
                 }
-                Entry::SinkArr(sk, old) => self.arrivals[sk as usize] = old,
             }
         }
     }

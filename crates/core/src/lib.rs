@@ -20,7 +20,8 @@
 //!    that switches DP nodes between full and intra-side modes (§III-E),
 //!    batched by [`dse::SweepEngine`]: one routing run per design, one DP
 //!    run per mode-equivalence class of the sweep, every point scored on
-//!    the tree the configured optimization schedule produces.
+//!    the tree the configured optimization schedule produces, read from
+//!    the evaluator that schedule ran on.
 //!
 //! The comparison methods of the paper's evaluation are implemented in
 //! [`baseline`]: an OpenROAD-like H-tree CTS and the post-CTS back-side
@@ -46,9 +47,10 @@
 //! holds one technology or every corner of a [`dscts_tech::CornerSet`]
 //! ([`IncrementalEval::with_corners`]), so every pass, built-in or
 //! custom, runs corner-aware unchanged. Passes run through one entry
-//! point, [`OptSchedule::run`]; a schedule measures nothing itself, and
-//! the evaluate stage ([`DsCts::evaluate_tree`]) is the one measurement
-//! of the final tree.
+//! point, [`OptSchedule::run`]; a schedule measures nothing itself. In a
+//! run the evaluate stage ([`DsCts::evaluate_tree`]) is the one
+//! measurement of the final tree; a nominal sweep class reads its point
+//! from the evaluator it was optimized on instead.
 //!
 //! Most users want the [`DsCts`] pipeline builder; custom optimization
 //! schedules plug in through [`DsCts::schedule`] (see the [`opt`] module

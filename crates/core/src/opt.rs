@@ -13,14 +13,15 @@
 //!   [`PassStats`].
 //! * [`OptSchedule`] — an ordered, cloneable list of passes plus the RNG
 //!   seed; the value a [`crate::DsCts`] pipeline carries.
-//!   [`OptSchedule::run`] executes it over one evaluator and returns a
-//!   [`ScheduleReport`]: one [`PassReport`] per pass with its move counts
-//!   and wall clock (folded into [`crate::Outcome::stages`] as
-//!   `opt:<name>` timings by the pipeline).
+//!   [`OptSchedule::run`] executes it over one borrowed evaluator and
+//!   returns a [`ScheduleReport`]: one [`PassReport`] per pass with its
+//!   move counts and wall clock (folded into [`crate::Outcome::stages`]
+//!   as `opt:<name>` timings by the pipeline).
 //!
-//! A schedule takes no measurement of the tree: the pipeline's evaluate
+//! A schedule takes no measurement of the tree. The pipeline's evaluate
 //! stage ([`crate::DsCts::evaluate_tree`]) measures the optimized tree
-//! once.
+//! once; the sweep engine ([`crate::dse::SweepEngine`]) instead reads
+//! each class's point from the evaluator the schedule leaves behind.
 //!
 //! The evaluator may hold one corner or several
 //! ([`IncrementalEval::with_corners`]); a pass sees the same surface
@@ -61,7 +62,7 @@
 //!         Cow::Borrowed("max-drive")
 //!     }
 //!
-//!     fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+//!     fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats {
 //!         let eval = ctx.eval_mut();
 //!         let mut stats = PassStats::default();
 //!         for v in 1..eval.tree().topo.nodes.len() {
@@ -100,31 +101,32 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The shared state one optimization schedule threads through its passes:
-/// the resident evaluator (which borrows the tree mutably and writes
-/// accepted knobs through) and a deterministic RNG. The technology, delay
-/// model, corners and run-budget token are all reachable through the
-/// evaluator, so a pass needs nothing beyond this context.
+/// a borrow of the resident evaluator (which borrows the tree mutably and
+/// writes accepted knobs through) and a deterministic RNG. The
+/// technology, delay model, corners and run-budget token are all
+/// reachable through the evaluator, so a pass needs nothing beyond this
+/// context.
 #[derive(Debug)]
-pub struct OptCtx<'t> {
-    eval: IncrementalEval<'t>,
+pub struct OptCtx<'e, 't> {
+    eval: &'e mut IncrementalEval<'t>,
     rng: SmallRng,
 }
 
-impl<'t> OptCtx<'t> {
+impl<'t> OptCtx<'_, 't> {
     /// The resident evaluator (read-only).
     pub fn eval(&self) -> &IncrementalEval<'t> {
-        &self.eval
+        &*self.eval
     }
 
     /// The resident evaluator, for mutations.
     pub fn eval_mut(&mut self) -> &mut IncrementalEval<'t> {
-        &mut self.eval
+        &mut *self.eval
     }
 
     /// The evaluator and the RNG together — for passes (like annealing)
     /// that interleave trial moves with random draws.
     pub fn parts(&mut self) -> (&mut IncrementalEval<'t>, &mut SmallRng) {
-        (&mut self.eval, &mut self.rng)
+        (&mut *self.eval, &mut self.rng)
     }
 
     /// The deterministic per-pass RNG. [`OptSchedule::run`] re-seeds it
@@ -182,7 +184,7 @@ pub trait OptPass: Send + Sync {
     fn name(&self) -> Cow<'static, str>;
 
     /// Executes the pass over the shared context.
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats;
+    fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats;
 }
 
 /// One executed pass: its stats and wall clock.
@@ -277,18 +279,29 @@ impl OptSchedule {
         self.passes.is_empty()
     }
 
-    /// Runs every pass in order over `eval`; accepted knobs are written
-    /// through to its tree. Each pass gets a fresh RNG seeded with
-    /// `seed + pass index`. See the [module docs](self) for the
+    /// Runs every pass in order over the borrowed `eval`; accepted knobs
+    /// are written through to its tree. Each pass gets a fresh RNG seeded
+    /// with `seed + pass index`. See the [module docs](self) for the
     /// architecture.
+    ///
+    /// The schedule measures nothing itself. It leaves `eval` committed
+    /// and resident, so the caller can read the optimized tree's score
+    /// from it ([`IncrementalEval::latency_skew_ps`],
+    /// [`IncrementalEval::metrics`]) without evaluating the tree again;
+    /// the sweep engine scores its classes that way.
     ///
     /// `cancel` attaches a run budget: the evaluator rejects every move
     /// once the token trips, the built-in passes poll it inside their
     /// trial loops, and it is checked at every pass boundary.
     /// Cancellation truncates the schedule — finished work is kept, the
     /// report is flagged [`ScheduleReport::truncated`]. `None`, or a token
-    /// that never trips, is bit-identical to an unbudgeted run.
-    pub fn run(&self, eval: IncrementalEval<'_>, cancel: Option<&CancelToken>) -> ScheduleReport {
+    /// that never trips, is bit-identical to an unbudgeted run. The token
+    /// stays attached to `eval` afterwards.
+    pub fn run(
+        &self,
+        eval: &mut IncrementalEval<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> ScheduleReport {
         let mut ctx = OptCtx {
             eval,
             rng: SmallRng::seed_from_u64(self.seed),
@@ -573,7 +586,7 @@ impl OptPass for AnnealedSizingPass {
         Cow::Borrowed(Self::NAME)
     }
 
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+    fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats {
         let cancel = ctx.cancel().cloned();
         let (eval, rng) = ctx.parts();
         self.anneal(eval, rng, cancel.as_ref())
@@ -616,7 +629,7 @@ mod tests {
         tech: &Technology,
         model: EvalModel,
     ) -> ScheduleReport {
-        schedule.run(IncrementalEval::new(t, tech, model), None)
+        schedule.run(&mut IncrementalEval::new(t, tech, model), None)
     }
 
     #[test]
@@ -759,14 +772,14 @@ mod tests {
         let rn = signoff(&nominal);
 
         let mut robust = base.clone();
-        let eval = IncrementalEval::with_corners(
+        let mut eval = IncrementalEval::with_corners(
             &mut robust,
             &corners,
             EvalModel::Elmore,
             RobustObjective::WorstCorner,
         )
         .expect("feasible corners");
-        let _ = schedule.run(eval, None);
+        let _ = schedule.run(&mut eval, None);
         let rr = signoff(&robust);
 
         assert_eq!(
@@ -797,7 +810,7 @@ mod tests {
             fn name(&self) -> Cow<'static, str> {
                 Cow::Borrowed("max-drive")
             }
-            fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+            fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats {
                 let eval = ctx.eval_mut();
                 let mut stats = PassStats::default();
                 for v in 1..eval.tree().topo.nodes.len() {

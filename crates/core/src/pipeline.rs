@@ -508,11 +508,11 @@ impl DsCts {
         let Some(schedule) = self.effective_schedule() else {
             return Ok(None);
         };
-        let eval = match &self.corners {
+        let mut eval = match &self.corners {
             Some(corners) => IncrementalEval::with_corners(tree, corners, self.eval, self.robust)?,
             None => IncrementalEval::new(tree, &self.tech, self.eval),
         };
-        Ok(Some(schedule.run(eval, cancel)))
+        Ok(Some(schedule.run(&mut eval, cancel)))
     }
 
     /// Runs only the evaluation stage: final metrics under the configured
@@ -915,7 +915,7 @@ mod tests {
             fn name(&self) -> Cow<'static, str> {
                 Cow::Borrowed("side-swap")
             }
-            fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+            fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats {
                 let eval = ctx.eval_mut();
                 let front =
                     |p: Pattern| p.root_side() == Side::Front && p.sink_side() == Side::Front;

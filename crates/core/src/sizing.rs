@@ -166,7 +166,7 @@ impl OptPass for SizingPass {
         Cow::Borrowed(Self::NAME)
     }
 
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+    fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats {
         let cancel = ctx.cancel().cloned();
         self.run_on(ctx.eval_mut(), cancel.as_ref())
     }
@@ -203,7 +203,7 @@ mod tests {
     /// One greedy sizing pass over `t`, through a one-pass schedule.
     fn size(t: &mut SynthesizedTree, tech: &Technology, cfg: SizingConfig) -> ScheduleReport {
         let schedule = OptSchedule::new().with(SizingPass::new(cfg));
-        schedule.run(IncrementalEval::new(t, tech, EvalModel::Elmore), None)
+        schedule.run(&mut IncrementalEval::new(t, tech, EvalModel::Elmore), None)
     }
 
     #[test]

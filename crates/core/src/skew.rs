@@ -190,7 +190,7 @@ impl OptPass for EndpointRefinePass {
         Cow::Borrowed(Self::NAME)
     }
 
-    fn run(&self, ctx: &mut OptCtx<'_>) -> PassStats {
+    fn run(&self, ctx: &mut OptCtx<'_, '_>) -> PassStats {
         let cancel = ctx.cancel().cloned();
         self.run_on(ctx.eval_mut(), cancel.as_ref())
     }
@@ -209,7 +209,10 @@ mod tests {
     /// One refinement pass over `tree`, through a one-pass schedule.
     fn refine(tree: &mut SynthesizedTree, tech: &Technology, cfg: SkewConfig) -> ScheduleReport {
         let schedule = OptSchedule::new().with(EndpointRefinePass::new(cfg));
-        schedule.run(IncrementalEval::new(tree, tech, EvalModel::Elmore), None)
+        schedule.run(
+            &mut IncrementalEval::new(tree, tech, EvalModel::Elmore),
+            None,
+        )
     }
 
     #[test]

@@ -28,10 +28,10 @@ fn run_corners(
     corners: &CornerSet,
     cancel: Option<&CancelToken>,
 ) -> ScheduleReport {
-    let eval =
+    let mut eval =
         IncrementalEval::with_corners(tree, corners, EvalModel::Elmore, RobustObjective::default())
             .expect("small design is feasible at every PVT corner");
-    schedule.run(eval, cancel)
+    schedule.run(&mut eval, cancel)
 }
 
 fn annealed_base(tech: Technology) -> DsCts {

@@ -5,36 +5,92 @@
 //! delay models; [`SweepEngine::try_sweep`] must return exactly — as
 //! `f64`s, via `MetricsPoint: PartialEq` — what [`sweep_fanout_naive`]
 //! computes by re-running the whole pipeline per threshold, while its
-//! mode-equivalence classes must partition the requested grid.
+//! mode-equivalence classes must partition the requested grid. Each
+//! property sweeps three pipelines ([`bases`]): the default one, a
+//! two-pass schedule whose classes accept moves before their points are
+//! read, and a corner-aware one, whose robust points must equal each
+//! naive run's cross-corner summary too.
 
-use dscts_core::dse::{MetricsPoint, SweepEngine};
+use dscts_core::dse::{MetricsPoint, RobustPoint, SweepEngine};
+use dscts_core::opt::OptSchedule;
+use dscts_core::sizing::SizingPass;
+use dscts_core::skew::{EndpointRefinePass, SkewConfig};
 use dscts_core::{DsCts, EvalModel, ModeRule};
 use dscts_netlist::{BenchmarkSpec, Design};
-use dscts_tech::Technology;
+use dscts_tech::{CornerSet, Technology};
 use proptest::prelude::*;
 use rayon::prelude::*;
 
+/// What the naive sweep computes per threshold: its point, its
+/// cross-corner view when the base is corner-aware, and the moves its
+/// run's schedule accepted.
+struct Naive {
+    points: Vec<MetricsPoint>,
+    robust_points: Option<Vec<RobustPoint>>,
+    accepted: Vec<usize>,
+}
+
 /// The reference sweep the batched engine is checked against: one full
 /// pipeline run per threshold, no sharing.
-fn sweep_fanout_naive(base: &DsCts, design: &Design, thresholds: &[u32]) -> Vec<MetricsPoint> {
-    thresholds
+fn sweep_fanout_naive(base: &DsCts, design: &Design, thresholds: &[u32]) -> Naive {
+    let runs: Vec<(MetricsPoint, Option<RobustPoint>, usize)> = thresholds
         .par_iter()
         .map(|&t| {
-            let m = base
+            let o = base
                 .clone()
                 .mode_rule(ModeRule::FanoutThreshold(t))
-                .run(design)
-                .metrics;
-            MetricsPoint {
+                .run(design);
+            let m = &o.metrics;
+            let point = MetricsPoint {
                 threshold: t,
                 latency_ps: m.latency_ps,
                 skew_ps: m.skew_ps,
                 buffers: m.buffers,
                 ntsvs: m.ntsvs,
                 wirelength_nm: m.wirelength_nm,
-            }
+            };
+            let robust = o.corners.as_ref().map(|c| RobustPoint {
+                threshold: t,
+                worst_latency_ps: c.robust.worst_latency_ps,
+                worst_skew_ps: c.robust.worst_skew_ps,
+                arrival_spread_ps: c.robust.arrival_spread_ps,
+            });
+            let accepted = o
+                .optimization
+                .as_ref()
+                .map_or(0, |r| r.passes.iter().map(|p| p.accepted).sum());
+            (point, robust, accepted)
         })
-        .collect()
+        .collect();
+    Naive {
+        points: runs.iter().map(|r| r.0).collect(),
+        robust_points: base.corner_set().map(|_| {
+            runs.iter()
+                .map(|r| r.1.clone().expect("a corner-aware run reports corners"))
+                .collect()
+        }),
+        accepted: runs.iter().map(|r| r.2).collect(),
+    }
+}
+
+/// The pipelines each property sweeps under `model`: the default one; a
+/// forced two-pass schedule (sizing, then end-point refinement that
+/// triggers at any skew), so classes accept moves before their points
+/// are read; and a corner-aware one over the ASAP7 PVT corners.
+fn bases(model: EvalModel) -> [DsCts; 3] {
+    let tech = Technology::asap7();
+    let plain = DsCts::new(tech.clone()).eval_model(model);
+    let forced =
+        plain
+            .clone()
+            .schedule(OptSchedule::new().with(SizingPass::default()).with(
+                EndpointRefinePass::new(SkewConfig {
+                    trigger_percent: 0.0,
+                    ..SkewConfig::default()
+                }),
+            ));
+    let cornered = plain.clone().corners(CornerSet::asap7_pvt(&tech));
+    [plain, forced, cornered]
 }
 
 /// A small random design: C4 geometry scaled down, varied by seed.
@@ -46,13 +102,16 @@ fn small_design(sinks: usize, seed: u64) -> Design {
     spec.generate()
 }
 
-fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) {
+/// Checks one sweep against the naive one and returns the moves each
+/// naive run accepted.
+fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) -> Vec<usize> {
     let naive = sweep_fanout_naive(base, design, grid);
     let sweep = SweepEngine::new(base)
         .try_sweep(design, grid.iter().copied())
         .expect("random designs stay feasible");
-    // Bit-identical points, in request order.
-    assert_eq!(sweep.points, naive);
+    // Bit-identical points and cross-corner views, in request order.
+    assert_eq!(sweep.points, naive.points);
+    assert_eq!(sweep.robust_points, naive.robust_points);
     // Classes partition the grid: every threshold in exactly one class,
     // members kept in request order within a class.
     let mut seen: Vec<u32> = Vec::new();
@@ -69,18 +128,26 @@ fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) {
     // class count is bounded by the distinct thresholds.
     grid_sorted.dedup();
     assert!(sweep.classes.len() <= grid_sorted.len());
+    naive.accepted
+}
+
+/// [`check_sweep`] over every one of [`bases`]`(model)`.
+fn check_sweep_bases(design: &Design, model: EvalModel, grid: &[u32]) {
+    for base in &bases(model) {
+        check_sweep(design, base, grid);
+    }
 }
 
 #[test]
 fn batched_sweep_matches_naive_and_dedups() {
     let design = BenchmarkSpec::c4_riscv32i().generate();
-    let base = DsCts::new(Technology::asap7());
+    let [base, forced, cornered] = bases(EvalModel::Elmore);
     let grid: Vec<u32> = (20..=1000).step_by(140).collect();
     let naive = sweep_fanout_naive(&base, &design, &grid);
     let sweep = SweepEngine::new(&base)
         .try_sweep(&design, grid.iter().copied())
         .expect("sweepable");
-    assert_eq!(sweep.points, naive);
+    assert_eq!(sweep.points, naive.points);
     // Classes partition the requested thresholds, in order.
     let members: Vec<u32> = sweep
         .classes
@@ -101,6 +168,11 @@ fn batched_sweep_matches_naive_and_dedups() {
         "expected at least one merged class over {} thresholds",
         grid.len()
     );
+    // The other two bases. On C4 the forced schedule accepts moves at
+    // every threshold, so every class's point is read after moves.
+    let accepted = check_sweep(&design, &forced, &grid);
+    assert!(accepted.iter().all(|&a| a > 0), "{accepted:?}");
+    check_sweep(&design, &cornered, &grid);
 }
 
 proptest! {
@@ -114,11 +186,10 @@ proptest! {
         step in 1usize..60,
     ) {
         let design = small_design(sinks, seed);
-        let base = DsCts::new(Technology::asap7());
         // Grids deliberately overshoot the design's fanout range so the
         // all-full tail exercises class merging.
         let grid: Vec<u32> = (start..=(sinks as u32 + 60)).step_by(step).collect();
-        check_sweep(&design, &base, &grid);
+        check_sweep_bases(&design, EvalModel::Elmore, &grid);
     }
 
     #[test]
@@ -128,9 +199,8 @@ proptest! {
         step in 1usize..60,
     ) {
         let design = small_design(sinks, seed);
-        let base = DsCts::new(Technology::asap7()).eval_model(EvalModel::Nldm);
         let grid: Vec<u32> = (1..=(sinks as u32 + 60)).step_by(step).collect();
-        check_sweep(&design, &base, &grid);
+        check_sweep_bases(&design, EvalModel::Nldm, &grid);
     }
 
     #[test]

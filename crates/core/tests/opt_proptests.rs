@@ -73,7 +73,7 @@ fn run(
     tech: &Technology,
     model: EvalModel,
 ) -> ScheduleReport {
-    schedule.run(IncrementalEval::new(t, tech, model), None)
+    schedule.run(&mut IncrementalEval::new(t, tech, model), None)
 }
 
 fn check_schedule_equivalence(design: &Design, model: EvalModel) {

@@ -609,9 +609,8 @@ fn execute_job(inner: &Inner, job: &QueuedJob, queue_wait_s: f64, started: Insta
 }
 
 /// One staged-driver attempt against the cached artifact. Bit-identical
-/// to the equivalent direct `DsCts` staged composition: the cached topo
-/// is cloned per attempt exactly as `SweepEngine` clones its shared
-/// routed topology.
+/// to the equivalent direct `DsCts` staged composition: insertion
+/// consumes a topology, so each attempt clones the cached one.
 fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, CtsError> {
     let token = &job.token;
     let mut stages: Vec<StageTiming> = Vec::new();

@@ -22,7 +22,10 @@
 //!   --sweep <step>     sweep fanout thresholds 20..=1000 by <step>
 //! ```
 //!
-//! An unknown flag, or a value flag without its value, is an error.
+//! An unknown flag, or a value flag without its value, is an error. A
+//! sweep takes `--nldm`, `--deadline-ms` and `--telemetry`; the flags of a
+//! single flow run (`--flow`, `--fanout`, `--out`, `--size`, `--recover`)
+//! are errors with `--sweep`.
 
 use dscts::baseline::{flip_backside, FlipMethod, HTreeCts};
 use dscts::core::sizing::SizingPass;
@@ -58,6 +61,11 @@ fn run() -> Result<(), String> {
             .and_then(|i| args.get(i + 1).cloned())
     };
     let has = |flag: &str| args.iter().any(|a| a == flag);
+    if has("--sweep") {
+        if let Some(flag) = NOT_FOR_SWEEP.iter().find(|f| has(f)) {
+            return Err(format!("`{flag}` does not apply to --sweep"));
+        }
+    }
 
     // Observability: with --telemetry, the whole run executes under a
     // live collector and the snapshot (stage/pass/DP span histograms,
@@ -102,15 +110,15 @@ fn run() -> Result<(), String> {
         pipeline = pipeline.recovery(RecoveryPolicy::default());
     }
 
-    // DSE sweep: the exact batched engine, one DP run per mode class.
+    // DSE sweep: the exact batched engine, one DP run per mode class, on
+    // the configured pipeline, so `--deadline-ms` budgets the class loop.
     if let Some(s) = get("--sweep") {
         let step: usize = s.parse().map_err(|_| format!("bad --sweep value `{s}`"))?;
         if step == 0 {
             return Err("--sweep step must be positive".to_owned());
         }
         let thresholds: Vec<u32> = (20..=1000).step_by(step).collect();
-        let base = DsCts::new(tech.clone()).eval_model(model);
-        let sweep = dscts::core::dse::SweepEngine::new(&base)
+        let sweep = dscts::core::dse::SweepEngine::new(&pipeline)
             .try_sweep(&design, thresholds.iter().copied())
             .map_err(|e| e.to_string())?;
         println!(
@@ -154,11 +162,13 @@ fn run() -> Result<(), String> {
             );
         }
     };
-    let mut tree = match flow.as_str() {
+    // The staged flows bring the metrics their evaluate stage measured;
+    // the baselines are measured below.
+    let (mut tree, measured) = match flow.as_str() {
         "ours" => {
             let o = pipeline.try_run(&design).map_err(|e| e.to_string())?;
             report_stages(&o);
-            o.tree
+            (o.tree, Some(o.metrics))
         }
         "front" => {
             let o = pipeline
@@ -166,9 +176,9 @@ fn run() -> Result<(), String> {
                 .try_run(&design)
                 .map_err(|e| e.to_string())?;
             report_stages(&o);
-            o.tree
+            (o.tree, Some(o.metrics))
         }
-        "openroad" => HTreeCts::default().synthesize(&design, &tech),
+        "openroad" => (HTreeCts::default().synthesize(&design, &tech), None),
         "flip2" | "flip7" | "flip6" => {
             let bct = pipeline
                 .single_side(true)
@@ -180,28 +190,27 @@ fn run() -> Result<(), String> {
                 "flip7" => FlipMethod::Fanout { threshold: 100 },
                 _ => FlipMethod::Criticality { fraction: 0.5 },
             };
-            flip_backside(&bct, &tech, method).tree
+            (flip_backside(&bct, &tech, method).tree, None)
         }
         other => return Err(format!("unknown flow `{other}`")),
     };
+    let measured = measured.unwrap_or_else(|| tree.evaluate(&tech, model));
 
-    // The sizing line reads skew from the same batch evaluation as the
-    // metrics lines, before and after the pass.
-    let sizing = has("--size").then(|| {
-        let before = tree.evaluate(&tech, model);
+    // The sizing line reads skew from the metrics lines of the flow before
+    // the pass and of one batch evaluation after it.
+    let m = if has("--size") {
         let report = OptSchedule::new()
             .with(SizingPass::default())
-            .run(IncrementalEval::new(&mut tree, &tech, model), None);
-        (report.passes[0].accepted, before.skew_ps)
-    });
-
-    let m = tree.evaluate(&tech, model);
-    if let Some((resized, skew_before)) = sizing {
+            .run(&mut IncrementalEval::new(&mut tree, &tech, model), None);
+        let sized = tree.evaluate(&tech, model);
         println!(
-            "sizing: {resized} buffers resized, skew {skew_before:.3} -> {:.3} ps",
-            m.skew_ps
+            "sizing: {} buffers resized, skew {:.3} -> {:.3} ps",
+            report.passes[0].accepted, measured.skew_ps, sized.skew_ps
         );
-    }
+        sized
+    } else {
+        measured
+    };
     println!("{m}");
     println!(
         "trunk WL {:.3}e6 nm | switched cap {:.1} fF | cell area {:.1} um^2 | worst sink slew {:.1} ps",
@@ -257,6 +266,8 @@ const VALUE_FLAGS: [&str; 8] = [
     "--sweep",
 ];
 const SWITCHES: [&str; 3] = ["--nldm", "--size", "--recover"];
+/// Flags of a single flow run that `--sweep` cannot honour.
+const NOT_FOR_SWEEP: [&str; 5] = ["--flow", "--fanout", "--out", "--size", "--recover"];
 
 /// Rejects any argument that is not a flag from the usage text, and any
 /// value flag whose value is missing (last argument, or followed by
@@ -320,7 +331,9 @@ OPTIONS:
   --telemetry <file>  run under a telemetry collector and write its
                       JSON-lines snapshot (span histograms, counters)
   --sweep <step>   sweep fanout thresholds 20..=1000 by <step> with the
-                   batched DSE engine and print the Pareto frontier
+                   batched DSE engine and print the Pareto frontier; takes
+                   --nldm, --deadline-ms and --telemetry, and refuses
+                   --flow, --fanout, --out, --size and --recover
   -h, --help       show this help
 
 Unknown flags, and value flags given without a value, are errors.

@@ -12,6 +12,10 @@ fn dscts(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_flags_and_missing_values_are_errors() {
+    // A sweep refuses the flags of a single flow run rather than
+    // ignoring them; with `--out` it must not leave a file behind.
+    let def = std::env::temp_dir().join(format!("dscts-cli-sweep-{}.def", std::process::id()));
+    let def = def.to_str().expect("temp path is UTF-8");
     for args in [
         &["--design", "c4", "--predict"][..],
         &["--train", "x"],
@@ -19,6 +23,11 @@ fn unknown_flags_and_missing_values_are_errors() {
         &["--design", "c4", "--fanout"],
         &["--design", "c4", "--telemetry", "--nldm"],
         &["c4"],
+        &["--design", "c4", "--sweep", "20", "--flow", "front"],
+        &["--design", "c4", "--sweep", "20", "--fanout", "100"],
+        &["--design", "c4", "--sweep", "20", "--out", def],
+        &["--design", "c4", "--sweep", "20", "--size"],
+        &["--design", "c4", "--recover", "--sweep", "20"],
     ] {
         let out = dscts(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -26,6 +35,36 @@ fn unknown_flags_and_missing_values_are_errors() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    assert!(
+        !std::path::Path::new(def).exists(),
+        "a refused sweep wrote {def}"
+    );
+}
+
+#[test]
+fn sweep_runs_under_the_deadline() {
+    // An expired budget stops the class loop with the typed error.
+    let out = dscts(&["--design", "c4", "--sweep", "20", "--deadline-ms", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: run budget exhausted during stage `dse`"),
+        "{stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("Pareto"));
+    // An ample one changes nothing.
+    let plain = dscts(&["--design", "c4", "--sweep", "20"]);
+    let budgeted = dscts(&[
+        "--design",
+        "c4",
+        "--sweep",
+        "20",
+        "--deadline-ms",
+        "3600000",
+    ]);
+    assert_eq!(plain.status.code(), Some(0));
+    assert_eq!(budgeted.status.code(), Some(0));
+    assert_eq!(plain.stdout, budgeted.stdout);
 }
 
 #[test]
