@@ -29,21 +29,19 @@
 //!   between two consecutive distinct fanouts induce *identical* mode
 //!   vectors; the engine collapses the sweep into these
 //!   **mode-equivalence classes** ([`ModeClass`]), runs the DP once per
-//!   class ([`DsCts::insert_with`] with the class's mode vector) and maps
-//!   the result back to every member threshold.
+//!   class (with the class's mode vector) and maps the result back to
+//!   every member threshold.
 //!
 //! Scoring happens on **optimized** trees, not raw DP output: each
 //! class's tree goes through the pipeline's configured optimization
 //! schedule (by default the §III-D skew refinement pass, or any custom
-//! [`crate::opt::OptSchedule`] set on the base pipeline; every pass runs
-//! on the incremental dirty-path evaluator, [`crate::IncrementalEval`])
-//! before its point is read, exactly as in a full [`DsCts::run`]. A
-//! nominal class reads its point from the evaluator the schedule left
-//! behind, whose state is bit-identical to a batch evaluation of the
-//! optimized tree, so the tree is measured once. A corner-aware base
-//! optimizes the worst corner, so its classes keep the staged path:
-//! [`DsCts::optimize_tree`], the corner sign-off and
-//! [`DsCts::evaluate_tree`].
+//! [`crate::opt::OptSchedule`] set on the base pipeline) on the
+//! evaluator the pipeline's optimize stage builds, exactly as in a full
+//! [`DsCts::run`], and its point is read from the evaluator the schedule
+//! left behind, as the run's evaluate stage reads it: that state is
+//! bit-identical to a batch evaluation of the optimized tree. A
+//! corner-aware class reads its robust point from the evaluator's corners
+//! too; only its nominal point takes one batch evaluation.
 //! Parallelism is per-class rather than per-threshold; results come back
 //! in requested-threshold order at any thread count, and every point is
 //! bit-identical to what the naive per-threshold pipeline (one full
@@ -64,11 +62,11 @@
 use crate::dp::{modes_from_fanout, DpSuffixCache, ModeRule};
 use crate::error::CtsError;
 use crate::incremental::IncrementalEval;
-use crate::mcmm::{CornerReport, RobustMetrics};
+use crate::mcmm::RobustMetrics;
 use crate::pattern::Mode;
 use crate::pipeline::DsCts;
 use crate::resilience::{CancelToken, RunBudget};
-use crate::synth::{SynthesizedTree, TreeMetrics};
+use crate::synth::TreeMetrics;
 use crate::tree::ClockTopo;
 use dscts_netlist::Design;
 use dscts_telemetry as telemetry;
@@ -165,9 +163,8 @@ pub struct SweepOutcome {
     /// `classes.len()` DP runs scored `points.len()` thresholds.
     pub classes: Vec<ModeClass>,
     /// Cross-corner views, one per requested threshold in request order,
-    /// when the base pipeline is corner-aware (`None` otherwise). Same
-    /// class deduplication: K extra batch evaluations per *class*, not
-    /// per threshold.
+    /// when the base pipeline is corner-aware (`None` otherwise), read
+    /// once per *class*, not per threshold.
     pub robust_points: Option<Vec<RobustPoint>>,
 }
 
@@ -282,15 +279,13 @@ impl<'a> SweepEngine<'a> {
     /// so results are deterministic and returned in class order — the
     /// outcome is thread-count invariant.
     ///
-    /// A nominal class is scored from the evaluator its schedule ran on:
-    /// latency and skew from [`IncrementalEval::latency_skew_ps`], the
-    /// buffer and nTSV counts from the tree, and the wirelength once per
-    /// route, since every class shares the routed geometry. The
-    /// evaluator's state is bit-identical to a batch evaluation of the
-    /// optimized tree, so no second evaluation runs. A corner-aware base
-    /// optimizes the worst corner, not the nominal one, so its classes
-    /// keep the staged path: [`DsCts::optimize_tree_cancel`], the corner
-    /// sign-off and [`DsCts::evaluate_tree`].
+    /// Each class is scored from the evaluator its schedule ran on, built
+    /// by [`DsCts::evaluator`] as in the pipeline's optimize stage. A
+    /// nominal class reads latency and skew from
+    /// [`IncrementalEval::latency_skew_ps`], the buffer and nTSV counts
+    /// from the tree, and the wirelength once per route, since every
+    /// class shares the routed geometry. A corner-aware class reads what
+    /// the pipeline's evaluate stage reads ([`DsCts::measure`]).
     ///
     /// Insertion consumes a topology, and no pass can change one (the
     /// evaluator exposes the tree only as `&SynthesizedTree`), so each
@@ -340,19 +335,18 @@ impl<'a> SweepEngine<'a> {
             let modes = modes_from_fanout(&fanout, rule_of(&classes[i]));
             let (mut tree, _dp, cache) =
                 self.base.insert_with(copy, Some(&modes), cancel, reuse)?;
-            let (point, robust) = match self.base.corner_set() {
-                None => (self.score_nominal(&mut tree, cancel, wirelength_nm), None),
-                Some(corners) => {
-                    // The sweep token reaches the schedule too: a deadline
-                    // expiring mid-class truncates that class's
-                    // optimization (a degraded-but-valid point) rather
-                    // than overshooting.
-                    self.base.optimize_tree_cancel(&mut tree, cancel)?;
-                    let robust =
-                        CornerReport::try_evaluate(&tree, corners, self.base.delay_model())?.robust;
-                    let m = self.base.evaluate_tree(&tree);
-                    (MetricsPoint::of_tree(&m), Some(robust))
-                }
+            let mut eval = self.base.evaluator(&mut tree)?;
+            if let Some(schedule) = self.base.effective_schedule() {
+                // The sweep token reaches the schedule too: a deadline
+                // expiring mid-class truncates that class's optimization
+                // (a degraded-but-valid point) rather than overshooting.
+                schedule.run(&mut eval, cancel);
+            }
+            let (point, robust) = if self.base.corner_set().is_some() {
+                let (m, corners) = self.base.measure(&eval);
+                (MetricsPoint::of_tree(&m), corners.map(|c| c.robust))
+            } else {
+                (nominal_point(&eval, wirelength_nm), None)
             };
             let scored = Scored {
                 point,
@@ -389,30 +383,22 @@ impl<'a> SweepEngine<'a> {
             .map(|r| r.expect("every class scored exactly once"))
             .collect()
     }
+}
 
-    /// Runs the base pipeline's schedule, if any, on a nominal evaluator
-    /// of `tree` and reads the class's point from the evaluator it leaves,
-    /// with threshold 0 for the caller to stamp.
-    fn score_nominal(
-        &self,
-        tree: &mut SynthesizedTree,
-        cancel: Option<&CancelToken>,
-        wirelength_nm: i64,
-    ) -> MetricsPoint {
-        let mut eval = IncrementalEval::new(tree, self.base.technology(), self.base.delay_model());
-        if let Some(schedule) = self.base.effective_schedule() {
-            schedule.run(&mut eval, cancel);
-        }
-        let (latency_ps, skew_ps) = eval.latency_skew_ps();
-        let tree = eval.tree();
-        MetricsPoint {
-            threshold: 0,
-            latency_ps,
-            skew_ps,
-            buffers: 1 + tree.inserted_buffers(),
-            ntsvs: tree.inserted_ntsvs(),
-            wirelength_nm,
-        }
+/// A nominal class's point, read from the evaluator its schedule left,
+/// with threshold 0 for the caller to stamp: latency and skew from the
+/// evaluator, the buffer and nTSV counts from the tree, and the
+/// wirelength the caller took once per route.
+fn nominal_point(eval: &IncrementalEval<'_>, wirelength_nm: i64) -> MetricsPoint {
+    let (latency_ps, skew_ps) = eval.latency_skew_ps();
+    let tree = eval.tree();
+    MetricsPoint {
+        threshold: 0,
+        latency_ps,
+        skew_ps,
+        buffers: 1 + tree.inserted_buffers(),
+        ntsvs: tree.inserted_ntsvs(),
+        wirelength_nm,
     }
 }
 

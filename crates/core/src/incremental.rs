@@ -72,7 +72,7 @@
 //! a line.
 
 use crate::error::CtsError;
-use crate::mcmm::{RobustMetrics, RobustObjective};
+use crate::mcmm::RobustObjective;
 use crate::pattern::{Pattern, PatternEval};
 use crate::resilience::{fault, CancelToken};
 use crate::synth::{resources, star_loads, EvalModel, SynthesizedTree, TreeMetrics};
@@ -850,19 +850,10 @@ impl<'a> IncrementalEval<'a> {
     }
 
     /// Full metrics of corner `k`, bit-identical to
-    /// [`SynthesizedTree::evaluate`] under that corner's technology.
+    /// [`SynthesizedTree::evaluate`] under that corner's technology. The
+    /// evaluate stage builds [`crate::Outcome::corners`] from these.
     pub fn corner_metrics(&self, k: usize) -> TreeMetrics {
         self.states[k].metrics(self.tree, &self.techs[k])
-    }
-
-    /// The cross-corner robust summary of the current state (full
-    /// per-corner metrics are folded, so this is a reporting call, not an
-    /// inner-loop one).
-    pub fn robust_metrics(&self) -> RobustMetrics {
-        let per_corner: Vec<TreeMetrics> = (0..self.states.len())
-            .map(|k| self.corner_metrics(k))
-            .collect();
-        RobustMetrics::from_corner_metrics(&per_corner)
     }
 
     // --- Mutations -------------------------------------------------------
@@ -1046,6 +1037,7 @@ impl<'a> IncrementalEval<'a> {
 mod tests {
     use super::*;
     use crate::dp::{try_run_dp, DpConfig, MoesWeights};
+    use crate::mcmm::RobustMetrics;
     use crate::route::HierarchicalRouter;
     use dscts_netlist::BenchmarkSpec;
 
@@ -1163,6 +1155,7 @@ mod tests {
         assert!(inc.set_star_buffer(0, true));
         inc.undo();
         assert_eq!(inc.metrics(), m);
-        assert_eq!(inc.robust_metrics().arrival_spread_ps, 0.0);
+        let robust = RobustMetrics::from_corner_metrics(&[inc.corner_metrics(0)]);
+        assert_eq!(robust.arrival_spread_ps, 0.0);
     }
 }

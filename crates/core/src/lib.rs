@@ -28,16 +28,17 @@
 //! flipping flows of refs. \[2\] (latency-driven), \[7\] (fanout-driven) and
 //! \[6\] (timing-criticality-driven).
 //!
-//! [`DsCts::try_run`] runs the flow as four stages — `route`,
-//! `insertion`, `optimize` (when a pass is scheduled) and `evaluate` —
-//! each one call of the public staged driver for that step
-//! ([`DsCts::route`], [`DsCts::insert`], [`DsCts::optimize_tree_cancel`],
-//! [`DsCts::evaluate_tree`]), so batch drivers that compose the drivers
-//! themselves run exactly the arithmetic of a whole run. Each stage is
-//! wall-clocked into [`Outcome::stages`] (the optimize stage additionally
-//! reports one `opt:<name>` timing per executed pass), and data-dependent
-//! failures are reported as [`CtsError`]. Routing and DP hot paths run
-//! rayon-parallel with bit-identical results at any thread count.
+//! [`DsCts::try_run`] runs the flow as four stages: `route`, then
+//! [`DsCts::try_run_routed`] on the routed topology, which runs
+//! `insertion`, `optimize` (when a pass is scheduled) and `evaluate`,
+//! and which the service runs per job on a cached topology. The public
+//! staged drivers [`DsCts::route`], [`DsCts::insert`],
+//! [`DsCts::optimize_tree`] and [`DsCts::evaluate_tree`] compose to
+//! exactly the arithmetic of a whole run. Each stage is wall-clocked
+//! into [`Outcome::stages`] (the optimize stage adds one `opt:<name>`
+//! timing per executed pass), and data-dependent failures are reported
+//! as [`CtsError`]. Routing and DP hot paths run rayon-parallel with
+//! bit-identical results at any thread count.
 //!
 //! Every optimization pass runs on the one [`IncrementalEval`] engine:
 //! full evaluation state stays resident and each trial move re-propagates
@@ -47,10 +48,11 @@
 //! holds one technology or every corner of a [`dscts_tech::CornerSet`]
 //! ([`IncrementalEval::with_corners`]), so every pass, built-in or
 //! custom, runs corner-aware unchanged. Passes run through one entry
-//! point, [`OptSchedule::run`]; a schedule measures nothing itself. In a
-//! run the evaluate stage ([`DsCts::evaluate_tree`]) is the one
-//! measurement of the final tree; a nominal sweep class reads its point
-//! from the evaluator it was optimized on instead.
+//! point, [`OptSchedule::run`]; a schedule measures nothing itself. A
+//! run, a service job and a sweep class read their metrics and corner
+//! reports from the evaluator the tree was optimized on; only a
+//! corner-aware pipeline's nominal metrics take one batch evaluation,
+//! because the pipeline technology need not be one of the corners.
 //!
 //! Most users want the [`DsCts`] pipeline builder; custom optimization
 //! schedules plug in through [`DsCts::schedule`] (see the [`opt`] module
@@ -151,8 +153,10 @@
 //!   `span.evaluate` — equal to the [`Outcome::stages`] wall clocks),
 //!   `span.dp` for whole DP runs, `span.dse.class` per mode-equivalence
 //!   class, and `span.pass.<name>` per optimization pass.
-//! - **Counters**: `pipeline.runs`, `pipeline.degraded`,
-//!   `pipeline.panics_caught`, `pipeline.recovery.<rung>` (one per
+//! - **Counters**: `pipeline.runs` and `pipeline.degraded` (one per
+//!   completed [`DsCts::try_run_routed`], so per service job too),
+//!   `pipeline.panics_caught` (panics caught at a stage boundary),
+//!   `pipeline.recovery.<rung>` (one per
 //!   [`Relaxation::label`]), `dp.height_groups`, `dp.nodes`,
 //!   `dp.suffix_reused` (DP nodes whose candidate sets were copied from
 //!   a lent [`DpSuffixCache`]), `dse.classes` (mode classes a sweep

@@ -153,7 +153,14 @@ impl CornerReport {
             .iter()
             .map(|tech| tree.try_evaluate(tech, model))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CornerReport {
+        Ok(CornerReport::new(corners, per_corner))
+    }
+
+    /// The report of `per_corner`, one tree's metrics under each corner
+    /// of `corners` in order: the batch sign-off above and the evaluate
+    /// stage, which reads them from its evaluator, fold them here.
+    pub(crate) fn new(corners: &CornerSet, per_corner: Vec<TreeMetrics>) -> CornerReport {
+        CornerReport {
             corner_names: corners
                 .corners()
                 .iter()
@@ -162,7 +169,7 @@ impl CornerReport {
             robust: RobustMetrics::from_corner_metrics(&per_corner),
             per_corner,
             nominal: corners.nominal_index(),
-        })
+        }
     }
 }
 
@@ -293,7 +300,10 @@ mod tests {
         }
         // SS (corner 0) is slower than FF (corner 2) everywhere.
         assert!(mc.corner_latency_skew_ps(0).0 > mc.corner_latency_skew_ps(2).0);
-        let r = mc.robust_metrics();
+        let per_corner = (0..mc.corner_count())
+            .map(|k| mc.corner_metrics(k))
+            .collect();
+        let r = CornerReport::new(&corners, per_corner).robust;
         assert_eq!(r.worst_latency_ps, wl);
         assert_eq!(r.worst_skew_ps, ws);
         assert!(r.arrival_spread_ps > 0.0);

@@ -18,10 +18,12 @@
 //!   move counts and wall clock (folded into [`crate::Outcome::stages`]
 //!   as `opt:<name>` timings by the pipeline).
 //!
-//! A schedule takes no measurement of the tree. The pipeline's evaluate
-//! stage ([`crate::DsCts::evaluate_tree`]) measures the optimized tree
-//! once; the sweep engine ([`crate::dse::SweepEngine`]) instead reads
-//! each class's point from the evaluator the schedule leaves behind.
+//! A schedule takes no measurement of the tree. The evaluator it leaves
+//! behind is bit-identical to a batch evaluation of the optimized tree,
+//! so its callers read their measurement from it: the evaluate stage of
+//! [`crate::DsCts::try_run_routed`] (and so of every run and service
+//! job) and each class of the sweep engine
+//! ([`crate::dse::SweepEngine`]).
 //!
 //! The evaluator may hold one corner or several
 //! ([`IncrementalEval::with_corners`]); a pass sees the same surface

@@ -1,25 +1,28 @@
 //! The end-to-end double-side CTS pipeline (Fig. 4).
 //!
 //! [`DsCts`] holds a run's configuration. [`DsCts::try_run`] runs four
-//! stages in order, and each stage is one call of the staged driver for
-//! that step:
+//! stages in order: the route stage, then [`DsCts::try_run_routed`],
+//! which runs the other three on the routed topology:
 //!
-//! | stage | name | driver | produces |
-//! |-------|------|--------|----------|
+//! | stage | name | runs | produces |
+//! |-------|------|------|----------|
 //! | hierarchical routing (§III-B) | `route` | [`DsCts::route`] | the routed, subdivided [`ClockTopo`] |
 //! | buffer and nTSV insertion (§III-C) | `insertion` | [`DsCts::insert`] | the DP result and the side-validated tree |
-//! | optimization (§III-D) | `optimize` | [`DsCts::optimize_tree_cancel`] | [`Outcome::optimization`]; skipped when no pass is scheduled |
-//! | evaluation | `evaluate` | [`DsCts::evaluate_tree`] | [`Outcome::metrics`], and [`Outcome::corners`] when corner-aware |
+//! | optimization (§III-D) | `optimize` | [`OptSchedule::run`] on an [`IncrementalEval`] of the tree | [`Outcome::optimization`]; skipped when no pass is scheduled |
+//! | evaluation | `evaluate` | reads that evaluator, or builds one | [`Outcome::metrics`], and [`Outcome::corners`] when corner-aware |
 //!
-//! The optimize stage runs the pipeline's one [`OptSchedule`] through
-//! [`OptSchedule::run`] (see [`crate::opt`]): by default exactly one
+//! The optimize stage runs the pipeline's one [`OptSchedule`] (see
+//! [`crate::opt`]): by default exactly one
 //! [`EndpointRefinePass`](crate::skew::EndpointRefinePass), the paper's
 //! §III-D refinement loop ([`DsCts::skew_refinement`] configures it), and
 //! via [`DsCts::schedule`] any composition of [`crate::opt::OptPass`]es
 //! (greedy or annealed sizing, custom passes). Each pass's wall clock is
 //! folded into [`Outcome::stages`] as an `opt:<name>` row behind the
-//! `optimize` row. The evaluate stage is the one measurement of the final
-//! tree.
+//! `optimize` row. The evaluator's state is bit-identical to a batch
+//! evaluation of the optimized tree, so the evaluate stage measures the
+//! tree by reading it. Only a corner-aware pipeline's
+//! [`Outcome::metrics`] take one batch evaluation, under the pipeline
+//! technology, which need not be one of the corners.
 //!
 //! Each stage is timed individually, so regressions can be pinned to a
 //! phase instead of a whole run, and each is a `catch_unwind` boundary: a
@@ -36,14 +39,14 @@
 //! pipeline produces the paper's "Our Buffered Clock Tree" front-side
 //! flow.
 //!
-//! Batch drivers call the staged drivers themselves to amortize shared
-//! work across configurations. The batched DSE engine
-//! ([`crate::dse::SweepEngine`]) routes a design once and then fans the
-//! insertion + optimization + evaluation tail out over mode-equivalence
-//! classes of the threshold sweep; the Table III regenerator shares one
-//! routed topology between the double-side and front-side flows the same
-//! way. Since `try_run` is itself that composition, any such driver runs
-//! exactly the arithmetic of the monolithic `run`.
+//! Batch drivers route once and share the routed topology: the service
+//! runs [`DsCts::try_run_routed`] per job on its cached topology, the
+//! batched DSE engine ([`crate::dse::SweepEngine`]) scores each
+//! mode-equivalence class of a threshold sweep on the optimize stage's
+//! evaluator, and the Table III regenerator composes the public staged
+//! drivers ([`DsCts::route`], [`DsCts::insert`], [`DsCts::optimize_tree`],
+//! [`DsCts::evaluate_tree`]). Each runs exactly the arithmetic of the
+//! monolithic `run`.
 
 use crate::dp::{
     try_run_dp, DpConfig, DpResult, DpSuffixCache, ModeRule, MoesWeights, PruneMode, RootCand,
@@ -112,8 +115,9 @@ pub struct StageTiming {
 pub struct Outcome {
     /// The synthesized (legal) double-side clock tree.
     pub tree: SynthesizedTree,
-    /// Metrics of `tree`, measured once by the evaluate stage after the
-    /// optimize stage.
+    /// Metrics of `tree`, read by the evaluate stage from the evaluator
+    /// the optimize stage left (a batch evaluation under the pipeline
+    /// technology when corner-aware).
     pub metrics: TreeMetrics,
     /// The DP's surviving root candidate set (Fig. 10 material).
     pub root_candidates: Vec<RootCand>,
@@ -163,13 +167,14 @@ fn synthesize(topo: ClockTopo, dp: &DpResult) -> Result<SynthesizedTree, CtsErro
     Ok(tree)
 }
 
-/// Runs one stage of [`DsCts::try_run`]: `f` inside a `catch_unwind`
-/// boundary that reports an escaping panic as [`CtsError::Internal`]
-/// naming the stage (the vendored rayon shim re-raises worker panics on
-/// the joining thread, so this also covers parallel sections). On
-/// success the stage's wall clock is appended to `rows` and recorded as
-/// the `span.<name>` histogram, so instrumented timings equal
-/// [`Outcome::stages`].
+/// Runs one stage of [`DsCts::try_run`] or [`DsCts::try_run_routed`]:
+/// `f` inside a `catch_unwind` boundary that reports an escaping panic
+/// as [`CtsError::Internal`] naming the stage and counts it in
+/// `pipeline.panics_caught` (the vendored rayon shim re-raises worker
+/// panics on the joining thread, so this also covers parallel
+/// sections). On success the stage's wall clock is appended to `rows`
+/// and recorded as the `span.<name>` histogram, so instrumented timings
+/// equal [`Outcome::stages`].
 fn stage<T>(
     rows: &mut Vec<StageTiming>,
     name: &'static str,
@@ -364,11 +369,6 @@ impl DsCts {
         self.budget.as_ref()
     }
 
-    /// The configured recovery policy, when one is set.
-    pub fn recovery_policy(&self) -> Option<&RecoveryPolicy> {
-        self.recovery.as_ref()
-    }
-
     /// The DP configuration this pipeline will run.
     pub fn dp_config(&self) -> &DpConfig {
         &self.dp
@@ -390,18 +390,10 @@ impl DsCts {
         self.corners.as_deref()
     }
 
-    /// The configured cross-corner objective.
-    pub fn robust_config(&self) -> RobustObjective {
-        self.robust
-    }
-
     // ---- Staged drivers. ----
     //
-    // Each method below is one stage of `try_run`, which calls them in
-    // order, so any composition of them is bit-identical to `run`. Batch
-    // drivers use them to amortize shared work: the DSE engine routes once
-    // per design, the Table III regenerator shares a routed topology
-    // between flows.
+    // Each public method below runs one stage of `try_run` on its own, so
+    // any composition of them is bit-identical to `run`.
 
     /// Runs only the routing stage: dual-level clustering, per-cluster
     /// DME and trunk subdivision to the DP granularity, returning the
@@ -434,19 +426,12 @@ impl DsCts {
         self.insert_dropping_cache(topo, Some(modes), None)
     }
 
-    /// The general insertion driver: [`DsCts::insert`] with an optional
+    /// The sweep's insertion driver: [`DsCts::insert`] with an optional
     /// per-node [`Mode`] vector (overriding the configured [`ModeRule`]),
-    /// an external [`CancelToken`] the DP checkpoints between height
-    /// groups (reporting [`CtsError::Cancelled`] once it trips), and an
-    /// earlier run's [`DpSuffixCache`] to copy mode-identical subtrees
-    /// from. Also returns this run's own cache. With `None` everywhere the
-    /// result is bit-identical to [`DsCts::insert`]; see [`try_run_dp`].
-    ///
-    /// The batched DSE engine scores the fullest-mode class first and
-    /// lends its cache to every other class of the same routed design;
-    /// service jobs pass their token so deadlines reach the insertion hot
-    /// loop, not just stage boundaries.
-    pub fn insert_with(
+    /// a [`CancelToken`] the DP checkpoints between height groups, and an
+    /// earlier class's [`DpSuffixCache`] to copy mode-identical subtrees
+    /// from; also returns this run's own cache (see [`try_run_dp`]).
+    pub(crate) fn insert_with(
         &self,
         topo: ClockTopo,
         modes: Option<&[Mode]>,
@@ -458,9 +443,9 @@ impl DsCts {
     }
 
     /// The insertion stage of [`DsCts::insert`],
-    /// [`DsCts::insert_with_modes`] and [`DsCts::try_run`]: the DP's
-    /// suffix cache is dropped before the tree is built, so the candidate
-    /// arena does not raise the run's peak memory.
+    /// [`DsCts::insert_with_modes`] and [`DsCts::try_run_routed`]: the
+    /// DP's suffix cache is dropped before the tree is built, so the
+    /// candidate arena does not raise the run's peak memory.
     fn insert_dropping_cache(
         &self,
         topo: ClockTopo,
@@ -481,44 +466,48 @@ impl DsCts {
     /// # Panics
     ///
     /// Panics with the [`CtsError`] display text when a configured corner
-    /// makes the tree electrically infeasible;
-    /// [`DsCts::optimize_tree_cancel`] returns that error instead.
+    /// makes the tree electrically infeasible; [`DsCts::try_run_routed`]
+    /// returns that error instead.
     pub fn optimize_tree(&self, tree: &mut SynthesizedTree) -> Option<ScheduleReport> {
-        self.optimize_tree_cancel(tree, None)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let schedule = self.effective_schedule()?;
+        let mut eval = self.evaluator(tree).unwrap_or_else(|e| panic!("{e}"));
+        Some(schedule.run(&mut eval, None))
     }
 
-    /// [`DsCts::optimize_tree`] observing an external [`CancelToken`]:
-    /// once the token trips, the schedule *truncates* — remaining passes
-    /// are skipped, [`ScheduleReport::truncated`] is set, and the tree is
-    /// left in the valid state the last completed checkpoint produced.
-    /// With `None` (or an untripped token) the result is bit-identical to
-    /// [`DsCts::optimize_tree`]. This is the checkpoint that lets sweep
-    /// classes and service jobs degrade mid-optimization instead of
-    /// overshooting their deadline by a whole schedule.
-    ///
-    /// Returns [`CtsError::NoFeasiblePattern`], leaving the tree
-    /// untouched, when a configured corner makes the tree electrically
-    /// infeasible; the recovery ladder retries that error.
-    pub fn optimize_tree_cancel(
-        &self,
-        tree: &mut SynthesizedTree,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Option<ScheduleReport>, CtsError> {
-        let Some(schedule) = self.effective_schedule() else {
-            return Ok(None);
-        };
-        let mut eval = match &self.corners {
-            Some(corners) => IncrementalEval::with_corners(tree, corners, self.eval, self.robust)?,
-            None => IncrementalEval::new(tree, &self.tech, self.eval),
-        };
-        Ok(Some(schedule.run(&mut eval, cancel)))
-    }
-
-    /// Runs only the evaluation stage: final metrics under the configured
-    /// delay model.
+    /// Final metrics under the configured delay model, by one batch
+    /// evaluation: what the evaluate stage reads from its evaluator.
     pub fn evaluate_tree(&self, tree: &SynthesizedTree) -> TreeMetrics {
         tree.evaluate(&self.tech, self.eval)
+    }
+
+    /// The evaluator the optimize stage runs its schedule on: over every
+    /// configured corner, scored by the configured objective, when the
+    /// pipeline is corner-aware, else over the pipeline technology.
+    /// Returns [`CtsError::NoFeasiblePattern`] when a corner makes the
+    /// tree electrically infeasible; the recovery ladder retries it.
+    pub(crate) fn evaluator<'t>(
+        &'t self,
+        tree: &'t mut SynthesizedTree,
+    ) -> Result<IncrementalEval<'t>, CtsError> {
+        match &self.corners {
+            Some(corners) => IncrementalEval::with_corners(tree, corners, self.eval, self.robust),
+            None => Ok(IncrementalEval::new(tree, &self.tech, self.eval)),
+        }
+    }
+
+    /// What the evaluate stage reads from `eval`, an evaluator from
+    /// [`DsCts::evaluator`]: the tree's metrics, and when corner-aware the
+    /// corner report and nominal metrics from one batch evaluation.
+    pub(crate) fn measure(
+        &self,
+        eval: &IncrementalEval<'_>,
+    ) -> (TreeMetrics, Option<CornerReport>) {
+        let Some(corners) = self.corner_set() else {
+            return (eval.metrics(), None);
+        };
+        let per_corner = (0..eval.corner_count()).map(|k| eval.corner_metrics(k));
+        let report = CornerReport::new(corners, per_corner.collect());
+        (self.evaluate_tree(eval.tree()), Some(report))
     }
 
     /// Runs the full pipeline on `design`, timing each stage.
@@ -578,53 +567,77 @@ impl DsCts {
         self
     }
 
-    /// One attempt at the whole flow: the four staged drivers in order,
-    /// each run through [`stage`], with the budget's token checked before
-    /// routing and insertion and handed to the DP and the schedule.
+    /// One attempt at the whole flow: the route stage, then
+    /// [`DsCts::try_run_routed`] on its topology.
     fn try_run_once(
         &self,
         design: &Design,
         cancel: Option<&CancelToken>,
     ) -> Result<Outcome, CtsError> {
         let start = Instant::now();
-        let checkpoint = |name| cancel.map_or(Ok(()), |token| token.check(name));
         let mut stages = Vec::new();
         let topo = stage(&mut stages, "route", || {
-            checkpoint("route")?;
+            cancel.map_or(Ok(()), |token| token.check("route"))?;
             self.route(design)
         })?;
+        let mut outcome = self.try_run_routed(topo, cancel)?;
+        stages.append(&mut outcome.stages);
+        outcome.stages = stages;
+        outcome.runtime_s = start.elapsed().as_secs_f64();
+        Ok(outcome)
+    }
+
+    /// Runs the insertion, optimize and evaluate stages of
+    /// [`DsCts::try_run`] on a topology from [`DsCts::route`], with the
+    /// same stage boundaries, timings and telemetry, for callers that
+    /// route a design once and score it many times. [`Outcome::stages`]
+    /// and [`Outcome::runtime_s`] leave routing out, and
+    /// [`Outcome::recovery`] is empty: retries are the caller's.
+    ///
+    /// `cancel` is checked before insertion and handed to the DP and the
+    /// schedule: expiry before the tree exists is [`CtsError::Cancelled`],
+    /// later expiry truncates the schedule and sets [`Outcome::degraded`].
+    pub fn try_run_routed(
+        &self,
+        topo: ClockTopo,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Outcome, CtsError> {
+        let start = Instant::now();
+        let mut stages = Vec::new();
         let (mut tree, dp) = stage(&mut stages, "insertion", || {
-            checkpoint("insertion")?;
+            cancel.map_or(Ok(()), |token| token.check("insertion"))?;
             self.insert_dropping_cache(topo, None, cancel)
         })?;
-        let optimization = if self.effective_schedule().is_some() {
-            stage(&mut stages, "optimize", || {
-                self.optimize_tree_cancel(&mut tree, cancel)
-            })?
-        } else {
-            None
+        // The evaluate stage reads the evaluator the optimize stage left,
+        // or builds one. It checks no token, so a budget-truncated run
+        // still yields a measured outcome.
+        let (optimization, (metrics, corners)) = match self.effective_schedule() {
+            Some(schedule) => {
+                let (report, eval) = stage(&mut stages, "optimize", || {
+                    let mut eval = self.evaluator(&mut tree)?;
+                    Ok((schedule.run(&mut eval, cancel), eval))
+                })?;
+                stages.extend(report.passes.iter().map(|p| StageTiming {
+                    name: Cow::Owned(format!("opt:{}", p.name)),
+                    seconds: p.seconds,
+                }));
+                let measured = stage(&mut stages, "evaluate", || {
+                    fault::fault_check(fault::SITE_EVAL)?;
+                    Ok(self.measure(&eval))
+                })?;
+                (Some(report), measured)
+            }
+            None => {
+                let measured = stage(&mut stages, "evaluate", || {
+                    fault::fault_check(fault::SITE_EVAL)?;
+                    Ok(self.measure(&self.evaluator(&mut tree)?))
+                })?;
+                (None, measured)
+            }
         };
-        if let Some(report) = &optimization {
-            stages.extend(report.passes.iter().map(|p| StageTiming {
-                name: Cow::Owned(format!("opt:{}", p.name)),
-                seconds: p.seconds,
-            }));
-        }
         // A truncated schedule is the *degraded but valid* outcome the
         // budget promises: the rest is skipped, the tree still evaluated.
         let degraded = optimization.as_ref().is_some_and(|r| r.truncated);
-        let (metrics, corners) = stage(&mut stages, "evaluate", || {
-            // No cancellation check: evaluation is cheap and always runs,
-            // so a budget-truncated run still yields a measured outcome.
-            fault::fault_check(fault::SITE_EVAL)?;
-            let metrics = self.evaluate_tree(&tree);
-            let corners = self
-                .corners
-                .as_deref()
-                .map(|corners| CornerReport::try_evaluate(&tree, corners, self.eval))
-                .transpose()?;
-            Ok((metrics, corners))
-        })?;
         if let Some(tel) = telemetry::active() {
             tel.counter("pipeline.runs").incr();
             if degraded {
@@ -822,6 +835,38 @@ mod tests {
         assert_eq!(whole.chosen, dp.chosen);
         let whole_opt = whole.optimization.expect("default schedule ran");
         assert_same_report(&whole_opt, &optimization);
+    }
+
+    #[test]
+    fn try_run_routed_is_the_run_after_routing() {
+        // `try_run` is the route stage plus `try_run_routed`, whose
+        // evaluate stage reads the evaluator the optimize stage left, or
+        // builds one when no pass is scheduled: nominal and corner-aware,
+        // with and without a schedule, its reads equal batch evaluations.
+        use dscts_tech::CornerSet;
+        let d = BenchmarkSpec::c4_riscv32i().generate();
+        let tech = Technology::asap7();
+        let cornered = DsCts::new(tech.clone()).corners(CornerSet::asap7_pvt(&tech));
+        for pipe in [
+            DsCts::new(tech.clone()),
+            DsCts::new(tech.clone()).skew_refinement(None),
+            cornered.clone(),
+            cornered.skew_refinement(None),
+        ] {
+            let whole = pipe.run(&d);
+            let topo = pipe.route(&d).expect("routable");
+            let routed = pipe.try_run_routed(topo, None).expect("feasible");
+            assert_eq!(routed.tree, whole.tree);
+            assert_eq!(routed.metrics, whole.metrics);
+            assert_eq!(routed.corners, whole.corners);
+            assert_eq!(stage_names(&routed), stage_names(&whole)[1..]);
+            assert_eq!(routed.metrics, pipe.evaluate_tree(&routed.tree));
+            let batch = pipe.corner_set().map(|corners| {
+                CornerReport::try_evaluate(&routed.tree, corners, pipe.delay_model())
+                    .expect("C4 is feasible at every PVT corner")
+            });
+            assert_eq!(routed.corners, batch);
+        }
     }
 
     #[test]

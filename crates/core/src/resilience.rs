@@ -341,10 +341,11 @@ pub mod fault {
     pub const SITE_DP: &str = "dp";
     /// Injection site in tree synthesis (insertion stage, post-DP).
     pub const SITE_SYNTH: &str = "synth";
-    /// Injection site in the evaluation stage of
-    /// [`DsCts::try_run`](crate::DsCts::try_run); the
+    /// Injection site in the evaluate stage of
+    /// [`DsCts::try_run_routed`](crate::DsCts::try_run_routed), which
+    /// every run and service job runs; the
     /// [`DsCts::evaluate_tree`](crate::DsCts::evaluate_tree) driver alone
-    /// does not visit it.
+    /// and the sweep engine's classes do not visit it.
     pub const SITE_EVAL: &str = "eval";
     /// Infeasibility site in [`IncrementalEval`](crate::IncrementalEval)
     /// mutations (fires after every corner's dirty path was repaired, so

@@ -10,8 +10,14 @@
 //! two-pass schedule whose classes accept moves before their points are
 //! read, and a corner-aware one, whose robust points must equal each
 //! naive run's cross-corner summary too.
+//!
+//! Both sides read their metrics from the evaluator the schedule left, so
+//! every naive run is also checked against the batch evaluator: its
+//! metrics against [`DsCts::evaluate_tree`] and, when corner-aware, its
+//! corner report against [`CornerReport::try_evaluate`].
 
 use dscts_core::dse::{MetricsPoint, RobustPoint, SweepEngine};
+use dscts_core::mcmm::CornerReport;
 use dscts_core::opt::OptSchedule;
 use dscts_core::sizing::SizingPass;
 use dscts_core::skew::{EndpointRefinePass, SkewConfig};
@@ -22,24 +28,31 @@ use proptest::prelude::*;
 use rayon::prelude::*;
 
 /// What the naive sweep computes per threshold: its point, its
-/// cross-corner view when the base is corner-aware, and the moves its
-/// run's schedule accepted.
+/// cross-corner view when the base is corner-aware, and the moves each
+/// pass of its run's schedule accepted, in schedule order.
 struct Naive {
     points: Vec<MetricsPoint>,
     robust_points: Option<Vec<RobustPoint>>,
-    accepted: Vec<usize>,
+    accepted: Vec<Vec<usize>>,
 }
 
 /// The reference sweep the batched engine is checked against: one full
-/// pipeline run per threshold, no sharing.
+/// pipeline run per threshold, no sharing, each checked against the
+/// batch evaluator.
 fn sweep_fanout_naive(base: &DsCts, design: &Design, thresholds: &[u32]) -> Naive {
-    let runs: Vec<(MetricsPoint, Option<RobustPoint>, usize)> = thresholds
+    let runs: Vec<(MetricsPoint, Option<RobustPoint>, Vec<usize>)> = thresholds
         .par_iter()
         .map(|&t| {
             let o = base
                 .clone()
                 .mode_rule(ModeRule::FanoutThreshold(t))
                 .run(design);
+            assert_eq!(o.metrics, base.evaluate_tree(&o.tree), "threshold {t}");
+            if let Some(corners) = base.corner_set() {
+                let batch = CornerReport::try_evaluate(&o.tree, corners, base.delay_model())
+                    .expect("the run evaluated every corner");
+                assert_eq!(o.corners.as_ref(), Some(&batch), "threshold {t}");
+            }
             let m = &o.metrics;
             let point = MetricsPoint {
                 threshold: t,
@@ -58,7 +71,7 @@ fn sweep_fanout_naive(base: &DsCts, design: &Design, thresholds: &[u32]) -> Naiv
             let accepted = o
                 .optimization
                 .as_ref()
-                .map_or(0, |r| r.passes.iter().map(|p| p.accepted).sum());
+                .map_or_else(Vec::new, |r| r.passes.iter().map(|p| p.accepted).collect());
             (point, robust, accepted)
         })
         .collect();
@@ -69,7 +82,7 @@ fn sweep_fanout_naive(base: &DsCts, design: &Design, thresholds: &[u32]) -> Naiv
                 .map(|r| r.1.clone().expect("a corner-aware run reports corners"))
                 .collect()
         }),
-        accepted: runs.iter().map(|r| r.2).collect(),
+        accepted: runs.into_iter().map(|r| r.2).collect(),
     }
 }
 
@@ -103,8 +116,8 @@ fn small_design(sinks: usize, seed: u64) -> Design {
 }
 
 /// Checks one sweep against the naive one and returns the moves each
-/// naive run accepted.
-fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) -> Vec<usize> {
+/// naive run's passes accepted.
+fn check_sweep(design: &Design, base: &DsCts, grid: &[u32]) -> Vec<Vec<usize>> {
     let naive = sweep_fanout_naive(base, design, grid);
     let sweep = SweepEngine::new(base)
         .try_sweep(design, grid.iter().copied())
@@ -171,8 +184,34 @@ fn batched_sweep_matches_naive_and_dedups() {
     // The other two bases. On C4 the forced schedule accepts moves at
     // every threshold, so every class's point is read after moves.
     let accepted = check_sweep(&design, &forced, &grid);
-    assert!(accepted.iter().all(|&a| a > 0), "{accepted:?}");
+    assert!(
+        accepted
+            .iter()
+            .all(|passes| passes.iter().sum::<usize>() > 0),
+        "{accepted:?}"
+    );
     check_sweep(&design, &cornered, &grid);
+}
+
+/// The proptests' 60–200-sink designs rarely give the forced schedule's
+/// refine pass a move to accept; on this 700-sink design it accepts
+/// moves under both delay models, so points are read from evaluators
+/// that both passes moved.
+#[test]
+fn batched_sweep_matches_naive_after_refine_moves() {
+    let design = small_design(700, 1);
+    let grid = [1, 20, 60, 1000];
+    for model in [EvalModel::Elmore, EvalModel::Nldm] {
+        let [plain, forced, cornered] = bases(model);
+        check_sweep(&design, &plain, &grid);
+        check_sweep(&design, &cornered, &grid);
+        // The forced schedule is sizing, then end-point refinement.
+        let accepted = check_sweep(&design, &forced, &grid);
+        assert!(
+            accepted.iter().any(|passes| passes[1] > 0),
+            "{model:?}: {accepted:?}"
+        );
+    }
 }
 
 proptest! {

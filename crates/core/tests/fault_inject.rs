@@ -91,7 +91,7 @@ fn error_faults_surface_as_typed_internal_errors() {
 fn panic_faults_are_caught_at_isolation_boundaries() {
     let _serial = serial();
     // `Panic` arms unwind to the nearest `catch_unwind` boundary — the
-    // per-stage wrapper in `try_run_once`, or the DP worker closure —
+    // pipeline's per-stage wrapper, or the DP worker closure —
     // and come back as `Internal` tagged with the *boundary*'s name.
     let d = design();
     for (site, boundary) in [

@@ -15,11 +15,19 @@
 
 use dscts_core::{
     try_run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
-    RobustObjective, SynthesizedTree,
+    RobustMetrics, RobustObjective, SynthesizedTree, TreeMetrics,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::{Corner, CornerSet, DerateFactors, Technology, WireDerate};
 use proptest::prelude::*;
+
+/// The cross-corner summary of `mc`'s current state.
+fn robust_of(mc: &IncrementalEval<'_>) -> RobustMetrics {
+    let per_corner: Vec<TreeMetrics> = (0..mc.corner_count())
+        .map(|k| mc.corner_metrics(k))
+        .collect();
+    RobustMetrics::from_corner_metrics(&per_corner)
+}
 
 /// A small random design: C4 geometry scaled down, varied by seed.
 fn small_tree(sinks: usize, seed: u64) -> (SynthesizedTree, Technology) {
@@ -142,7 +150,7 @@ fn lockstep(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, ops: &[
         assert_eq!(inc.latency_skew_ps(), mc.corner_latency_skew_ps(0));
         assert_eq!(inc.latency_skew_ps(), mc.latency_skew_ps());
         assert_eq!(inc.mark(), mc.mark());
-        let r = mc.robust_metrics();
+        let r = robust_of(&mc);
         assert_eq!(r.arrival_spread_ps, 0.0, "one corner has no spread");
     }
     let inc_final = inc.metrics();
@@ -195,7 +203,7 @@ fn monotone(tree: &SynthesizedTree, tech: &Technology, model: EvalModel, slow: f
             slow_lat >= nom_lat,
             "uniformly slower corner reported lower latency: {slow_lat} < {nom_lat}"
         );
-        let r = mc.robust_metrics();
+        let r = robust_of(mc);
         assert_eq!(r.worst_latency_ps, slow_lat.max(nom_lat));
     };
     check(&mc);

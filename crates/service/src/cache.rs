@@ -6,9 +6,10 @@
 //! keyed by a content hash of the placement — not the design *name* —
 //! so two tenants submitting byte-identical placements under different
 //! names share one routed artifact. Jobs borrow the artifact read-only;
-//! the insertion/optimization stages clone the topology per job, exactly
-//! as the batched DSE engine does, which is what keeps cached-design job
-//! results bit-identical to direct [`DsCts`] staged-driver calls.
+//! each job attempt clones the topology and runs
+//! [`DsCts::try_run_routed`] on its clone (insertion consumes a
+//! topology), which is what keeps cached-design job results
+//! bit-identical to direct [`DsCts`] staged-driver calls.
 //!
 //! The cache is scoped to one service instance (one routing
 //! configuration), so the key does not need to mix in pipeline config:

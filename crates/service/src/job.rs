@@ -145,11 +145,13 @@ pub struct JobOutcome {
     /// Wall clock spent queued before a worker picked the job up
     /// (seconds).
     pub queue_wait_s: f64,
-    /// Per-stage wall-clock breakdown of the winning attempt, mirroring
-    /// [`Outcome::stages`](dscts_core::Outcome::stages): `insertion`,
-    /// `optimize` (plus one `opt:<name>` entry per executed pass),
-    /// `evaluate`, and `signoff` for corner-aware jobs. Routing is
-    /// **not** listed — it happened once at
+    /// Per-stage wall-clock breakdown of the winning attempt: its
+    /// [`Outcome::stages`](dscts_core::Outcome::stages) from
+    /// [`DsCts::try_run_routed`](dscts_core::DsCts::try_run_routed) —
+    /// `insertion`, `optimize` (plus one `opt:<name>` entry per executed
+    /// pass) and `evaluate` — then `signoff` for
+    /// [`JobKind::CornerSignoff`] jobs. Routing is **not** listed — it
+    /// happened once at
     /// [`register_design`](crate::CtsService::register_design) time and
     /// is shared by every job on the cached artifact (its cost is the
     /// cache's `route_s`). Recovery retries report the successful

@@ -17,10 +17,10 @@
 //! - [`DesignKey`] / [`CachedDesign`] — the content-addressed artifact
 //!   (routed `ClockTopo`, CSR adjacency pre-warmed) jobs borrow
 //!   read-only.
-//! - PR 7's resilience layer supplies the per-job guardrails: every job
-//!   carries a [`RunBudget`](dscts_core::RunBudget)-minted token
-//!   (deadline measured from *submission*), runs behind a
-//!   `catch_unwind` isolation boundary, and may climb the
+//! - The core's resilience layer supplies the per-job guardrails: every
+//!   job carries a [`RunBudget`](dscts_core::RunBudget)-minted token
+//!   (deadline measured from *submission*), runs behind `catch_unwind`
+//!   isolation boundaries, and may climb the
 //!   [`RecoveryPolicy`](dscts_core::RecoveryPolicy) relaxation ladder.
 //!
 //! ```
@@ -94,8 +94,9 @@
 //! **Bit-identity.** Job results are bit-identical to direct [`DsCts`]
 //! staged-driver compositions on a freshly routed design: routing is
 //! deterministic, the cache stores the routed topology immutably, and
-//! each job clones it exactly as the batched DSE engine does. The
-//! loadtest bin asserts this in-process on every run.
+//! each job attempt runs the pipeline's post-route stages
+//! ([`DsCts::try_run_routed`](dscts_core::DsCts::try_run_routed)) on its
+//! own clone of it. The loadtest bin asserts this in-process on every run.
 //!
 //! # Observability
 //!
@@ -107,7 +108,9 @@
 //!
 //! - **Counters** mirroring [`ServiceStats`] exactly —
 //!   `service.accepted`, `service.completed`, `service.failed`,
-//!   `service.cancelled`, `service.panics_caught`, plus the admission
+//!   `service.cancelled`, `service.panics_caught` (panics that escape the
+//!   pipeline; one inside a job's stages fails it as `Internal { stage }`
+//!   and counts in `pipeline.panics_caught`), plus the admission
 //!   mix as `service.rejected.<variant>` (`queue_full`, `backpressure`,
 //!   `quarantined`, `shutting_down`, `unknown_design`,
 //!   `missing_corners`), quarantine progress
@@ -122,16 +125,17 @@
 //!   dequeue.
 //! - **Histograms**: `job.wall_s` and `job.queue_wait_s` (log-spaced
 //!   buckets; the loadtest reports p50/p95/p99 from them),
-//!   `span.service.job` and `span.register_route`, and per-stage
-//!   `span.<stage>` histograms fed from every completed job's stage
-//!   rows (insertion / optimize / evaluate / signoff; the `opt:<name>`
-//!   rows are skipped because `OptSchedule::run` already records them as
-//!   `span.pass.<name>`).
+//!   `span.service.job` and `span.register_route`, the
+//!   `span.insertion` / `span.optimize` / `span.evaluate` and
+//!   `span.pass.<name>` histograms the pipeline records as each stage or
+//!   pass completes (retried attempts too), and `span.signoff`, recorded
+//!   by the service per sign-off.
 //! - **Per-job stage breakdowns**: every completed job's
-//!   [`JobOutcome::stages`] mirrors
+//!   [`JobOutcome::stages`] is the winning attempt's
 //!   [`Outcome::stages`](dscts_core::Outcome::stages) — insertion,
-//!   optimize (one `opt:<name>` row per executed pass), evaluate,
-//!   signoff. [`JobKind::SweepPoint`] jobs log no records beyond these.
+//!   optimize (one `opt:<name>` row per executed pass), evaluate — plus
+//!   a `signoff` row for [`JobKind::CornerSignoff`] jobs.
+//!   [`JobKind::SweepPoint`] jobs log no records beyond these.
 //!
 //! Export with `Telemetry::snapshot()` → `TelemetrySnapshot::to_jsonl()`;
 //! the loadtest bin validates every emitted line in-process (schema plus

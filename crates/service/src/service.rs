@@ -6,8 +6,8 @@ use crate::job::{CancelKind, JobKind, JobOutcome, JobRequest, JobResponse, JobTi
 use dscts_core::mcmm::CornerReport;
 use dscts_core::resilience::panic_message;
 use dscts_core::{
-    mode_vector, AnnealConfig, AnnealedSizingPass, CancelToken, CtsError, DsCts, ModeRule,
-    RecoveryPolicy, RunBudget, StageTiming,
+    AnnealConfig, AnnealedSizingPass, CancelToken, CtsError, DsCts, ModeRule, RecoveryPolicy,
+    RunBudget, StageTiming,
 };
 use dscts_netlist::Design;
 use dscts_tech::CornerSet;
@@ -85,7 +85,10 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Accepted jobs cancelled without executing (drain).
     pub cancelled: u64,
-    /// Panics caught at the per-job isolation boundary.
+    /// Panics caught at the per-job isolation boundary: those that
+    /// escape the pipeline, such as in sign-off or service code. A panic
+    /// inside a job's pipeline stages is caught at the stage boundary
+    /// and fails the job as [`CtsError::Internal`] naming the stage.
     pub panics_caught: u64,
     /// Recovery-ladder retries executed across all jobs.
     pub retries: u64,
@@ -472,9 +475,10 @@ fn worker_loop(inner: &Inner) {
                 .incr();
         }
 
-        // The per-job isolation boundary: a poisoned request (injected
-        // panic, genuine bug) becomes a typed Internal failure and the
-        // worker lives on to take the next job.
+        // The per-job isolation boundary: a panic that escapes the
+        // pipeline's own stage boundaries (sign-off, service code)
+        // becomes a typed Internal failure and the worker lives on to
+        // take the next job.
         let response = match catch_unwind(AssertUnwindSafe(|| {
             execute_job(inner, &job, queue_wait_s, started)
         })) {
@@ -591,84 +595,44 @@ fn execute_job(inner: &Inner, job: &QueuedJob, queue_wait_s: f64, started: Insta
             outcome.trials = job.token.trials();
             outcome.wall_s = started.elapsed().as_secs_f64();
             outcome.queue_wait_s = queue_wait_s;
-            if let Some(tel) = telemetry::active() {
-                // The winning attempt's stage rows double as the
-                // aggregate per-stage span histograms (`opt:<name>`
-                // rows are skipped — `OptSchedule::run` already records
-                // them as `span.pass.<name>`).
-                for stage in &outcome.stages {
-                    if !stage.name.starts_with("opt:") {
-                        tel.record_duration(&format!("span.{}", stage.name), stage.seconds);
-                    }
-                }
-            }
             JobResponse::Completed(outcome)
         }
         Err(error) => JobResponse::Failed { error, recovery },
     }
 }
 
-/// One staged-driver attempt against the cached artifact. Bit-identical
-/// to the equivalent direct `DsCts` staged composition: insertion
-/// consumes a topology, so each attempt clones the cached one.
+/// One attempt against the cached artifact: [`DsCts::try_run_routed`]
+/// on a copy of the routed topology (insertion consumes one), then, for
+/// a [`JobKind::CornerSignoff`] job, the sign-off across the service's
+/// corner set as one more `signoff` stage row and `span.signoff`
+/// histogram. Routing is absent from the stage rows: it ran once at
+/// registration.
 fn attempt(inner: &Inner, pipe: &DsCts, job: &QueuedJob) -> Result<JobOutcome, CtsError> {
-    let token = &job.token;
-    let mut stages: Vec<StageTiming> = Vec::new();
-    let mut stage_start = Instant::now();
-    // Mirrors `Outcome::stages`' construction in the pipeline's own
-    // run loop: name + wall clock per stage, `opt:<name>` rows folded in
-    // behind the optimize stage. Routing is deliberately absent — it ran
-    // once at registration (`route_s` on the cached artifact), not per
-    // job.
-    let push_stage = |stages: &mut Vec<StageTiming>, stage_start: &mut Instant, name| {
-        let now = Instant::now();
-        stages.push(StageTiming {
-            name: Cow::Borrowed(name),
-            seconds: (now - *stage_start).as_secs_f64(),
-        });
-        *stage_start = now;
-    };
-    let modes = match &job.kind {
-        JobKind::SweepPoint { threshold } => Some(mode_vector(
-            &job.design.topo,
-            ModeRule::FanoutThreshold(*threshold),
-        )),
-        _ => None,
-    };
-    let (mut tree, _, _) =
-        pipe.insert_with(job.design.topo.clone(), modes.as_deref(), Some(token), None)?;
-    push_stage(&mut stages, &mut stage_start, "insertion");
-    let report = pipe.optimize_tree_cancel(&mut tree, Some(token))?;
-    let degraded = report.as_ref().is_some_and(|r| r.truncated);
-    push_stage(&mut stages, &mut stage_start, "optimize");
-    if let Some(report) = &report {
-        stages.extend(report.passes.iter().map(|p| StageTiming {
-            name: Cow::Owned(format!("opt:{}", p.name)),
-            seconds: p.seconds,
-        }));
-    }
-    let metrics = pipe.evaluate_tree(&tree);
-    push_stage(&mut stages, &mut stage_start, "evaluate");
-    // Corner evaluation is fallible: a capacitance-derating corner can
-    // overload a pattern buffer the DP placed near its max-load budget
-    // at nominal. That is a data-dependent `NoFeasiblePattern` — the
-    // retry ladder relaxes the pipeline and re-attempts — not a panic.
-    let corners = match &job.kind {
-        JobKind::CornerSignoff => inner.signoff.as_deref(),
-        _ => pipe.corner_set(),
-    };
-    let robust = match corners {
-        Some(corners) => {
-            let robust = CornerReport::try_evaluate(&tree, corners, pipe.delay_model())?.robust;
-            push_stage(&mut stages, &mut stage_start, "signoff");
-            Some(robust)
+    let outcome = pipe.try_run_routed(job.design.topo.clone(), Some(&job.token))?;
+    let mut stages = outcome.stages;
+    let robust = match (&job.kind, inner.signoff.as_deref()) {
+        (JobKind::CornerSignoff, Some(corners)) => {
+            // A derating corner can overload a pattern buffer the DP placed
+            // near its nominal max-load budget: a data-dependent
+            // `NoFeasiblePattern` the retry ladder relaxes, not a panic.
+            let t0 = Instant::now();
+            let report = CornerReport::try_evaluate(&outcome.tree, corners, pipe.delay_model())?;
+            let seconds = t0.elapsed().as_secs_f64();
+            if let Some(tel) = telemetry::active() {
+                tel.record_duration("span.signoff", seconds);
+            }
+            stages.push(StageTiming {
+                name: Cow::Borrowed("signoff"),
+                seconds,
+            });
+            Some(report.robust)
         }
-        None => None,
+        _ => outcome.corners.map(|report| report.robust),
     };
     Ok(JobOutcome {
-        metrics,
+        metrics: outcome.metrics,
         robust,
-        degraded,
+        degraded: outcome.degraded,
         recovery: Vec::new(),
         trials: 0,
         wall_s: 0.0,

@@ -4,7 +4,7 @@
 
 #![cfg(feature = "fault-inject")]
 
-use dscts_core::resilience::fault::{FaultKind, FaultPlan, SITE_DP, SITE_SYNTH};
+use dscts_core::resilience::fault::{FaultKind, FaultPlan, SITE_DP, SITE_EVAL, SITE_SYNTH};
 use dscts_core::{CtsError, DsCts};
 use dscts_netlist::BenchmarkSpec;
 use dscts_service::{
@@ -42,13 +42,12 @@ fn score(service: &CtsService, design: dscts_service::DesignKey) -> Option<JobRe
         .wait()
 }
 
-/// An injected panic in the synthesis stage unwinds out of the staged
-/// drivers and is caught at the worker boundary: the job fails with a
-/// typed `Internal` error, the worker survives, and repeated poison
-/// strikes quarantine the design while a clean design keeps completing.
-/// (DP-stage panics are caught even earlier, by the DP's own per-node
-/// isolation — the synth site is the one that exercises the *worker*
-/// boundary.)
+/// An injected panic in tree synthesis unwinds out of the insertion
+/// stage and is caught at the pipeline's stage boundary: the job fails
+/// with a typed `Internal` error naming the stage, the worker survives,
+/// and repeated poison strikes quarantine the design while a clean design
+/// keeps completing. (DP panics are caught even earlier, by the DP's own
+/// per-node isolation.)
 #[test]
 fn injected_panic_is_isolated_and_quarantines_the_design() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
@@ -72,10 +71,13 @@ fn injected_panic_is_isolated_and_quarantines_the_design() {
         }) {
             Ok(ticket) => match ticket.wait() {
                 Some(JobResponse::Failed {
-                    error: CtsError::Internal { .. },
+                    error:
+                        CtsError::Internal {
+                            stage: "insertion", ..
+                        },
                     ..
                 }) => internal_failures += 1,
-                other => panic!("armed panic must surface as Internal, got {other:?}"),
+                other => panic!("armed panic must surface as Internal in insertion, got {other:?}"),
             },
             Err(Rejected::Quarantined { .. }) => {
                 quarantined = true;
@@ -99,8 +101,37 @@ fn injected_panic_is_isolated_and_quarantines_the_design() {
         "clean design must still complete after poison quarantined"
     );
     let stats = service.shutdown(DrainMode::Graceful).stats;
-    assert!(stats.panics_caught >= 2);
+    // The stage boundary caught every panic; none reached the worker's.
+    assert_eq!(stats.panics_caught, 0);
     assert_eq!(stats.terminal(), stats.accepted);
+}
+
+/// A fault in the evaluate stage fails a service job typed: every job
+/// runs the pipeline's evaluate stage, so the armed site fires inside it
+/// and the worker lives on to complete the next job.
+#[test]
+fn injected_evaluate_fault_fails_the_job_in_the_eval_stage() {
+    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let service = start(1);
+    let (key, _) = service
+        .register_design(&BenchmarkSpec::scaled(400, 34).generate())
+        .expect("routes");
+    let guard = FaultPlan::new().arm(SITE_EVAL, FaultKind::Error).install();
+    match score(&service, key) {
+        Some(JobResponse::Failed {
+            error: CtsError::Internal { stage: "eval", .. },
+            ..
+        }) => {}
+        other => panic!("expected Internal in the eval stage, got {other:?}"),
+    }
+    assert_eq!(guard.unfired(), 0, "the job visited the evaluate stage");
+    drop(guard);
+    assert_eq!(service.live_workers(), 1);
+    assert!(matches!(
+        score(&service, key),
+        Some(JobResponse::Completed(_))
+    ));
+    service.shutdown(DrainMode::Graceful);
 }
 
 /// Injected *errors* (not panics) ride the typed error path and do not

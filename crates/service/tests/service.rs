@@ -5,8 +5,8 @@ use dscts_core::mcmm::CornerReport;
 use dscts_core::{mode_vector, DsCts, ModeRule};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_service::{
-    job_pipeline, CancelKind, CtsService, DesignKey, DrainMode, JobKind, JobRequest, JobResponse,
-    Rejected, ServiceConfig,
+    job_pipeline, CancelKind, CtsService, DesignKey, DrainMode, JobKind, JobOutcome, JobRequest,
+    JobResponse, Rejected, ServiceConfig,
 };
 use dscts_tech::{CornerSet, Technology};
 use std::time::Duration;
@@ -33,6 +33,11 @@ fn submit_ok(service: &CtsService, tenant: &str, key: DesignKey, kind: JobKind) 
         })
         .expect("submission accepted");
     ticket.wait().expect("terminal response delivered")
+}
+
+/// The stage row names of a completed job, in order.
+fn stage_names(outcome: &JobOutcome) -> Vec<&str> {
+    outcome.stages.iter().map(|s| s.name.as_ref()).collect()
 }
 
 #[test]
@@ -81,6 +86,16 @@ fn cache_hits_and_results_match_direct_staged_drivers() {
             "{} job must be bit-identical to direct drivers",
             kind.label()
         );
+        let passes: &[&str] = match kind {
+            JobKind::Sizing { .. } => &["opt:endpoint-refine", "opt:annealed-sizing"],
+            _ => &["opt:endpoint-refine"],
+        };
+        let want: Vec<&str> = ["insertion", "optimize"]
+            .into_iter()
+            .chain(passes.iter().copied())
+            .chain(["evaluate"])
+            .collect();
+        assert_eq!(stage_names(&got), want, "{} job stages", kind.label());
     }
 
     // Sign-off reports the robust summary over the configured corners.
@@ -88,6 +103,16 @@ fn cache_hits_and_results_match_direct_staged_drivers() {
     else {
         panic!("signoff job must complete");
     };
+    assert_eq!(
+        stage_names(&signoff),
+        [
+            "insertion",
+            "optimize",
+            "opt:endpoint-refine",
+            "evaluate",
+            "signoff"
+        ]
+    );
     let robust = signoff.robust.expect("signoff carries robust metrics");
     let topo = base.route(&design).expect("route");
     let (mut tree, _dp) = base.insert(topo).expect("insert");

@@ -197,12 +197,14 @@ fn run() -> Result<(), String> {
     let measured = measured.unwrap_or_else(|| tree.evaluate(&tech, model));
 
     // The sizing line reads skew from the metrics lines of the flow before
-    // the pass and of one batch evaluation after it.
+    // the pass and of the evaluator the pass leaves, whose state is
+    // bit-identical to a batch evaluation of the sized tree.
     let m = if has("--size") {
+        let mut eval = IncrementalEval::new(&mut tree, &tech, model);
         let report = OptSchedule::new()
             .with(SizingPass::default())
-            .run(&mut IncrementalEval::new(&mut tree, &tech, model), None);
-        let sized = tree.evaluate(&tech, model);
+            .run(&mut eval, None);
+        let sized = eval.metrics();
         println!(
             "sizing: {} buffers resized, skew {:.3} -> {:.3} ps",
             report.passes[0].accepted, measured.skew_ps, sized.skew_ps

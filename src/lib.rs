@@ -22,14 +22,17 @@
 //! | [`telemetry`] | `dscts-telemetry` | zero-dependency observability: spans, counters, gauges, histograms, JSON-lines export |
 //!
 //! The synthesis flow itself runs in **stages**: [`DsCts::try_run`]
-//! executes `route → insertion → optimize → evaluate`, each stage one call
-//! of the public driver for that step (`DsCts::route`, `DsCts::insert`,
-//! `DsCts::optimize_tree_cancel`, `DsCts::evaluate_tree`, which batch
-//! drivers such as the DSE sweep call directly), and each wall-clocked
-//! individually into [`Outcome::stages`]. The optimize stage runs a
-//! composable schedule of [`core::opt::OptPass`]es (by default the
+//! executes `route → insertion → optimize → evaluate`, each wall-clocked
+//! individually into [`Outcome::stages`]. The last three are
+//! `DsCts::try_run_routed`, which the service runs per job on a cached
+//! routed topology; the evaluate stage reads the metrics off the
+//! incremental evaluator the optimize stage ran on. The optimize stage
+//! runs a composable schedule of [`core::opt::OptPass`]es (by default the
 //! paper's §III-D skew refinement; custom schedules plug in via
-//! `DsCts::schedule`), reporting one `opt:<name>` timing per pass.
+//! `DsCts::schedule`), reporting one `opt:<name>` timing per pass. The
+//! public staged drivers (`DsCts::route`, `DsCts::insert`,
+//! `DsCts::optimize_tree`, `DsCts::evaluate_tree`) compose to the same
+//! result.
 //! Unsatisfiable inputs surface as [`CtsError`] from [`DsCts::try_run`]
 //! (the panicking [`DsCts::run`] wrapper remains for callers that treat
 //! them as bugs). Routing and DP hot paths are rayon-parallel and
