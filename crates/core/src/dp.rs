@@ -28,6 +28,7 @@
 use crate::error::CtsError;
 use crate::pattern::{Mode, Pattern, PatternSet};
 use crate::resilience::{fault, CancelToken};
+use crate::synth::star_branch;
 use crate::tree::ClockTopo;
 use dscts_geom::TreeCsr;
 use dscts_tech::{Side, Technology};
@@ -312,8 +313,8 @@ fn process_node(idu: usize, ctx: &DpCtx<'_>, sets: &CandArena) -> Result<Vec<Wor
             let mut max_d = 0.0f64;
             let mut min_d = f64::INFINITY;
             for (&sk, &len) in s.sinks.iter().zip(&s.branch_len) {
-                cap += rc_front.cap(len) + topo.sink_cap[sk as usize];
-                let d = rc_front.res(len) * (rc_front.cap(len) + topo.sink_cap[sk as usize]);
+                let (c, d) = star_branch(rc_front, len, topo.sink_cap[sk as usize]);
+                cap += c;
                 max_d = max_d.max(d);
                 min_d = min_d.min(d);
             }

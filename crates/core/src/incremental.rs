@@ -15,15 +15,19 @@
 //!   Arrival times change only below the topmost node whose load changed,
 //!   so they are re-propagated over that *subtree* only. Total cost per
 //!   mutation: O(depth + dirty subtree) instead of O(n).
-//! * **bit-identical state invariant.** After every successful mutation,
-//!   `cap`, `up_cap`, `arr`, `slew` and the per-star base arrivals and
-//!   slews are bit-identical (as `f64`s) to what a from-scratch
-//!   [`SynthesizedTree::evaluate`] of the mutated tree would compute: all
-//!   repairs re-run the *same* arithmetic in the *same* order as the batch
-//!   evaluator (shared helpers in `synth`), and early termination happens
-//!   only when a recomputed value compares equal to the stored one. The
-//!   property suite `incremental_matches_batch` enforces this for both
-//!   [`EvalModel`]s under arbitrary interleaved mutations and undos.
+//! * **one timing model.** Construction *is* the batch pass of
+//!   [`SynthesizedTree::evaluate`]: each corner's state is the
+//!   `TimingState` that pass returns (star constants, `cap`, `up_cap`,
+//!   `arr`, `slew` and the per-star base arrivals and slews), taken as
+//!   is. Repairs call the same step functions on it — the node cap, the
+//!   root-driver, edge and star-buffer steps — and metrics use the same
+//!   sink fold, so after every successful mutation the state is
+//!   bit-identical (as `f64`s) to a from-scratch evaluation of the mutated
+//!   tree. Early termination happens only when a recomputed value
+//!   compares equal to the stored one. The property suite
+//!   `incremental_matches_batch` enforces this for both [`EvalModel`]s
+//!   under arbitrary interleaved mutations and undos, and checks that an
+//!   evaluator rebuilt over the mutated tree equals the repaired one.
 //! * **star-level state.** No per-sink value is stored. A sink's arrival
 //!   is its star's base plus its constant branch delay, the expression the
 //!   batch evaluator uses, so [`IncrementalEval::metrics`] derives the
@@ -46,8 +50,8 @@
 //!
 //! # Corners
 //!
-//! All per-technology state and the repair arithmetic live in the
-//! crate-internal `CornerState`. An evaluator holds one per corner over
+//! Each corner's timing state, its journal and the repair walks live in
+//! the crate-internal `CornerState`. An evaluator holds one per corner over
 //! the same tree: [`IncrementalEval::new`] times one technology (K = 1),
 //! [`IncrementalEval::with_corners`] every corner of a [`CornerSet`]. A
 //! mutation writes the knob once and repairs every corner's own dirty
@@ -73,12 +77,10 @@
 
 use crate::error::CtsError;
 use crate::mcmm::RobustObjective;
-use crate::pattern::{Pattern, PatternEval};
+use crate::pattern::Pattern;
 use crate::resilience::{fault, CancelToken};
-use crate::synth::{resources, star_loads, EvalModel, SynthesizedTree, TreeMetrics};
-use dscts_geom::TreeCsr;
-use dscts_tech::{CornerSet, Side, Technology};
-use dscts_timing::{wire_slew, ArrivalStats};
+use crate::synth::{EvalModel, SynthesizedTree, TimingState, TreeMetrics};
+use dscts_tech::{CornerSet, Technology};
 use rayon::prelude::*;
 use std::cell::Cell;
 
@@ -89,7 +91,7 @@ use std::cell::Cell;
 /// repair work amortizes the spawn.
 const PAR_FANOUT_MIN_NODES: usize = 10_000;
 
-/// One overwritten value of a corner's evaluation state, recorded for
+/// One overwritten value of a corner's timing state, recorded for
 /// rollback.
 #[derive(Debug, Clone, Copy)]
 enum Entry {
@@ -97,10 +99,8 @@ enum Entry {
     Cap(u32, f64),
     /// `up_cap[node]` previous value.
     UpCap(u32, f64),
-    /// `arr[node]` previous value.
-    Arr(u32, f64),
-    /// `slew[node]` previous value.
-    Slew(u32, f64),
+    /// `(arr, slew)[node]` previous values.
+    Node(u32, f64, f64),
     /// `(star_base, star_base_slew)[si]` previous values.
     StarBase(u32, f64, f64),
 }
@@ -116,39 +116,18 @@ enum Knob {
     StarBuffer(u32, bool),
 }
 
-/// The resident evaluation state of one tree under one technology: the
-/// per-topology constants, every quantity the dirty-path repairs
-/// maintain, and the journal of values they overwrote. Owns no tree
-/// borrow; [`IncrementalEval`] holds one per corner over the same tree.
+/// The resident timing state of one tree under one technology, as the
+/// batch pass built it, plus the journal of values the dirty-path repairs
+/// overwrote. Owns no tree borrow; [`IncrementalEval`] holds one per
+/// corner over the same tree.
 ///
 /// Repair methods never roll themselves back: on infeasibility they
-/// return `false`/`None` with their journal entries in place, and the
+/// return `false` with their journal entries in place, and the
 /// owning evaluator reverts the knob and every corner it touched.
 #[derive(Debug, Clone)]
 struct CornerState {
-    /// Per-star unshielded load (wire + sink pins): constant per topology.
-    star_load: Vec<f64>,
-    /// Per-sink star-branch Elmore delay: constant per topology.
-    branch_d: Vec<f64>,
-    /// Per-star min/max of `branch_d` over its sinks (−∞ max for an empty
-    /// star): constant per topology.
-    star_min_d: Vec<f64>,
-    star_max_d: Vec<f64>,
-    /// Downstream capacitance at each trunk node (the load at the sink end
-    /// of its incoming edge).
-    cap: Vec<f64>,
-    /// Capacitance each trunk node's incoming edge presents to its parent
-    /// (undefined for node 0).
-    up_cap: Vec<f64>,
-    /// Arrival time at each trunk node.
-    arr: Vec<f64>,
-    /// Transition time at each trunk node.
-    slew: Vec<f64>,
-    /// Per-star arrival/slew at the star root, after the optional
-    /// refinement buffer. Sink `sk` of star `si` arrives at
-    /// `star_base[si] + branch_d[sk]`.
-    star_base: Vec<f64>,
-    star_base_slew: Vec<f64>,
+    /// The batch pass's state, repaired in place.
+    timing: TimingState,
     /// Every value overwritten since the last commit, oldest first.
     journal: Vec<Entry>,
     /// Grow-only DFS stack reused by every arrival re-propagation, so a
@@ -158,313 +137,86 @@ struct CornerState {
 }
 
 impl CornerState {
-    /// Builds the constants and the bottom-up caps with one
-    /// batch-equivalent pass, then propagates arrivals over the whole
-    /// tree.
-    ///
-    /// Returns [`CtsError::NoFeasiblePattern`] for the first edge (in the
-    /// batch evaluator's order) that is electrically infeasible under
-    /// `tech` — exactly what [`SynthesizedTree::try_evaluate`] reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge lacks a pattern.
-    fn try_new(
-        tree: &SynthesizedTree,
-        tech: &Technology,
-        model: EvalModel,
-        csr: &TreeCsr,
-    ) -> Result<Self, CtsError> {
-        let topo = &tree.topo;
-        let n = topo.nodes.len();
-        let rc_front = tech.rc(Side::Front);
-        let star_load = star_loads(topo, tech);
-
-        // Constant star-branch delays and their per-star extremes.
-        let mut branch_d = vec![0.0f64; topo.sink_pos.len()];
-        let mut star_min_d = vec![f64::INFINITY; topo.stars.len()];
-        let mut star_max_d = vec![f64::NEG_INFINITY; topo.stars.len()];
-        for (si, s) in topo.stars.iter().enumerate() {
-            for (&sk, &len) in s.sinks.iter().zip(&s.branch_len) {
-                let d = rc_front.res(len) * (rc_front.cap(len) + topo.sink_cap[sk as usize]);
-                branch_d[sk as usize] = d;
-                star_min_d[si] = star_min_d[si].min(d);
-                star_max_d[si] = star_max_d[si].max(d);
-            }
-        }
-
-        // Bottom-up caps: same arithmetic and order as the batch pass.
-        let mut cap = vec![0.0f64; n];
-        let mut up_cap = vec![0.0f64; n];
-        let buf = tech.buffer();
-        for &v in csr.order().iter().rev() {
-            let vu = v as usize;
-            if let Some(si) = topo.nodes[vu].star {
-                cap[vu] += if tree.star_buffers[si as usize] {
-                    buf.input_cap_ff()
-                } else {
-                    star_load[si as usize]
-                };
-            }
-            for &c in csr.children(v) {
-                let cu = c as usize;
-                let p = tree.patterns[cu].expect("assigned pattern");
-                let ev = p
-                    .eval_scaled(
-                        topo.nodes[cu].edge_len,
-                        cap[cu],
-                        tech,
-                        tree.buffer_scales[cu],
-                    )
-                    .ok_or(CtsError::NoFeasiblePattern {
-                        node: c,
-                        edge_len_nm: topo.nodes[cu].edge_len,
-                    })?;
-                up_cap[cu] = ev.up_cap_ff;
-                cap[vu] += ev.up_cap_ff;
-            }
-        }
-
-        let n_stars = topo.stars.len();
-        let mut this = CornerState {
-            star_load,
-            branch_d,
-            star_min_d,
-            star_max_d,
-            cap,
-            up_cap,
-            arr: vec![0.0; n],
-            slew: vec![0.0; n],
-            star_base: vec![0.0; n_stars],
-            star_base_slew: vec![0.0; n_stars],
-            journal: Vec::new(),
-            arrival_scratch: Vec::new(),
-        };
-        // Top-down arrivals over the whole tree (node 0 = root driver),
-        // then discard the bookkeeping journal: this is the base state.
-        let ok = this.recompute_arrivals_from(tree, tech, model, csr, 0);
-        // invariant: the cap pass above evaluated every edge at exactly
-        // these caps and scales, so re-evaluating them cannot fail.
-        assert!(ok, "cap pass vetted every edge");
-        this.journal.clear();
-        Ok(this)
-    }
-
-    // --- Queries ----------------------------------------------------------
-
-    /// Earliest sink arrival within star `si`.
-    fn star_earliest(&self, si: usize) -> f64 {
-        self.star_base[si] + self.star_min_d[si]
-    }
-
-    /// `(latency_ps, skew_ps)` in one fold over the stars. Within a star,
-    /// arrivals are `base + d` with `d ≥ 0` constant, and `x ↦ base + x`
-    /// is monotone, so the per-star extremes are attained at the extreme
-    /// `d`s and the fold equals the fold over all sinks.
-    fn latency_skew_ps(&self) -> (f64, f64) {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for (si, &d) in self.star_max_d.iter().enumerate() {
-            if d != f64::NEG_INFINITY {
-                max = max.max(self.star_base[si] + d);
-                min = min.min(self.star_base[si] + self.star_min_d[si]);
-            }
-        }
-        (max, max - min)
-    }
-
-    /// Full metrics of the current state, bit-identical to
-    /// [`SynthesizedTree::evaluate`] of the same tree under the same
-    /// technology. The per-sink arrivals are derived here, as
-    /// `star_base[si] + branch_d[sk]` in the batch evaluator's star order.
-    fn metrics(&self, tree: &SynthesizedTree, tech: &Technology) -> TreeMetrics {
-        let mut arrivals = vec![0.0f64; tree.topo.sink_pos.len()];
-        let mut max_sink_slew = 0.0f64;
-        for (si, s) in tree.topo.stars.iter().enumerate() {
-            for &sk in &s.sinks {
-                let d = self.branch_d[sk as usize];
-                arrivals[sk as usize] = self.star_base[si] + d;
-                max_sink_slew = max_sink_slew.max(wire_slew(self.star_base_slew[si], d));
-            }
-        }
-        let stats = ArrivalStats::from_arrivals(arrivals.iter().copied())
-            .expect("designs have at least one sink");
-        let res = resources(tree, tech);
-        TreeMetrics {
-            latency_ps: stats.latency(),
-            skew_ps: stats.skew(),
-            buffers: res.buffers,
-            ntsvs: res.ntsvs,
-            wirelength_nm: tree.topo.total_wirelength(),
-            trunk_wirelength_nm: tree.topo.trunk_wirelength(),
-            switched_cap_ff: res.switched_cap_ff,
-            cell_area_nm2: res.cell_area_nm2,
-            max_sink_slew_ps: max_sink_slew,
-            arrivals,
-        }
-    }
-
-    // --- Dirty-path propagation ------------------------------------------
-
-    /// Electrical evaluation of the edge into `v` under the current state.
-    fn eval_edge(
-        &self,
-        tree: &SynthesizedTree,
-        tech: &Technology,
-        v: usize,
-    ) -> Option<PatternEval> {
-        let p = tree.patterns[v].expect("assigned pattern");
-        p.eval_scaled(
-            tree.topo.nodes[v].edge_len,
-            self.cap[v],
-            tech,
-            tree.buffer_scales[v],
-        )
-    }
-
-    /// Recomputes the downstream cap of `v` from its star contribution and
-    /// its children's `up_cap`s, in the batch evaluator's summation order.
-    fn node_cap(&self, tree: &SynthesizedTree, tech: &Technology, csr: &TreeCsr, v: usize) -> f64 {
-        let topo = &tree.topo;
-        let buf = tech.buffer();
-        let mut cap = 0.0f64;
-        if let Some(si) = topo.nodes[v].star {
-            cap += if tree.star_buffers[si as usize] {
-                buf.input_cap_ff()
-            } else {
-                self.star_load[si as usize]
-            };
-        }
-        for &c in csr.children(v as u32) {
-            cap += self.up_cap[c as usize];
-        }
-        cap
-    }
-
-    /// After a knob change on the edge into `edge` (its downstream cap is
-    /// unchanged): refresh its presented cap, push the change up the
-    /// ancestor path, and re-propagate the dirty subtree's arrivals.
-    /// Returns `false` — with the journal entries in place for the owner
-    /// to revert — when the path becomes infeasible.
-    fn repropagate_edge(
+    /// After a knob change on the edge into `start`, or a change of
+    /// `cap[start]`: walk the ancestor path, refreshing each edge's
+    /// presented cap, until a presented cap (or an aggregated node cap) is
+    /// bit-unchanged — typically at the first shielding buffer — or the
+    /// root is reached; then re-propagate the arrivals below the topmost
+    /// node whose downstream cap changed (`start` itself when none did).
+    /// Returns `false` — journal entries left for the owner to revert —
+    /// when an edge on the way becomes infeasible.
+    fn repair_from(
         &mut self,
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
-        csr: &TreeCsr,
-        edge: usize,
+        start: usize,
     ) -> bool {
-        let Some(ev) = self.eval_edge(tree, tech, edge) else {
-            return false;
-        };
-        let mut top = edge;
-        if ev.up_cap_ff != self.up_cap[edge] {
-            self.journal
-                .push(Entry::UpCap(edge as u32, self.up_cap[edge]));
-            self.up_cap[edge] = ev.up_cap_ff;
-            let p = tree.topo.nodes[edge].parent.expect("non-root") as usize;
-            let new_cap = self.node_cap(tree, tech, csr, p);
-            if new_cap != self.cap[p] {
-                self.journal.push(Entry::Cap(p as u32, self.cap[p]));
-                self.cap[p] = new_cap;
-                top = p;
-                if p != 0 {
-                    match self.propagate_caps_up(tree, tech, csr, p) {
-                        Some(t) => top = t,
-                        None => return false,
-                    }
-                }
+        let mut top = start;
+        let mut v = start;
+        while v != 0 {
+            let Some(ev) = self.timing.eval_edge(tree, tech, v) else {
+                return false;
+            };
+            if ev.up_cap_ff == self.timing.up_cap[v] {
+                break;
             }
+            self.journal
+                .push(Entry::UpCap(v as u32, self.timing.up_cap[v]));
+            self.timing.up_cap[v] = ev.up_cap_ff;
+            let p = tree.topo.nodes[v].parent.expect("non-root") as usize;
+            let new_cap = self.timing.node_cap(tree, tech, p);
+            if new_cap == self.timing.cap[p] {
+                break;
+            }
+            self.journal.push(Entry::Cap(p as u32, self.timing.cap[p]));
+            self.timing.cap[p] = new_cap;
+            top = p;
+            v = p;
         }
-        self.recompute_arrivals_from(tree, tech, model, csr, top)
+        self.recompute_arrivals_from(tree, tech, model, top)
     }
 
     /// The state half of a star-buffer toggle (the knob was already
     /// written to the tree): refresh the star root's cap and either
-    /// re-time the star alone (cap bit-unchanged) or push the cap change
-    /// up and re-propagate the dirty subtree. Returns `false` — journal
-    /// entries left for the owner to revert — on infeasibility.
+    /// re-time the star alone (cap bit-unchanged) or repair from the star
+    /// root. Returns `false` — journal entries left for the owner to
+    /// revert — on infeasibility.
     fn apply_star_toggle(
         &mut self,
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
-        csr: &TreeCsr,
         si: usize,
     ) -> bool {
         let v = tree.topo.stars[si].node as usize;
-        let new_cap = self.node_cap(tree, tech, csr, v);
-        if new_cap == self.cap[v] {
+        let new_cap = self.timing.node_cap(tree, tech, v);
+        if new_cap == self.timing.cap[v] {
             // Load at the star root is (bit-)unchanged, so no trunk state
             // moves — but the star's own stage delay did change.
-            self.recompute_star(tree, tech, model, si);
+            self.retime_star(tree, tech, model, si);
             return true;
         }
-        self.journal.push(Entry::Cap(v as u32, self.cap[v]));
-        self.cap[v] = new_cap;
-        let top = if v == 0 {
-            0
-        } else {
-            match self.propagate_caps_up(tree, tech, csr, v) {
-                Some(top) => top,
-                None => return false,
-            }
-        };
-        self.recompute_arrivals_from(tree, tech, model, csr, top)
-    }
-
-    /// `cap[start]` just changed (`start` ≠ 0): walk the ancestor path,
-    /// refreshing each edge's presented cap, until a presented cap (or an
-    /// aggregated node cap) is bit-unchanged — typically at the first
-    /// shielding buffer — or the root is reached. Returns the topmost node
-    /// whose downstream cap changed (the arrival-recompute root), or
-    /// `None` when an edge on the path becomes infeasible (caller reverts
-    /// through the journal).
-    fn propagate_caps_up(
-        &mut self,
-        tree: &SynthesizedTree,
-        tech: &Technology,
-        csr: &TreeCsr,
-        start: usize,
-    ) -> Option<usize> {
-        let mut top = start;
-        let mut v = start;
-        while v != 0 {
-            let ev = self.eval_edge(tree, tech, v)?;
-            if ev.up_cap_ff == self.up_cap[v] {
-                break;
-            }
-            self.journal.push(Entry::UpCap(v as u32, self.up_cap[v]));
-            self.up_cap[v] = ev.up_cap_ff;
-            let p = tree.topo.nodes[v].parent.expect("non-root") as usize;
-            let new_cap = self.node_cap(tree, tech, csr, p);
-            if new_cap == self.cap[p] {
-                break;
-            }
-            self.journal.push(Entry::Cap(p as u32, self.cap[p]));
-            self.cap[p] = new_cap;
-            top = p;
-            v = p;
-        }
-        Some(top)
+        self.journal.push(Entry::Cap(v as u32, self.timing.cap[v]));
+        self.timing.cap[v] = new_cap;
+        self.repair_from(tree, tech, model, v)
     }
 
     /// Re-propagates arrivals and slews over the subtree rooted at `top`
     /// (whose own incoming-edge delay is dirty; `top == 0` re-times the
-    /// root driver and therefore the whole tree), refreshing every star
-    /// stage it passes. Returns `false` — journal entries left for the
-    /// owner to revert — if an edge in the subtree is infeasible (only
-    /// possible for edges whose caps changed, which the cap pass already
-    /// vetted — kept defensive).
+    /// root driver and therefore the whole tree), re-timing every star it
+    /// passes. Returns `false` — journal entries left for the owner to
+    /// revert — if an edge in the subtree is infeasible (only possible for
+    /// edges whose caps changed, which the cap walk already vetted — kept
+    /// defensive).
     fn recompute_arrivals_from(
         &mut self,
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
-        csr: &TreeCsr,
         top: usize,
     ) -> bool {
-        let buf = tech.buffer();
+        let csr = tree.topo.csr();
         // Grow-only reuse: the stack is taken out of `self` for the
         // traversal (it cannot live in `self` while `self` is mutably
         // borrowed below) and put back — including on the infeasible exit —
@@ -475,45 +227,15 @@ impl CornerState {
         let mut ok = true;
         while let Some(v) = stack.pop() {
             let vu = v as usize;
-            let computed = if vu == 0 {
-                let nominal = buf.nominal_slew_ps();
-                let a = match model {
-                    EvalModel::Elmore => buf.delay_ps(self.cap[0]),
-                    EvalModel::Nldm => buf.delay_nldm_ps(nominal, self.cap[0]),
-                };
-                Some((a, buf.output_slew_ps(nominal, self.cap[0])))
-            } else {
-                self.eval_edge(tree, tech, vu).map(|ev| {
-                    let p = tree.topo.nodes[vu].parent.expect("non-root") as usize;
-                    match (model, ev.stage) {
-                        (EvalModel::Elmore, _) | (EvalModel::Nldm, None) => (
-                            self.arr[p] + ev.delay_ps,
-                            wire_slew(self.slew[p], ev.delay_ps),
-                        ),
-                        (EvalModel::Nldm, Some(st)) => {
-                            let slew_in = wire_slew(self.slew[p], st.pre_delay_ps);
-                            let d_buf = buf.delay_nldm_ps(slew_in, st.load_ff);
-                            (
-                                self.arr[p] + st.pre_delay_ps + d_buf + st.post_delay_ps,
-                                wire_slew(
-                                    buf.output_slew_ps(slew_in, st.load_ff),
-                                    st.post_delay_ps,
-                                ),
-                            )
-                        }
-                    }
-                })
-            };
-            let Some((new_arr, new_slew)) = computed else {
+            let Some((arr, slew)) = self.timing.node_step(tree, tech, model, vu) else {
                 ok = false;
                 break;
             };
-            self.journal.push(Entry::Arr(v, self.arr[vu]));
-            self.arr[vu] = new_arr;
-            self.journal.push(Entry::Slew(v, self.slew[vu]));
-            self.slew[vu] = new_slew;
+            let t = &mut self.timing;
+            self.journal.push(Entry::Node(v, t.arr[vu], t.slew[vu]));
+            (t.arr[vu], t.slew[vu]) = (arr, slew);
             if let Some(si) = tree.topo.nodes[vu].star {
-                self.recompute_star(tree, tech, model, si as usize);
+                self.retime_star(tree, tech, model, si as usize);
             }
             stack.extend_from_slice(csr.children(v));
         }
@@ -521,48 +243,35 @@ impl CornerState {
         ok
     }
 
-    /// Refreshes star `si`'s base arrival/slew (through the optional
-    /// refinement buffer), mirroring the batch evaluator's sink stage
-    /// exactly. Its sinks' arrivals follow from the base (see `metrics`).
-    fn recompute_star(
+    /// Refreshes star `si`'s base arrival and slew with the star-buffer
+    /// step. Its sinks' arrivals follow from the base.
+    fn retime_star(
         &mut self,
         tree: &SynthesizedTree,
         tech: &Technology,
         model: EvalModel,
         si: usize,
     ) {
-        let v = tree.topo.stars[si].node as usize;
-        let buf = tech.buffer();
-        let mut base = self.arr[v];
-        let mut base_slew = self.slew[v];
-        if tree.star_buffers[si] {
-            let slew_in = self.slew[v];
-            base += match model {
-                EvalModel::Elmore => buf.delay_ps(self.star_load[si]),
-                EvalModel::Nldm => buf.delay_nldm_ps(slew_in, self.star_load[si]),
-            };
-            base_slew = buf.output_slew_ps(slew_in, self.star_load[si]);
-        }
+        let (base, slew) = self.timing.star_step(tree, tech, model, si);
+        let t = &mut self.timing;
         self.journal.push(Entry::StarBase(
             si as u32,
-            self.star_base[si],
-            self.star_base_slew[si],
+            t.star_base[si],
+            t.star_base_slew[si],
         ));
-        self.star_base[si] = base;
-        self.star_base_slew[si] = base_slew;
+        (t.star_base[si], t.star_base_slew[si]) = (base, slew);
     }
 
     /// Reverts every journaled value past `len`, newest first.
     fn rollback(&mut self, len: usize) {
+        let t = &mut self.timing;
         while self.journal.len() > len {
             match self.journal.pop().expect("journal longer than len") {
-                Entry::Cap(v, old) => self.cap[v as usize] = old,
-                Entry::UpCap(v, old) => self.up_cap[v as usize] = old,
-                Entry::Arr(v, old) => self.arr[v as usize] = old,
-                Entry::Slew(v, old) => self.slew[v as usize] = old,
+                Entry::Cap(v, old) => t.cap[v as usize] = old,
+                Entry::UpCap(v, old) => t.up_cap[v as usize] = old,
+                Entry::Node(v, arr, slew) => (t.arr[v as usize], t.slew[v as usize]) = (arr, slew),
                 Entry::StarBase(si, base, slew) => {
-                    self.star_base[si as usize] = base;
-                    self.star_base_slew[si as usize] = slew;
+                    (t.star_base[si as usize], t.star_base_slew[si as usize]) = (base, slew);
                 }
             }
         }
@@ -580,9 +289,6 @@ pub struct IncrementalEval<'a> {
     nominal: usize,
     model: EvalModel,
     objective: RobustObjective,
-    /// Flat trunk adjacency (cloned from the topology's cache so the tree
-    /// can stay mutably borrowed), shared by every corner state.
-    csr: TreeCsr,
     /// One resident evaluation state per corner, in corner order.
     states: Vec<CornerState>,
     /// One undo record per mutation since the last commit: the knob's
@@ -611,8 +317,8 @@ pub struct IncrementalEval<'a> {
 }
 
 impl<'a> IncrementalEval<'a> {
-    /// Builds the single-corner evaluator under `tech` with one
-    /// batch-equivalent pass.
+    /// Builds the single-corner evaluator under `tech` from one batch
+    /// pass.
     ///
     /// # Panics
     ///
@@ -629,8 +335,8 @@ impl<'a> IncrementalEval<'a> {
         .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds one state per corner of `corners` (one batch-equivalent pass
-    /// each), scoring the objective view through `objective`.
+    /// Builds one state per corner of `corners` (one batch pass each),
+    /// scoring the objective view through `objective`.
     ///
     /// A derated corner can overload a buffer the DP placed near its
     /// nominal max-load budget; that returns the typed
@@ -663,18 +369,22 @@ impl<'a> IncrementalEval<'a> {
         model: EvalModel,
         objective: RobustObjective,
     ) -> Result<Self, CtsError> {
-        let csr = tree.topo.csr().clone();
         let states = techs
             .iter()
-            .map(|tech| CornerState::try_new(tree, tech, model, &csr))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|tech| {
+                Ok(CornerState {
+                    timing: TimingState::try_new(tree, tech, model)?,
+                    journal: Vec::new(),
+                    arrival_scratch: Vec::new(),
+                })
+            })
+            .collect::<Result<Vec<_>, CtsError>>()?;
         Ok(IncrementalEval {
             tree,
             techs,
             nominal,
             model,
             objective,
-            csr,
             states,
             records: Vec::new(),
             corner_lens: Vec::new(),
@@ -761,7 +471,7 @@ impl<'a> IncrementalEval<'a> {
                 let mut worst = 0;
                 let mut worst_skew = f64::NEG_INFINITY;
                 for (k, s) in self.states.iter().enumerate() {
-                    let (_, skew) = s.latency_skew_ps();
+                    let (_, skew) = s.timing.latency_skew_ps();
                     if skew > worst_skew {
                         worst_skew = skew;
                         worst = k;
@@ -784,12 +494,12 @@ impl<'a> IncrementalEval<'a> {
     /// different corners). Trial-move inner loops score through this.
     pub fn latency_skew_ps(&self) -> (f64, f64) {
         match self.objective {
-            RobustObjective::Nominal => self.states[self.nominal].latency_skew_ps(),
+            RobustObjective::Nominal => self.states[self.nominal].timing.latency_skew_ps(),
             RobustObjective::WorstCorner => {
                 let mut lat = f64::NEG_INFINITY;
                 let mut skew = f64::NEG_INFINITY;
                 for s in &self.states {
-                    let (l, k) = s.latency_skew_ps();
+                    let (l, k) = s.timing.latency_skew_ps();
                     lat = lat.max(l);
                     skew = skew.max(k);
                 }
@@ -816,18 +526,18 @@ impl<'a> IncrementalEval<'a> {
     /// Downstream capacitance at trunk node `v` (what the sink end of its
     /// incoming edge drives) in the focus corner.
     pub fn load_at(&self, v: usize) -> f64 {
-        self.states[self.focus_corner()].cap[v]
+        self.states[self.focus_corner()].timing.cap[v]
     }
 
     /// Unshielded load of star `si` (wire + sink pins) in the focus
     /// corner.
     pub fn star_load(&self, si: usize) -> f64 {
-        self.states[self.focus_corner()].star_load[si]
+        self.states[self.focus_corner()].timing.star_load[si]
     }
 
     /// Earliest sink arrival within star `si` in the focus corner.
     pub fn star_earliest(&self, si: usize) -> f64 {
-        self.states[self.focus_corner()].star_earliest(si)
+        self.states[self.focus_corner()].timing.star_earliest(si)
     }
 
     /// Full metrics of the nominal corner, bit-identical to
@@ -846,14 +556,14 @@ impl<'a> IncrementalEval<'a> {
 
     /// `(latency_ps, skew_ps)` of corner `k`.
     pub fn corner_latency_skew_ps(&self, k: usize) -> (f64, f64) {
-        self.states[k].latency_skew_ps()
+        self.states[k].timing.latency_skew_ps()
     }
 
     /// Full metrics of corner `k`, bit-identical to
     /// [`SynthesizedTree::evaluate`] under that corner's technology. The
     /// evaluate stage builds [`crate::Outcome::corners`] from these.
     pub fn corner_metrics(&self, k: usize) -> TreeMetrics {
-        self.states[k].metrics(self.tree, &self.techs[k])
+        self.states[k].timing.metrics(self.tree, &self.techs[k])
     }
 
     // --- Mutations -------------------------------------------------------
@@ -875,9 +585,7 @@ impl<'a> IncrementalEval<'a> {
         }
         self.begin(Knob::Scale(edge as u32, self.tree.buffer_scales[edge]));
         self.tree.buffer_scales[edge] = scale;
-        self.fan_out(|state, tree, tech, model, csr| {
-            state.repropagate_edge(tree, tech, model, csr, edge)
-        })
+        self.fan_out(|state, tree, tech, model| state.repair_from(tree, tech, model, edge))
     }
 
     /// Re-assigns the pattern of `edge` (a non-root trunk node) to one
@@ -906,9 +614,7 @@ impl<'a> IncrementalEval<'a> {
         }
         self.begin(Knob::Pattern(edge as u32, self.tree.patterns[edge]));
         self.tree.patterns[edge] = Some(pattern);
-        self.fan_out(|state, tree, tech, model, csr| {
-            state.repropagate_edge(tree, tech, model, csr, edge)
-        })
+        self.fan_out(|state, tree, tech, model| state.repair_from(tree, tech, model, edge))
     }
 
     /// Adds or removes the skew-refinement buffer driving star `si`.
@@ -922,9 +628,7 @@ impl<'a> IncrementalEval<'a> {
         }
         self.begin(Knob::StarBuffer(si as u32, self.tree.star_buffers[si]));
         self.tree.star_buffers[si] = on;
-        self.fan_out(|state, tree, tech, model, csr| {
-            state.apply_star_toggle(tree, tech, model, csr, si)
-        })
+        self.fan_out(|state, tree, tech, model| state.apply_star_toggle(tree, tech, model, si))
     }
 
     /// Opens the undo record of one mutation: the knob's previous value
@@ -937,14 +641,13 @@ impl<'a> IncrementalEval<'a> {
     }
 
     /// Repairs every corner after the knob write `begin` recorded:
-    /// `apply(state, tree, tech, model, csr)` per corner, serially (stopping
+    /// `apply(state, tree, tech, model)` per corner, serially (stopping
     /// at the first infeasible corner) or in parallel. Rolls the whole
     /// mutation back and returns `false` when the run budget has tripped,
     /// any corner is infeasible, or the injected evaluator fault fires.
     fn fan_out(
         &mut self,
-        apply: impl Fn(&mut CornerState, &SynthesizedTree, &Technology, EvalModel, &TreeCsr) -> bool
-            + Sync,
+        apply: impl Fn(&mut CornerState, &SynthesizedTree, &Technology, EvalModel) -> bool + Sync,
     ) -> bool {
         let mark = self.records.len() - 1;
         // An expired budget rejects the move before any repair work, through
@@ -954,7 +657,7 @@ impl<'a> IncrementalEval<'a> {
             if let Some(counter) = &self.corner_evals {
                 counter.add(self.states.len() as u64);
             }
-            let (tree, techs, model, csr) = (&*self.tree, self.techs, self.model, &self.csr);
+            let (tree, techs, model) = (&*self.tree, self.techs, self.model);
             if self.use_parallel() {
                 let mut work: Vec<(&mut CornerState, &Technology, bool)> = self
                     .states
@@ -963,14 +666,14 @@ impl<'a> IncrementalEval<'a> {
                     .map(|(state, tech)| (state, tech, false))
                     .collect();
                 work.par_iter_mut().for_each(|(state, tech, ok)| {
-                    *ok = apply(state, tree, tech, model, csr);
+                    *ok = apply(state, tree, tech, model);
                 });
                 work.iter().all(|&(.., ok)| ok)
             } else {
                 self.states
                     .iter_mut()
                     .zip(techs)
-                    .all(|(state, tech)| apply(state, tree, tech, model, csr))
+                    .all(|(state, tech)| apply(state, tree, tech, model))
             }
         };
         // The injected fault fires *after* propagation, so the rollback must

@@ -40,19 +40,26 @@
 //! as [`CtsError`]. Routing and DP hot paths run rayon-parallel with
 //! bit-identical results at any thread count.
 //!
-//! Every optimization pass runs on the one [`IncrementalEval`] engine:
-//! full evaluation state stays resident and each trial move re-propagates
-//! only its dirty ancestor path and subtree, with journaled undo for
-//! rejected moves — bit-identical to [`SynthesizedTree::evaluate`] and
-//! orders of magnitude faster in the inner loops. The same evaluator
-//! holds one technology or every corner of a [`dscts_tech::CornerSet`]
-//! ([`IncrementalEval::with_corners`]), so every pass, built-in or
-//! custom, runs corner-aware unchanged. Passes run through one entry
-//! point, [`OptSchedule::run`]; a schedule measures nothing itself. A
-//! run, a service job and a sweep class read their metrics and corner
-//! reports from the evaluator the tree was optimized on; only a
-//! corner-aware pipeline's nominal metrics take one batch evaluation,
-//! because the pipeline technology need not be one of the corners.
+//! The timing model is written once. The star branch has one function,
+//! which the router's star summary, the DP's leaf merge and the
+//! evaluators call; the root-driver, edge and star-buffer steps and the
+//! sink fold have one each, which both evaluators share.
+//! [`SynthesizedTree::evaluate`] is the only from-scratch evaluation.
+//! Every optimization pass runs on the one
+//! [`IncrementalEval`] engine, which starts from the state that batch
+//! pass returns and keeps it resident: each trial move re-propagates only
+//! its dirty ancestor path and subtree through the same steps, with
+//! journaled undo for rejected moves — bit-identical to
+//! [`SynthesizedTree::evaluate`] and orders of magnitude faster in the
+//! inner loops. The same evaluator holds one technology or every corner
+//! of a [`dscts_tech::CornerSet`] ([`IncrementalEval::with_corners`]), so
+//! every pass, built-in or custom, runs corner-aware unchanged. Passes
+//! run through one entry point, [`OptSchedule::run`]; a schedule measures
+//! nothing itself. A run, a service job and a sweep class read their
+//! metrics and corner reports from the evaluator the tree was optimized
+//! on; only a corner-aware pipeline's nominal metrics take one batch
+//! evaluation, because the pipeline technology need not be one of the
+//! corners.
 //!
 //! Most users want the [`DsCts`] pipeline builder; custom optimization
 //! schedules plug in through [`DsCts::schedule`] (see the [`opt`] module

@@ -13,6 +13,7 @@
 
 use crate::error::CtsError;
 use crate::resilience::fault;
+use crate::synth::star_branch;
 use crate::tree::{ClockTopo, LeafStar, TrunkNode};
 use dscts_cluster::DualHierarchy;
 use dscts_dme::{RoutedTree, Terminal, Topology, ZstDme};
@@ -125,7 +126,10 @@ impl HierarchicalRouter {
         let star_cap = |members: &[u32], centroid: dscts_geom::Point| -> f64 {
             members
                 .iter()
-                .map(|&s| rc.cap(sinks[s as usize].manhattan(centroid)) + sink_cap[s as usize])
+                .map(|&s| {
+                    let len = sinks[s as usize].manhattan(centroid);
+                    star_branch(rc, len, sink_cap[s as usize]).0
+                })
                 .sum()
         };
         let max_branch = |members: &[u32], centroid: dscts_geom::Point| -> i64 {
@@ -186,8 +190,8 @@ impl HierarchicalRouter {
                 for &s in members {
                     let len = sinks[s as usize].manhattan(*centroid);
                     branch_len.push(len);
-                    cap += rc.cap(len) + sink_cap[s as usize];
-                    let d = rc.res(len) * (rc.cap(len) + sink_cap[s as usize]);
+                    let (c, d) = star_branch(rc, len, sink_cap[s as usize]);
+                    cap += c;
                     max_d = max_d.max(d);
                 }
                 (

@@ -2,17 +2,26 @@
 //!
 //! A [`SynthesizedTree`] is a routed [`ClockTopo`] whose trunk edges carry
 //! [`Pattern`]s (the DP's output) plus optional skew-refinement buffers at
-//! the low-level centroids (§III-D). Evaluation walks the tree twice —
-//! bottom-up for effective capacitances (buffers shield, nTSVs do not),
-//! top-down for arrivals — under either the L-type Elmore model used inside
-//! the DP or the NLDM + slew-propagation model used for final sign-off
-//! numbers (§IV-A).
+//! the low-level centroids (§III-D).
+//!
+//! The timing model is written once here. A sink hangs off its star root
+//! by one L-type Elmore branch (`star_branch`, which the router's star
+//! summary and the DP's leaf merge call too). The trunk is timed by three
+//! steps — the root driver, the edge and the star buffer — under either
+//! the L-type Elmore model used inside the DP or the NLDM +
+//! slew-propagation model used for final sign-off numbers (§IV-A). The
+//! batch pass (`TimingState::try_new`) is the only from-scratch
+//! evaluation: star constants, then effective capacitances bottom-up
+//! (buffers shield, nTSVs do not), then arrivals top-down.
+//! [`SynthesizedTree::try_evaluate`] folds its state into [`TreeMetrics`],
+//! and [`crate::IncrementalEval`] starts from the same state and repairs
+//! it with the same steps.
 
 use crate::error::CtsError;
-use crate::pattern::Pattern;
+use crate::pattern::{Pattern, PatternEval};
 use crate::tree::ClockTopo;
 use dscts_geom::Point;
-use dscts_tech::{Side, Technology};
+use dscts_tech::{Side, Technology, WireRc};
 use dscts_timing::{wire_slew, ArrivalStats};
 use std::fmt;
 
@@ -242,186 +251,304 @@ impl SynthesizedTree {
         tech: &Technology,
         model: EvalModel,
     ) -> Result<TreeMetrics, CtsError> {
-        let topo = &self.topo;
+        Ok(TimingState::try_new(self, tech, model)?.metrics(self, tech))
+    }
+}
+
+/// The star-branch step: the front-side L-type Elmore wire of `len` nm
+/// from a star root to one sink pin of `pin_ff`. Returns the load the
+/// branch presents (wire plus pin, fF) and its delay (ps).
+pub(crate) fn star_branch(rc: WireRc, len: i64, pin_ff: f64) -> (f64, f64) {
+    let cap = rc.cap(len) + pin_ff;
+    (cap, rc.res(len) * cap)
+}
+
+/// The whole timing state of one tree under one technology: what the
+/// batch pass ([`TimingState::try_new`]) computes, what
+/// [`SynthesizedTree::try_evaluate`] folds into [`TreeMetrics`], and what
+/// [`crate::IncrementalEval`] keeps resident and repairs with the same
+/// step functions.
+#[derive(Debug, Clone)]
+pub(crate) struct TimingState {
+    /// Per-star unshielded load (branch wires plus sink pins): constant
+    /// per topology.
+    pub star_load: Vec<f64>,
+    /// Per-sink star-branch delay: constant per topology.
+    pub branch_d: Vec<f64>,
+    /// Per-star min/max of `branch_d` over its sinks (−∞ max for an empty
+    /// star): constant per topology.
+    pub star_min_d: Vec<f64>,
+    pub star_max_d: Vec<f64>,
+    /// Downstream capacitance at each trunk node (the load at the sink end
+    /// of its incoming edge).
+    pub cap: Vec<f64>,
+    /// Capacitance each trunk node's incoming edge presents to its parent
+    /// (0 for node 0).
+    pub up_cap: Vec<f64>,
+    /// Arrival and transition time at each trunk node.
+    pub arr: Vec<f64>,
+    pub slew: Vec<f64>,
+    /// Per-star arrival and slew at the star root, after the optional
+    /// refinement buffer. Sink `sk` of star `si` arrives at
+    /// `star_base[si] + branch_d[sk]`.
+    pub star_base: Vec<f64>,
+    pub star_base_slew: Vec<f64>,
+}
+
+impl TimingState {
+    /// The batch pass: star constants, then bottom-up caps, then top-down
+    /// arrivals and slews with every star timed at its root.
+    ///
+    /// Returns [`CtsError::NoFeasiblePattern`] for the first infeasible
+    /// edge, visiting each node's child edges in child order, nodes in
+    /// reverse topological order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any edge lacks a pattern.
+    pub(crate) fn try_new(
+        tree: &SynthesizedTree,
+        tech: &Technology,
+        model: EvalModel,
+    ) -> Result<Self, CtsError> {
+        let topo = &tree.topo;
         let csr = topo.csr();
-        let order = csr.order();
         let rc_front = tech.rc(Side::Front);
-        let buf = tech.buffer();
-
-        // Star loads (and whether a refinement buffer shields them).
-        let n = topo.nodes.len();
-        let star_load = star_loads(topo, tech);
-
-        // Bottom-up: effective capacitance at each vertex.
-        let mut cap = vec![0.0f64; n];
-        for &v in order.iter().rev() {
-            let vu = v as usize;
-            if let Some(si) = topo.nodes[vu].star {
-                cap[vu] += if self.star_buffers[si as usize] {
-                    buf.input_cap_ff()
-                } else {
-                    star_load[si as usize]
-                };
+        let (n, n_stars) = (topo.nodes.len(), topo.stars.len());
+        let mut t = TimingState {
+            star_load: vec![0.0; n_stars],
+            branch_d: vec![0.0; topo.sink_pos.len()],
+            star_min_d: vec![f64::INFINITY; n_stars],
+            star_max_d: vec![f64::NEG_INFINITY; n_stars],
+            cap: vec![0.0; n],
+            up_cap: vec![0.0; n],
+            arr: vec![0.0; n],
+            slew: vec![0.0; n],
+            star_base: vec![0.0; n_stars],
+            star_base_slew: vec![0.0; n_stars],
+        };
+        for (si, s) in topo.stars.iter().enumerate() {
+            for (&sk, &len) in s.sinks.iter().zip(&s.branch_len) {
+                let (cap, d) = star_branch(rc_front, len, topo.sink_cap[sk as usize]);
+                t.star_load[si] += cap;
+                t.branch_d[sk as usize] = d;
+                t.star_min_d[si] = t.star_min_d[si].min(d);
+                t.star_max_d[si] = t.star_max_d[si].max(d);
             }
+        }
+        for &v in csr.order().iter().rev() {
             for &c in csr.children(v) {
                 let cu = c as usize;
-                let p = self.patterns[cu].expect("assigned pattern");
-                let ev = p
-                    .eval_scaled(
-                        topo.nodes[cu].edge_len,
-                        cap[cu],
-                        tech,
-                        self.buffer_scales[cu],
-                    )
+                let ev = t
+                    .eval_edge(tree, tech, cu)
                     .ok_or(CtsError::NoFeasiblePattern {
                         node: c,
                         edge_len_nm: topo.nodes[cu].edge_len,
                     })?;
-                cap[vu] += ev.up_cap_ff;
+                t.up_cap[cu] = ev.up_cap_ff;
             }
+            t.cap[v as usize] = t.node_cap(tree, tech, v as usize);
         }
-
-        // Top-down: arrival and slew at each vertex.
-        let mut arr = vec![0.0f64; n];
-        let mut slew = vec![0.0f64; n];
-        let nominal = buf.nominal_slew_ps();
-        arr[0] = match model {
-            EvalModel::Elmore => buf.delay_ps(cap[0]),
-            EvalModel::Nldm => buf.delay_nldm_ps(nominal, cap[0]),
-        };
-        slew[0] = buf.output_slew_ps(nominal, cap[0]);
-        for &v in order {
+        for &v in csr.order() {
             let vu = v as usize;
-            for &c in csr.children(v) {
-                let cu = c as usize;
-                let p = self.patterns[cu].expect("assigned pattern");
-                // Identical call to the bottom-up pass (the cap vector is
-                // fixed by now), which already vetted feasibility.
-                let ev = p
-                    .eval_scaled(
-                        topo.nodes[cu].edge_len,
-                        cap[cu],
-                        tech,
-                        self.buffer_scales[cu],
-                    )
-                    .expect("feasibility vetted bottom-up");
-                match (model, ev.stage) {
-                    (EvalModel::Elmore, _) => {
-                        arr[cu] = arr[vu] + ev.delay_ps;
-                        slew[cu] = wire_slew(slew[vu], ev.delay_ps);
-                    }
-                    (EvalModel::Nldm, None) => {
-                        arr[cu] = arr[vu] + ev.delay_ps;
-                        slew[cu] = wire_slew(slew[vu], ev.delay_ps);
-                    }
-                    (EvalModel::Nldm, Some(st)) => {
-                        let slew_in = wire_slew(slew[vu], st.pre_delay_ps);
-                        let d_buf = buf.delay_nldm_ps(slew_in, st.load_ff);
-                        arr[cu] = arr[vu] + st.pre_delay_ps + d_buf + st.post_delay_ps;
-                        slew[cu] =
-                            wire_slew(buf.output_slew_ps(slew_in, st.load_ff), st.post_delay_ps);
-                    }
-                }
+            (t.arr[vu], t.slew[vu]) = t
+                .node_step(tree, tech, model, vu)
+                .expect("feasibility vetted bottom-up");
+            if let Some(si) = topo.nodes[vu].star {
+                let si = si as usize;
+                (t.star_base[si], t.star_base_slew[si]) = t.star_step(tree, tech, model, si);
             }
         }
+        Ok(t)
+    }
 
-        // Sinks: through the star (and the refinement buffer when present).
+    /// Electrical evaluation of the edge into `v` at its current load.
+    pub(crate) fn eval_edge(
+        &self,
+        tree: &SynthesizedTree,
+        tech: &Technology,
+        v: usize,
+    ) -> Option<PatternEval> {
+        let p = tree.patterns[v].expect("assigned pattern");
+        p.eval_scaled(
+            tree.topo.nodes[v].edge_len,
+            self.cap[v],
+            tech,
+            tree.buffer_scales[v],
+        )
+    }
+
+    /// Downstream cap of trunk node `v`: its star's load (or the input pin
+    /// of the refinement buffer shielding it), then its children's
+    /// presented caps in child order.
+    pub(crate) fn node_cap(&self, tree: &SynthesizedTree, tech: &Technology, v: usize) -> f64 {
+        let mut cap = 0.0f64;
+        if let Some(si) = tree.topo.nodes[v].star {
+            cap += if tree.star_buffers[si as usize] {
+                tech.buffer().input_cap_ff()
+            } else {
+                self.star_load[si as usize]
+            };
+        }
+        for &c in tree.topo.csr().children(v as u32) {
+            cap += self.up_cap[c as usize];
+        }
+        cap
+    }
+
+    /// Arrival and slew at trunk node `v` from the current caps and its
+    /// parent's timing: the root-driver step at node 0, else the edge
+    /// step. `None` when the edge into `v` is infeasible at its load.
+    pub(crate) fn node_step(
+        &self,
+        tree: &SynthesizedTree,
+        tech: &Technology,
+        model: EvalModel,
+        v: usize,
+    ) -> Option<(f64, f64)> {
+        if v == 0 {
+            Some(self.root_step(tech, model))
+        } else {
+            self.edge_step(tree, tech, model, v)
+        }
+    }
+
+    /// The root-driver step: the clock source's buffer, fed the library's
+    /// nominal slew, driving node 0's load.
+    fn root_step(&self, tech: &Technology, model: EvalModel) -> (f64, f64) {
+        let buf = tech.buffer();
+        let nominal = buf.nominal_slew_ps();
+        let arr = match model {
+            EvalModel::Elmore => buf.delay_ps(self.cap[0]),
+            EvalModel::Nldm => buf.delay_nldm_ps(nominal, self.cap[0]),
+        };
+        (arr, buf.output_slew_ps(nominal, self.cap[0]))
+    }
+
+    /// The edge step from `v`'s parent through the edge into `v`: its
+    /// Elmore delay, or under NLDM its embedded buffer's table delay with
+    /// the slew propagated through the wire on either side.
+    fn edge_step(
+        &self,
+        tree: &SynthesizedTree,
+        tech: &Technology,
+        model: EvalModel,
+        v: usize,
+    ) -> Option<(f64, f64)> {
+        let ev = self.eval_edge(tree, tech, v)?;
+        let p = tree.topo.nodes[v].parent.expect("non-root") as usize;
+        let (arr, slew) = (self.arr[p], self.slew[p]);
+        Some(match (model, ev.stage) {
+            (EvalModel::Elmore, _) | (EvalModel::Nldm, None) => {
+                (arr + ev.delay_ps, wire_slew(slew, ev.delay_ps))
+            }
+            (EvalModel::Nldm, Some(st)) => {
+                let buf = tech.buffer();
+                let slew_in = wire_slew(slew, st.pre_delay_ps);
+                let d_buf = buf.delay_nldm_ps(slew_in, st.load_ff);
+                (
+                    arr + st.pre_delay_ps + d_buf + st.post_delay_ps,
+                    wire_slew(buf.output_slew_ps(slew_in, st.load_ff), st.post_delay_ps),
+                )
+            }
+        })
+    }
+
+    /// The star-buffer step: star `si`'s base arrival and slew, through
+    /// its refinement buffer when it has one.
+    pub(crate) fn star_step(
+        &self,
+        tree: &SynthesizedTree,
+        tech: &Technology,
+        model: EvalModel,
+        si: usize,
+    ) -> (f64, f64) {
+        let v = tree.topo.stars[si].node as usize;
+        let (arr, slew) = (self.arr[v], self.slew[v]);
+        if !tree.star_buffers[si] {
+            return (arr, slew);
+        }
+        let buf = tech.buffer();
+        let load = self.star_load[si];
+        let d = match model {
+            EvalModel::Elmore => buf.delay_ps(load),
+            EvalModel::Nldm => buf.delay_nldm_ps(slew, load),
+        };
+        (arr + d, buf.output_slew_ps(slew, load))
+    }
+
+    /// Earliest sink arrival within star `si`.
+    pub(crate) fn star_earliest(&self, si: usize) -> f64 {
+        self.star_base[si] + self.star_min_d[si]
+    }
+
+    /// `(latency_ps, skew_ps)` in one fold over the stars. Within a star,
+    /// arrivals are `base + d` with `d ≥ 0` constant, and `x ↦ base + x`
+    /// is monotone, so the per-star extremes are attained at the extreme
+    /// `d`s and the fold equals the fold over all sinks.
+    pub(crate) fn latency_skew_ps(&self) -> (f64, f64) {
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for (si, &d) in self.star_max_d.iter().enumerate() {
+            if d != f64::NEG_INFINITY {
+                max = max.max(self.star_base[si] + d);
+                min = min.min(self.star_base[si] + self.star_min_d[si]);
+            }
+        }
+        (max, max - min)
+    }
+
+    /// Folds the state into [`TreeMetrics`]. The sink fold derives each
+    /// sink's arrival as its star's base plus its branch delay, in star
+    /// order, with the worst sink slew; resources and switched
+    /// capacitance come from the tree, summed per sink.
+    pub(crate) fn metrics(&self, tree: &SynthesizedTree, tech: &Technology) -> TreeMetrics {
+        let topo = &tree.topo;
+        let rc_front = tech.rc(Side::Front);
         let mut arrivals = vec![0.0f64; topo.sink_pos.len()];
         let mut max_sink_slew = 0.0f64;
         for (si, s) in topo.stars.iter().enumerate() {
-            let v = s.node as usize;
-            let mut base = arr[v];
-            let mut base_slew = slew[v];
-            if self.star_buffers[si] {
-                let slew_in = slew[v];
-                base += match model {
-                    EvalModel::Elmore => buf.delay_ps(star_load[si]),
-                    EvalModel::Nldm => buf.delay_nldm_ps(slew_in, star_load[si]),
-                };
-                base_slew = buf.output_slew_ps(slew_in, star_load[si]);
-            }
-            for (&sk, &len) in s.sinks.iter().zip(&s.branch_len) {
-                let d = rc_front.res(len) * (rc_front.cap(len) + topo.sink_cap[sk as usize]);
-                arrivals[sk as usize] = base + d;
-                max_sink_slew = max_sink_slew.max(wire_slew(base_slew, d));
+            for &sk in &s.sinks {
+                let d = self.branch_d[sk as usize];
+                arrivals[sk as usize] = self.star_base[si] + d;
+                max_sink_slew = max_sink_slew.max(wire_slew(self.star_base_slew[si], d));
             }
         }
-
-        let res = resources(self, tech);
         let stats = ArrivalStats::from_arrivals(arrivals.iter().copied())
             .expect("designs have at least one sink");
-        Ok(TreeMetrics {
+
+        let buf = tech.buffer();
+        let (bw, bh) = buf.footprint_nm();
+        let (vw, vh) = tech.ntsv().footprint_nm();
+        let buffers = 1 + tree.inserted_buffers();
+        let ntsvs = tree.inserted_ntsvs();
+        // Root driver input pin, the other buffers' pins, the nTSVs, the
+        // trunk wires, then every star branch.
+        let mut switched_cap = buf.input_cap_ff();
+        switched_cap +=
+            f64::from(buffers - 1) * buf.input_cap_ff() + f64::from(ntsvs) * tech.ntsv().cap_ff();
+        for (i, p) in tree.patterns.iter().enumerate() {
+            if let Some(p) = p {
+                switched_cap += p.wire_cap_ff(topo.nodes[i].edge_len, tech);
+            }
+        }
+        for s in &topo.stars {
+            for (&sk, &len) in s.sinks.iter().zip(&s.branch_len) {
+                switched_cap += star_branch(rc_front, len, topo.sink_cap[sk as usize]).0;
+            }
+        }
+        TreeMetrics {
             latency_ps: stats.latency(),
             skew_ps: stats.skew(),
-            buffers: res.buffers,
-            ntsvs: res.ntsvs,
+            buffers,
+            ntsvs,
             wirelength_nm: topo.total_wirelength(),
             trunk_wirelength_nm: topo.trunk_wirelength(),
-            switched_cap_ff: res.switched_cap_ff,
-            cell_area_nm2: res.cell_area_nm2,
+            switched_cap_ff: switched_cap,
+            cell_area_nm2: buffers as i64 * bw * bh + ntsvs as i64 * vw * vh,
             max_sink_slew_ps: max_sink_slew,
             arrivals,
-        })
-    }
-}
-
-/// Per-star load capacitance: branch wire plus sink pins, in sink order.
-/// Shared by [`SynthesizedTree::evaluate`] and
-/// [`crate::incremental::IncrementalEval`] so both sum in the same order
-/// (bit-identical floats).
-pub(crate) fn star_loads(topo: &ClockTopo, tech: &Technology) -> Vec<f64> {
-    let rc_front = tech.rc(Side::Front);
-    topo.stars
-        .iter()
-        .map(|s| {
-            s.sinks
-                .iter()
-                .zip(&s.branch_len)
-                .map(|(&sk, &len)| rc_front.cap(len) + topo.sink_cap[sk as usize])
-                .sum()
-        })
-        .collect()
-}
-
-/// Resource/capacitance summary of a synthesized tree (the arrival-
-/// independent half of [`TreeMetrics`]).
-pub(crate) struct Resources {
-    pub buffers: u32,
-    pub ntsvs: u32,
-    pub switched_cap_ff: f64,
-    pub cell_area_nm2: i64,
-}
-
-/// Switched capacitance and cell area of the whole network. Shared by the
-/// batch and incremental evaluators: a single summation order keeps their
-/// metrics bit-identical.
-pub(crate) fn resources(tree: &SynthesizedTree, tech: &Technology) -> Resources {
-    let topo = &tree.topo;
-    let buf = tech.buffer();
-    let rc_front = tech.rc(Side::Front);
-    let mut switched_cap = buf.input_cap_ff(); // root driver input pin
-    let (bw, bh) = buf.footprint_nm();
-    let (vw, vh) = tech.ntsv().footprint_nm();
-    let buffers = 1 + tree.inserted_buffers();
-    let ntsvs = tree.inserted_ntsvs();
-    let cell_area_nm2 = buffers as i64 * bw * bh + ntsvs as i64 * vw * vh;
-    switched_cap +=
-        f64::from(buffers - 1) * buf.input_cap_ff() + f64::from(ntsvs) * tech.ntsv().cap_ff();
-    for (i, p) in tree.patterns.iter().enumerate() {
-        if let Some(p) = p {
-            switched_cap += p.wire_cap_ff(topo.nodes[i].edge_len, tech);
         }
-    }
-    for s in &topo.stars {
-        for (&sk, &len) in s.sinks.iter().zip(&s.branch_len) {
-            switched_cap += rc_front.cap(len) + topo.sink_cap[sk as usize];
-        }
-    }
-    Resources {
-        buffers,
-        ntsvs,
-        switched_cap_ff: switched_cap,
-        cell_area_nm2,
     }
 }
 

@@ -7,10 +7,12 @@
 //! step and at the end, the evaluator's metrics must equal — as exact
 //! `f64`s, via `TreeMetrics: PartialEq` — a from-scratch
 //! `SynthesizedTree::evaluate` of the mutated tree, for both delay models.
+//! At the end, an evaluator built afresh over the mutated tree must also
+//! hold the repaired one's loads and star arrivals, bit for bit.
 
 use dscts_core::{
     try_run_dp, DpConfig, EvalModel, HierarchicalRouter, IncrementalEval, MoesWeights, Pattern,
-    SizingPass, SynthesizedTree,
+    SizingPass, SynthesizedTree, TreeMetrics,
 };
 use dscts_netlist::BenchmarkSpec;
 use dscts_tech::Technology;
@@ -115,10 +117,31 @@ fn apply_ops(tree: &mut SynthesizedTree, tech: &Technology, model: EvalModel, op
         assert_eq!(eval.skew_ps(), m.skew_ps);
     }
     let incremental = eval.metrics();
+    let repaired = resident_view(&eval);
     drop(eval);
+    // An evaluator built afresh over the mutated tree (refinement buffers,
+    // rescaled buffers, re-patterned edges) holds the repaired state.
+    let rebuilt = IncrementalEval::new(tree, tech, model);
+    assert_eq!(resident_view(&rebuilt), repaired, "rebuilt != repaired");
+    drop(rebuilt);
     // Bit-identical to a from-scratch batch evaluation of the mutated tree.
     let batch = tree.evaluate(tech, model);
     assert_eq!(incremental, batch);
+}
+
+/// What an evaluator built afresh must reproduce from a repaired one: the
+/// metrics, and as bits the latency and skew, every node's load and every
+/// star's earliest arrival.
+fn resident_view(eval: &IncrementalEval<'_>) -> (TreeMetrics, Vec<u64>) {
+    let (latency, skew) = eval.latency_skew_ps();
+    let topo = &eval.tree().topo;
+    let bits = [latency, skew]
+        .into_iter()
+        .chain((0..topo.nodes.len()).map(|v| eval.load_at(v)))
+        .chain((0..topo.stars.len()).map(|si| eval.star_earliest(si)))
+        .map(f64::to_bits)
+        .collect();
+    (eval.metrics(), bits)
 }
 
 proptest! {

@@ -7,8 +7,10 @@
 //!   return values, per-step metrics, and the final written-through tree
 //!   all agree as exact `f64`s;
 //! * at **three corners**, every corner matches a from-scratch
-//!   evaluation under its technology after every step, and the parallel
-//!   fan-out is bit-identical to the serial one at 1, 2 and 4 threads;
+//!   evaluation under its technology after every step, the parallel
+//!   fan-out is bit-identical to the serial one at 1, 2 and 4 threads,
+//!   and an evaluator built afresh over the mutated tree holds every
+//!   corner's repaired loads and star arrivals bit for bit;
 //! * **monotonicity**: a uniformly slower corner (every derate ≥ 1)
 //!   never reports lower latency than the nominal corner, at any point
 //!   of a mutation sequence.
@@ -255,34 +257,13 @@ fn scripted(
     ops: &[Op],
     parallel: Option<bool>,
 ) -> ScriptTrace {
-    let buffered: Vec<usize> = (1..tree.topo.nodes.len())
-        .filter(|&i| tree.patterns[i].is_some_and(|p| p.buffers() > 0))
-        .collect();
-    let n_edges = tree.topo.nodes.len() - 1;
-    let n_stars = tree.topo.stars.len();
+    let buffered = buffered_edges(tree);
     let mut t = tree.clone();
     let mut mc = robust(&mut t, corners, model).with_parallel(parallel);
     let mut rets = Vec::new();
     let mut steps = Vec::new();
     for &op in ops {
-        match op {
-            Op::Scale(i, s) if !buffered.is_empty() => {
-                rets.push(mc.set_buffer_scale(buffered[i % buffered.len()], s));
-            }
-            Op::Scale(..) => {}
-            Op::StarBuffer(i, on) => rets.push(mc.set_star_buffer(i % n_stars, on)),
-            Op::Pattern(i, k) => {
-                let edge = 1 + (i % n_edges);
-                let cur = mc.tree().patterns[edge].expect("assigned");
-                if cur.root_side() == dscts_tech::Side::Front
-                    && cur.sink_side() == dscts_tech::Side::Front
-                {
-                    rets.push(mc.set_pattern(edge, FF_PATTERNS[k % FF_PATTERNS.len()]));
-                }
-            }
-            Op::Undo => mc.undo(),
-            Op::Commit => mc.commit(),
-        }
+        rets.extend(apply(&mut mc, op, &buffered));
         for (k, tech) in corners.techs().iter().enumerate() {
             assert_eq!(
                 mc.corner_metrics(k),
@@ -298,6 +279,93 @@ fn scripted(
     }
     drop(mc);
     (rets, steps, t)
+}
+
+/// The edges of `tree` that embed a buffer.
+fn buffered_edges(tree: &SynthesizedTree) -> Vec<usize> {
+    (1..tree.topo.nodes.len())
+        .filter(|&i| tree.patterns[i].is_some_and(|p| p.buffers() > 0))
+        .collect()
+}
+
+/// Applies one scripted op to `mc`, resolved against its current tree
+/// (`buffered` lists the script's scalable edges). Returns the mutation's
+/// outcome, or `None` when the op mutates nothing.
+fn apply(mc: &mut IncrementalEval<'_>, op: Op, buffered: &[usize]) -> Option<bool> {
+    let n_edges = mc.tree().topo.nodes.len() - 1;
+    let n_stars = mc.tree().topo.stars.len();
+    match op {
+        Op::Scale(i, s) if !buffered.is_empty() => {
+            Some(mc.set_buffer_scale(buffered[i % buffered.len()], s))
+        }
+        Op::Scale(..) => None,
+        Op::StarBuffer(i, on) => Some(mc.set_star_buffer(i % n_stars, on)),
+        Op::Pattern(i, k) => {
+            let edge = 1 + (i % n_edges);
+            let cur = mc.tree().patterns[edge].expect("assigned");
+            (cur.root_side() == dscts_tech::Side::Front
+                && cur.sink_side() == dscts_tech::Side::Front)
+                .then(|| mc.set_pattern(edge, FF_PATTERNS[k % FF_PATTERNS.len()]))
+        }
+        Op::Undo => {
+            mc.undo();
+            None
+        }
+        Op::Commit => {
+            mc.commit();
+            None
+        }
+    }
+}
+
+/// What an evaluator built afresh must reproduce from a repaired one, in
+/// its objective view: the metrics, and as bits the latency and skew,
+/// every node's load and every star's earliest arrival.
+fn resident_view(eval: &IncrementalEval<'_>) -> (TreeMetrics, Vec<u64>) {
+    let (latency, skew) = eval.latency_skew_ps();
+    let topo = &eval.tree().topo;
+    let bits = [latency, skew]
+        .into_iter()
+        .chain((0..topo.nodes.len()).map(|v| eval.load_at(v)))
+        .chain((0..topo.stars.len()).map(|si| eval.star_earliest(si)))
+        .map(f64::to_bits)
+        .collect();
+    (eval.metrics(), bits)
+}
+
+/// For each corner `k` of `corners`, applies `ops` through an evaluator
+/// over every corner whose objective view is corner `k`, then builds a
+/// fresh evaluator over the mutated tree and checks that it holds corner
+/// `k`'s repaired state bit for bit.
+fn rebuilt_matches_repaired(
+    tree: &SynthesizedTree,
+    tech: &Technology,
+    corners: &CornerSet,
+    model: EvalModel,
+    ops: &[Op],
+) {
+    let buffered = buffered_edges(tree);
+    for k in 0..corners.len() {
+        let viewed =
+            CornerSet::expand(tech, corners.corners().to_vec(), k).expect("valid corner set");
+        let mut t = tree.clone();
+        let mut mc =
+            IncrementalEval::with_corners(&mut t, &viewed, model, RobustObjective::Nominal)
+                .expect("small designs are feasible at every test corner");
+        for &op in ops {
+            apply(&mut mc, op, &buffered);
+        }
+        let repaired = resident_view(&mc);
+        drop(mc);
+        let rebuilt =
+            IncrementalEval::with_corners(&mut t, &viewed, model, RobustObjective::Nominal)
+                .expect("the repaired tree was feasible at every corner");
+        assert_eq!(
+            resident_view(&rebuilt),
+            repaired,
+            "corner {k}: rebuilt != repaired"
+        );
+    }
 }
 
 proptest! {
@@ -329,6 +397,9 @@ proptest! {
             prop_assert_eq!(&serial.0, &par.0, "mutation outcomes differ at {} threads", threads);
             prop_assert_eq!(&serial.1, &par.1, "per-corner trajectories differ at {} threads", threads);
             prop_assert_eq!(&serial.2, &par.2, "written-through trees differ at {} threads", threads);
+        }
+        for model in [EvalModel::Elmore, EvalModel::Nldm] {
+            rebuilt_matches_repaired(&tree, &tech, &corners, model, &ops);
         }
     }
 

@@ -2,13 +2,15 @@
 //! deadline failures, drain semantics.
 
 use dscts_core::mcmm::CornerReport;
-use dscts_core::{mode_vector, DsCts, ModeRule};
+use dscts_core::{mode_vector, DsCts, ModeRule, OptCtx, OptPass, PassStats};
 use dscts_netlist::{BenchmarkSpec, Design};
 use dscts_service::{
     job_pipeline, CancelKind, CtsService, DesignKey, DrainMode, JobKind, JobOutcome, JobRequest,
     JobResponse, Rejected, ServiceConfig,
 };
 use dscts_tech::{CornerSet, Technology};
+use std::borrow::Cow;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 fn small_design() -> Design {
@@ -242,27 +244,58 @@ fn corner_aware_optimize_infeasibility_fails_typed_and_does_not_quarantine() {
     assert_eq!(stats.panics_caught, 0, "no panic reached the worker");
 }
 
+/// An optimization pass that holds the first job to run it: it signals
+/// `started`, then blocks until the test sends on `release`. Later runs
+/// pass straight through.
+struct Gate(Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>);
+
+impl OptPass for Gate {
+    fn name(&self) -> Cow<'static, str> {
+        "gate".into()
+    }
+
+    fn run(&self, _: &mut OptCtx<'_, '_>) -> PassStats {
+        let first = self.0.lock().expect("gate lock").take();
+        if let Some((started, release)) = first {
+            started.send(()).expect("the test waits for the start");
+            release.recv().expect("the test releases the gate");
+        }
+        PassStats::default()
+    }
+}
+
 #[test]
 fn admission_control_rejects_typed() {
-    let service = start(ServiceConfig {
-        workers: 1,
-        queue_capacity: 3,
-        max_outstanding_per_tenant: 2,
-        ..ServiceConfig::default()
-    });
+    let (started_tx, started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let base = DsCts::new(Technology::asap7());
+    let schedule = base
+        .effective_schedule()
+        .cloned()
+        .unwrap_or_default()
+        .with(Gate(Mutex::new(Some((started_tx, release_rx)))));
+    let service = CtsService::start(
+        base.schedule(schedule),
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 3,
+            max_outstanding_per_tenant: 2,
+            ..ServiceConfig::default()
+        },
+    );
     let (big, _) = service.register_design(&bigger_design()).expect("routes");
 
-    // Occupy the single worker with a slow job...
+    // Occupy the single worker: its job holds at the gate...
     let running = service
         .submit(JobRequest {
             tenant: "a".into(),
             design: big,
-            kind: JobKind::Sizing { moves: 50_000 },
+            kind: JobKind::Score,
             deadline: None,
         })
         .expect("first job accepted");
-    std::thread::sleep(Duration::from_millis(100)); // worker picks it up
-                                                    // ...queue a second job for the same tenant (queue 1/3)...
+    started.recv().expect("the worker reaches the gate");
+    // ...queue a second job for the same tenant (queue 1/3)...
     let queued = service
         .submit(JobRequest {
             tenant: "a".into(),
@@ -315,6 +348,7 @@ fn admission_control_rejects_typed() {
         "got {full:?}"
     );
 
+    release.send(()).expect("the gated job waits");
     assert!(running.wait().is_some());
     assert!(queued.wait().is_some());
     for f in fillers {

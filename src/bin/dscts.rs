@@ -34,8 +34,30 @@ use dscts::{
     BenchmarkSpec, Design, DsCts, EvalModel, IncrementalEval, ModeRule, OptSchedule,
     RecoveryPolicy, RunBudget, Technology,
 };
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// Writes one report line to stdout. A closed stdout (the reader of the
+/// pipe went away) is not an error: the run goes on, still writes its
+/// `--out` and `--telemetry` files and exits 0. Any other write error
+/// ends the run with an `error:` line.
+fn emit(line: std::fmt::Arguments<'_>) -> Result<(), String> {
+    match writeln!(std::io::stdout(), "{line}") {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`emit`], returning its error from the enclosing
+/// function.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))?
+    };
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -51,7 +73,7 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", USAGE);
+        say!("{}", USAGE.trim_end());
         return Ok(());
     }
     check_args(&args)?;
@@ -87,7 +109,7 @@ fn run() -> Result<(), String> {
     };
     let flow = get("--flow").unwrap_or_else(|| "ours".to_owned());
 
-    println!(
+    say!(
         "design {}: {} sinks, core {:.0} x {:.0} um",
         design.name,
         design.sink_count(),
@@ -121,53 +143,55 @@ fn run() -> Result<(), String> {
         let sweep = dscts::core::dse::SweepEngine::new(&pipeline)
             .try_sweep(&design, thresholds.iter().copied())
             .map_err(|e| e.to_string())?;
-        println!(
+        say!(
             "exact sweep: {} thresholds collapsed into {} mode-class DP runs",
             thresholds.len(),
             sweep.classes.len(),
         );
         let frontier = dscts::core::dse::frontier_pairs(&sweep.points);
-        println!("Pareto frontier ({} points):", frontier.len());
+        say!("Pareto frontier ({} points):", frontier.len());
         for (res, lat) in frontier {
-            println!("  {res:>6} resources  {lat:>10.3} ps latency");
+            say!("  {res:>6} resources  {lat:>10.3} ps latency");
         }
         if let (Some(path), Some(collector)) = (&telemetry_out, &collector) {
             std::fs::write(path, collector.snapshot().to_jsonl())
                 .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            println!("telemetry snapshot written to {path}");
+            say!("telemetry snapshot written to {path}");
         }
         return Ok(());
     }
 
     // Staged flows report which phase failed via CtsError instead of
     // panicking; per-stage wall clocks come along for free.
-    let report_stages = |o: &dscts::Outcome| {
+    let report_stages = |o: &dscts::Outcome| -> Result<(), String> {
         let cells: Vec<String> = o
             .stages
             .iter()
             .map(|s| format!("{} {:.1} ms", s.name, s.seconds * 1e3))
             .collect();
-        println!(
+        say!(
             "stages: {} | total {:.1} ms",
             cells.join(" | "),
             o.runtime_s * 1e3
         );
         if o.degraded {
-            println!("NOTE: run budget expired mid-optimization; schedule truncated (tree is valid, metrics complete)");
+            say!("NOTE: run budget expired mid-optimization; schedule truncated (tree is valid, metrics complete)");
         }
         for step in &o.recovery {
-            println!(
+            say!(
                 "recovered: {} -> retried with {:?}",
-                step.error, step.relaxation
+                step.error,
+                step.relaxation
             );
         }
+        Ok(())
     };
     // The staged flows bring the metrics their evaluate stage measured;
     // the baselines are measured below.
     let (mut tree, measured) = match flow.as_str() {
         "ours" => {
             let o = pipeline.try_run(&design).map_err(|e| e.to_string())?;
-            report_stages(&o);
+            report_stages(&o)?;
             (o.tree, Some(o.metrics))
         }
         "front" => {
@@ -175,7 +199,7 @@ fn run() -> Result<(), String> {
                 .single_side(true)
                 .try_run(&design)
                 .map_err(|e| e.to_string())?;
-            report_stages(&o);
+            report_stages(&o)?;
             (o.tree, Some(o.metrics))
         }
         "openroad" => (HTreeCts::default().synthesize(&design, &tech), None),
@@ -205,23 +229,25 @@ fn run() -> Result<(), String> {
             .with(SizingPass::default())
             .run(&mut eval, None);
         let sized = eval.metrics();
-        println!(
+        say!(
             "sizing: {} buffers resized, skew {:.3} -> {:.3} ps",
-            report.passes[0].accepted, measured.skew_ps, sized.skew_ps
+            report.passes[0].accepted,
+            measured.skew_ps,
+            sized.skew_ps
         );
         sized
     } else {
         measured
     };
-    println!("{m}");
-    println!(
+    say!("{m}");
+    say!(
         "trunk WL {:.3}e6 nm | switched cap {:.1} fF | cell area {:.1} um^2 | worst sink slew {:.1} ps",
         m.trunk_wirelength_nm as f64 / 1e6,
         m.switched_cap_ff,
         m.cell_area_nm2 as f64 / 1e6,
         m.max_sink_slew_ps
     );
-    println!(
+    say!(
         "clock power at 2 GHz, 0.7 V: {:.1} uW",
         m.clock_power_uw(0.7, 2.0)
     );
@@ -244,13 +270,13 @@ fn run() -> Result<(), String> {
         }
         std::fs::write(&out, write_def_with_extras(&design, &extras))
             .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        println!("post-CTS DEF written to {out}");
+        say!("post-CTS DEF written to {out}");
     }
 
     if let (Some(path), Some(collector)) = (telemetry_out, collector) {
         std::fs::write(&path, collector.snapshot().to_jsonl())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("telemetry snapshot written to {path}");
+        say!("telemetry snapshot written to {path}");
     }
     Ok(())
 }

@@ -138,3 +138,34 @@ fn size_line_reads_the_metrics_lines_before_and_after() {
     assert_eq!(after, metrics_skew(&sized), "{line}");
     assert_ne!(before, after, "C4 sizing changes skew: {line}");
 }
+
+#[test]
+fn a_closed_stdout_is_not_a_crash() {
+    // The reader of stdout is gone before the run starts, so every line
+    // it prints meets a broken pipe. The run still finishes, writes its
+    // files, exits 0 and says nothing on stderr.
+    let tmp = |what: &str| {
+        std::env::temp_dir().join(format!("dscts-cli-pipe-{}.{what}", std::process::id()))
+    };
+    let (def, jsonl) = (tmp("def"), tmp("jsonl"));
+    let (def_arg, jsonl_arg) = (def.to_str().expect("UTF-8"), jsonl.to_str().expect("UTF-8"));
+    for args in [
+        &["--design", "c4", "--out", def_arg][..],
+        &["--design", "c4", "--sweep", "20", "--telemetry", jsonl_arg],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_dscts"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("the dscts binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    for file in [def, jsonl] {
+        assert!(file.exists(), "{} was not written", file.display());
+        std::fs::remove_file(file).expect("remove the run's file");
+    }
+}

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: the full pipeline holds its invariants on
 //! randomly generated designs, not just the Table II presets.
 
-use dscts::{BenchmarkSpec, DsCts, EvalModel, Technology};
+use dscts::{BenchmarkSpec, DsCts, EvalModel, HierarchicalRouter, Technology};
 use proptest::prelude::*;
 
 fn random_spec(ffs: usize, util_pct: u64, seed: u64, banks: usize) -> BenchmarkSpec {
@@ -104,5 +104,45 @@ proptest! {
         let n = outcome.tree.evaluate(&tech, EvalModel::Nldm);
         let rel = (e.latency_ps - n.latency_ps).abs() / e.latency_ps;
         prop_assert!(rel < 0.35, "Elmore {} vs NLDM {}", e.latency_ps, n.latency_ps);
+    }
+
+    #[test]
+    fn subdivide_keeps_snaked_trees_valid(
+        ffs in 40usize..300,
+        seed in 0u64..10_000,
+        snakes in prop::collection::vec((0usize..4096, 1i64..40_000), 0..12),
+        max_len in 500i64..60_000,
+    ) {
+        let design = random_spec(ffs, 50, seed, 1 + seed as usize % 4).generate();
+        let mut topo = HierarchicalRouter::new()
+            .seed(seed)
+            .try_route(&design, &Technology::asap7())
+            .expect("routable");
+        // Snake random edges: wire beyond their Manhattan span.
+        let edges = topo.nodes.len() - 1;
+        for &(i, extra) in &snakes {
+            topo.nodes[1 + i % edges].edge_len += extra;
+        }
+        prop_assert_eq!(topo.validate(), Ok(()));
+        let before = topo.clone();
+        topo.subdivide(max_len);
+
+        prop_assert_eq!(topo.validate(), Ok(()));
+        prop_assert_eq!(topo.total_wirelength(), before.total_wirelength());
+        prop_assert!(topo.nodes.iter().skip(1).all(|n| n.edge_len <= max_len));
+        for (v, old) in before.nodes.iter().enumerate() {
+            prop_assert_eq!(topo.nodes[v].pos, old.pos, "node {} moved", v);
+            let Some(parent) = old.parent else { continue };
+            // Walk the new waypoints back up to the original parent.
+            let mut segments = 1;
+            let mut u = topo.nodes[v].parent.expect("non-root");
+            while u as usize >= before.nodes.len() {
+                segments += 1;
+                u = topo.nodes[u as usize].parent.expect("waypoints have parents");
+            }
+            prop_assert_eq!(u, parent, "node {} reattached", v);
+            let want = ((old.edge_len + max_len - 1) / max_len).max(1);
+            prop_assert_eq!(segments, want, "edge {} of {} nm", v, old.edge_len);
+        }
     }
 }
